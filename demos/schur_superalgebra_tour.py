@@ -12,7 +12,6 @@ from levischur import (
     commutant,
     pi_matrix,
     schur_basis,
-    spans_equal,
     structure_constants,
     xi_matrix,
 )
@@ -64,4 +63,4 @@ print("\n-- the same equality by hand --")
 comm = commutant([swap], 4)
 alg = span_of([xi_matrix(p, shape) for p in basis])
 print(f"  commutant dim {comm.dimension}, span dim {alg.dimension}, "
-      f"equal: {spans_equal(comm, alg)}")
+      f"equal: {comm == alg}")

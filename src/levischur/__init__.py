@@ -11,6 +11,9 @@ The natural entry points:
   * ``hecke`` builds the layered permutation generators and their image.
   * ``duality`` runs the theorem-level verifications.
   * ``cli`` is the command-line front end (``levischur ...``).
+  * ``clear_caches()`` empties every per-shape cache.
+
+The names imported here are the package's public API.
 """
 
 from .combinatorics import Shape
@@ -22,9 +25,7 @@ from .linalg import (
     SizeCapExceeded,
     algebra_closure,
     commutant,
-    in_span,
     span_of,
-    spans_equal,
 )
 from .schur_core import (
     ClassicalDualityReport,
@@ -65,48 +66,14 @@ from .duality import (
     verify_second,
 )
 
+from . import combinatorics, duality, enhanced_core, hecke, schur_core
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraSpan",
-    "BOTTOM",
-    "ClassicalDualityReport",
-    "DualityReport",
-    "ExactMatrix",
-    "LayerGen",
-    "LeviBasisElement",
-    "PrimeField",
-    "QQ",
-    "RelationInstance",
-    "Shape",
-    "SizeCapExceeded",
-    "SwapGen",
-    "algebra_closure",
-    "check_relation",
-    "classical_duality",
-    "commutant",
-    "d_algebra",
-    "d_layer_algebra",
-    "embed_alpha",
-    "enh_decode",
-    "enh_encode",
-    "eval_word",
-    "in_span",
-    "levi_basis",
-    "levi_product",
-    "pi_matrix",
-    "relation_instances",
-    "rho_bottom",
-    "rho_levi",
-    "run_duality",
-    "schur_basis",
-    "span_of",
-    "spans_equal",
-    "structure_constants",
-    "verify_faithful_layer_action",
-    "verify_first",
-    "verify_layer_endos",
-    "verify_second",
-    "xi_gen",
-    "xi_matrix",
-]
+
+def clear_caches() -> None:
+    """Empty every per-shape cache in the package."""
+    for module in (combinatorics, schur_core, enhanced_core, hecke, duality):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

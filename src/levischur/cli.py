@@ -12,9 +12,11 @@ Subcommands:
 
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 invalid
 configuration, 3 size cap exceeded.  JSON goes to stdout with sorted
-keys; wall-clock measurements live under a "timing" key so reports can
-be compared byte for byte after dropping it.  Runs over a prime field
-are labelled informative; the rationals are authoritative.
+keys.  Wall-clock measurements live under a "timing" key, so reports
+can be compared byte for byte after dropping it; for ``verify`` and
+``report`` it also holds ``layers``, the size, dimensions and seconds of
+every layer block of the duality check.  Runs over a prime field are
+labelled informative; the rationals are authoritative.
 """
 
 from __future__ import annotations
@@ -29,8 +31,13 @@ from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke
 from .combinatorics import Shape
-from .duality import run_duality
-from .linalg import DEFAULT_SIZE_CAP, QQ, SizeCapExceeded, parse_field
+from .duality import layer_blocks, run_duality
+from .linalg import (
+    DEFAULT_SIZE_CAP,
+    SizeCapExceeded,
+    check_size_cap,
+    parse_field,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,10 +64,7 @@ class RunConfig:
         ]
 
     def validate(self) -> None:
-        if self.m < 1 or self.n < 0 or self.r < 1:
-            raise ValueError("need m >= 1, n >= 0, r >= 1")
-        if self.vparity not in ("even", "odd", "both"):
-            raise ValueError(f"bad vparity {self.vparity!r}")
+        """Checks what neither ``Shape`` nor the parser checks."""
         parse_field(self.field)
         if self.size_cap < 1:
             raise ValueError("size cap must be positive")
@@ -166,6 +170,22 @@ def _duality_checks(shape: Shape, size_cap: int) -> tuple[list[dict], dict]:
     return checks, dims
 
 
+def _layer_timing(shape: Shape, size_cap: int) -> list[dict]:
+    """Per-layer block sizes, dimensions and seconds of the duality."""
+    return [
+        {
+            "vparity": shape.vparity,
+            "layer": b.layer,
+            "block_size": b.D.ambient_dim,
+            "dim_D": b.D.dimension,
+            "dim_commutant_D": b.commutant_D.dimension,
+            "dim_commutant_levi": b.commutant_levi.dimension,
+            "seconds": round(b.seconds, 6),
+        }
+        for b in layer_blocks(shape, size_cap).blocks
+    ]
+
+
 def _cross_parity_check(cfg: RunConfig) -> dict:
     """The two Levi representations are conjugate by a diagonal sign
     matrix (the swap generators are genuinely different operators across
@@ -193,23 +213,31 @@ def _base_report(cfg: RunConfig) -> dict:
     }
 
 
+def _finish(report: dict, checks: list[dict], t0: float, **timing):
+    """Add the checks, the verdict and the timing; return the status."""
+    report["checks"] = checks
+    report["pass"] = all(c["passed"] for c in checks if c["gated"])
+    report["timing"] = {"seconds": round(time.perf_counter() - t0, 6),
+                        **timing}
+    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+
+
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     report = _base_report(cfg)
     checks: list[dict] = []
     dims: dict = {}
+    layers: list[dict] = []
     for shape in cfg.shapes():
         checks.extend(_relation_checks(shape))
         checks.append(_commutation_check(shape))
         dchecks, dims = _duality_checks(shape, cfg.size_cap)
         checks.extend(dchecks)
+        layers.extend(_layer_timing(shape, cfg.size_cap))
     if cfg.vparity == "both":
         checks.append(_cross_parity_check(cfg))
     report["dims"] = dims
-    report["checks"] = checks
-    report["pass"] = all(c["passed"] for c in checks if c["gated"])
-    report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    return _finish(report, checks, t0, layers=layers)
 
 
 def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
@@ -226,13 +254,11 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
         "levi": enh.levi_dimension(shape),
         "d_algebra": hecke.d_algebra(shape, cfg.size_cap).dimension,
     }
-    report["checks"] = []
-    report["pass"] = True
-    report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return report, EXIT_OK
+    return _finish(report, [], t0)
 
 
 def cmd_orbits(cfg: RunConfig) -> tuple[dict, int]:
+    t0 = time.perf_counter()
     report = _base_report(cfg)
     shape = cfg.shapes()[0]
     layers = {}
@@ -242,10 +268,7 @@ def cmd_orbits(cfg: RunConfig) -> tuple[dict, int]:
             for row, col in comb.orbit_reps(shape, l)
         ]
     report["orbits"] = layers
-    report["checks"] = []
-    report["pass"] = True
-    report["timing"] = {"seconds": 0.0}
-    return report, EXIT_OK
+    return _finish(report, [], t0)
 
 
 def cmd_relations(cfg: RunConfig) -> tuple[dict, int]:
@@ -254,10 +277,7 @@ def cmd_relations(cfg: RunConfig) -> tuple[dict, int]:
     checks: list[dict] = []
     for shape in cfg.shapes():
         checks.extend(_relation_checks(shape))
-    report["checks"] = checks
-    report["pass"] = all(c["passed"] for c in checks if c["gated"])
-    report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    return _finish(report, checks, t0)
 
 
 def cmd_report(cfg: RunConfig) -> tuple[dict, int]:
@@ -344,14 +364,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if cfg.command != "orbits" and (cfg.m + cfg.n + 1) ** cfg.r > cfg.size_cap:
-        print(
-            f"error: ambient dimension {(cfg.m + cfg.n + 1) ** cfg.r} "
-            f"exceeds size cap {cfg.size_cap}",
-            file=sys.stderr,
-        )
-        return EXIT_SIZE_CAP
     try:
+        if cfg.command != "orbits":
+            check_size_cap((cfg.m + cfg.n + 1) ** cfg.r, cfg.size_cap)
         report, status = _COMMANDS[cfg.command](cfg)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,18 @@ Theorem-level verifications: both directions of the double centralizer
 on the enhanced tensor space, per-layer endomorphism decomposition, and
 faithfulness of the layer actions.
 
-Every check is an explicit commutant computation over the exact field,
-compared against an independently constructed span.  The first
-direction carries no restriction on the degree; the second is only
-asserted when r <= m+n and otherwise reported as an observation
-(containment of the generator image in the commutant holds regardless
-and is always checked).
+Both algebras preserve the tensor layers, so every commutant is solved
+on the layer blocks (block l holds the C(r,l)(m+n)^l words with l
+natural letters).  ``layer_blocks`` restricts D, its generators and the
+Levi basis to each block, once per shape.  The split is gated exactly:
+every layer projector P_l lies in the Levi span and in D, and no
+restricted matrix has an entry joining two layers.  Then both algebras
+and both commutants are the direct sums of their blocks; if the gate
+fails, every check read from the blocks fails.
+
+The first direction holds at every degree; the second is asserted when
+r <= m+n and otherwise only reported (containment of D in the commutant
+is always checked).
 """
 
 from __future__ import annotations
@@ -29,22 +35,86 @@ from .linalg import (
     check_size_cap,
     commutant,
     span_of,
-    spans_equal,
 )
 
 
-@lru_cache(maxsize=None)
-def _commutant_of_d(shape: Shape, size_cap: int) -> AlgebraSpan:
-    d = shape.dim_enhanced
-    gens = hecke.d_algebra(shape, size_cap).basis
-    return commutant(gens, d, field=shape.field, size_cap=size_cap)
+@dataclass(frozen=True)
+class LayerBlock:
+    """Spans of matrices on the words of one layer."""
+
+    layer: int
+    D: AlgebraSpan
+    levi: AlgebraSpan
+    commutant_D: AlgebraSpan
+    commutant_levi: AlgebraSpan
+    seconds: float = field(compare=False, default=0.0)
+
+
+@dataclass(frozen=True)
+class LayerBlocks:
+    blocks: tuple[LayerBlock, ...]
+    gate: bool      # the layer split is exact (see the module docstring)
+
+
+def _split(mats, shape: Shape) -> tuple[list[list[ExactMatrix]], bool]:
+    """Layer blocks of every matrix, and whether no entry joined two
+    layers (such entries are dropped)."""
+    positions = [enh.layer_positions(shape, l) for l in range(shape.r + 1)]
+    where = {p: (l, k) for l, ps in enumerate(positions)
+             for k, p in enumerate(ps)}
+    out: list[list[ExactMatrix]] = [[] for _ in positions]
+    lossless = True
+    for mat in mats:
+        parts: dict[int, dict] = {}
+        for (r, c), v in mat.entries.items():
+            (l, i), (lc, j) = where[r], where[c]
+            if lc != l:
+                lossless = False
+                continue
+            parts.setdefault(l, {})[(i, j)] = v
+        for l, entries in parts.items():
+            size = len(positions[l])
+            out[l].append(ExactMatrix(shape.field, size, size, entries))
+    return out, lossless
 
 
 @lru_cache(maxsize=None)
-def _commutant_of_levi(shape: Shape, size_cap: int) -> AlgebraSpan:
-    d = shape.dim_enhanced
-    gens = enh.levi_span(shape).basis
-    return commutant(gens, d, field=shape.field, size_cap=size_cap)
+def _layer_blocks(shape: Shape) -> LayerBlocks:
+    d, f = shape.dim_enhanced, shape.field
+    dalg = hecke.d_algebra(shape, d)
+    levi = enh.levi_span(shape)
+    d_parts, d_ok = _split(dalg.basis, shape)
+    gen_parts, gen_ok = _split(hecke.d_generators(shape, d), shape)
+    levi_parts, levi_ok = _split(
+        [enh.rho_levi(b, shape) for b in enh.levi_basis(shape)], shape
+    )
+    units = [hecke.layer_projector(l, shape) for l in range(shape.r + 1)]
+    gate = d_ok and gen_ok and levi_ok and all(
+        levi.contains(p) and dalg.contains(p) for p in units
+    )
+    blocks = []
+    for l in range(shape.r + 1):
+        t0 = time.perf_counter()
+        size = len(enh.layer_positions(shape, l))
+        blocks.append(LayerBlock(
+            layer=l,
+            D=span_of(d_parts[l], d=size, field=f),
+            levi=span_of(levi_parts[l], d=size, field=f),
+            commutant_D=commutant(gen_parts[l], size, field=f, size_cap=size),
+            commutant_levi=commutant(
+                levi_parts[l], size, field=f, size_cap=size
+            ),
+            seconds=time.perf_counter() - t0,
+        ))
+    return LayerBlocks(blocks=tuple(blocks), gate=gate)
+
+
+def layer_blocks(
+    shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
+) -> LayerBlocks:
+    """Per-layer blocks and the gate; the size cap is not a cache key."""
+    check_size_cap(shape.dim_enhanced, size_cap)
+    return _layer_blocks(shape)
 
 
 @dataclass(frozen=True)
@@ -60,16 +130,14 @@ def verify_first(
     """Commutant of the generator image equals the Levi span.
 
     This direction has no degree restriction and must hold at every
-    shape.  Commutant inputs are canonical span bases, so the outcome
-    is independent of generator enumeration order.
+    shape.
     """
-    check_size_cap(shape.dim_enhanced, size_cap)
-    levi = enh.levi_span(shape)
-    comm = _commutant_of_d(shape, size_cap)
+    blocks = layer_blocks(shape, size_cap)
     return FirstDualityResult(
-        dim_levi=levi.dimension,
-        dim_commutant_D=comm.dimension,
-        holds=spans_equal(comm, levi),
+        dim_levi=enh.levi_span(shape).dimension,
+        dim_commutant_D=sum(b.commutant_D.dimension for b in blocks.blocks),
+        holds=blocks.gate
+        and all(b.commutant_D == b.levi for b in blocks.blocks),
     )
 
 
@@ -93,18 +161,20 @@ def verify_second(
     """Commutant of the Levi span against the generator image.
 
     Containment of the image in the commutant is unconditional.  Span
-    equality is asserted only for r <= m+n; beyond that it is computed
-    and reported without gating.
+    equality is asserted only for r <= m+n and otherwise only reported.
     """
-    check_size_cap(shape.dim_enhanced, size_cap)
-    dmat = hecke.d_algebra(shape, size_cap)
-    comm = _commutant_of_levi(shape, size_cap)
-    contained = all(comm.contains(m) for m in dmat.basis)
+    blocks = layer_blocks(shape, size_cap)
     return SecondDualityResult(
-        dim_D=dmat.dimension,
-        dim_commutant_levi=comm.dimension,
-        containment_holds=contained,
-        spans_equal=spans_equal(comm, dmat),
+        dim_D=hecke.d_algebra(shape, size_cap).dimension,
+        dim_commutant_levi=sum(
+            b.commutant_levi.dimension for b in blocks.blocks
+        ),
+        containment_holds=blocks.gate and all(
+            b.commutant_levi.contains(m)
+            for b in blocks.blocks for m in b.D.basis
+        ),
+        spans_equal=blocks.gate
+        and all(b.commutant_levi == b.D for b in blocks.blocks),
         gated=shape.r <= shape.m + shape.n,
     )
 
@@ -120,60 +190,24 @@ class LayerEndoReport:
         return all(self.per_layer_equal) and self.sum_matches_commutant
 
 
-def _restrict(mat: ExactMatrix, positions: list[int]) -> ExactMatrix:
-    index = {p: k for k, p in enumerate(positions)}
-    entries = {}
-    for (r, c), v in mat.entries.items():
-        if r in index and c in index:
-            entries[(index[r], index[c])] = v
-    return ExactMatrix(mat.field, len(positions), len(positions), entries)
-
-
-def _extend(mat: ExactMatrix, positions: list[int], d: int) -> ExactMatrix:
-    entries = {
-        (positions[r], positions[c]): v for (r, c), v in mat.entries.items()
-    }
-    return ExactMatrix(mat.field, d, d, entries)
-
-
 def verify_layer_endos(
     shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> LayerEndoReport:
     """Per-layer commutants against the layer algebras.
 
     For each layer the commutant of the restricted Levi action is
-    computed inside the endomorphisms of that layer, zero-extended, and
-    compared with the closed layer algebra; the direct sum over layers
-    is compared with the full commutant.
+    compared with D_l.  ``sum_matches_commutant`` reports the layer
+    gate, under which their direct sum is the whole commutant.
     """
-    d = shape.dim_enhanced
-    check_size_cap(d, size_cap)
-    levi_mats = [enh.rho_levi(b, shape) for b in enh.levi_basis(shape)]
-    dims: list[int] = []
-    equal: list[bool] = []
-    extended: list[ExactMatrix] = []
-    for l in range(shape.r + 1):
-        positions = list(enh.layer_positions(shape, l))
-        gens = [_restrict(m, positions) for m in levi_mats]
-        gens = [g for g in gens if not g.is_zero()]
-        comm_l = commutant(
-            gens, len(positions), field=shape.field, size_cap=size_cap
-        )
-        ext = [_extend(m, positions, d) for m in comm_l.basis]
-        extended.extend(ext)
-        layer_alg = hecke.d_layer_algebra(l, shape, size_cap)
-        dims.append(comm_l.dimension)
-        equal.append(
-            spans_equal(
-                span_of(ext, d=d, field=shape.field), layer_alg
-            )
-        )
-    full = _commutant_of_levi(shape, size_cap)
-    direct_sum = span_of(extended, d=d, field=shape.field)
+    blocks = layer_blocks(shape, size_cap)
     return LayerEndoReport(
-        per_layer_dims=tuple(dims),
-        per_layer_equal=tuple(equal),
-        sum_matches_commutant=spans_equal(direct_sum, full),
+        per_layer_dims=tuple(
+            b.commutant_levi.dimension for b in blocks.blocks
+        ),
+        per_layer_equal=tuple(
+            blocks.gate and b.commutant_levi == b.D for b in blocks.blocks
+        ),
+        sum_matches_commutant=blocks.gate,
     )
 
 
@@ -188,8 +222,7 @@ def verify_faithful_layer_action(
     if not 1 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range 1..{shape.r}")
     check_size_cap(shape.dim_enhanced, size_cap)
-    positions = list(enh.layer_positions(shape, l))
-    index = {p: k for k, p in enumerate(positions)}
+    index = {p: k for k, p in enumerate(enh.layer_positions(shape, l))}
     ech = Echelon(shape.field)
     for pair in comb.orbit_reps(shape, l):
         mat = enh.rho_levi(enh.LeviBasisElement(pair, l), shape)
@@ -199,7 +232,7 @@ def verify_faithful_layer_action(
                 rows.setdefault(r, {})[index[c]] = v
         for row in rows.values():
             ech.add(row)
-    return ech.rank == len(positions)
+    return ech.rank == len(index)
 
 
 @dataclass(frozen=True)

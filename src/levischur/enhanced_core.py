@@ -142,10 +142,6 @@ class LeviBasisElement:
         if self.layer != len(self.pair[0]) or self.layer != len(self.pair[1]):
             raise ValueError("layer must equal the pair degree")
 
-    @property
-    def is_bottom(self) -> bool:
-        return self.layer == 0
-
     def parity(self, shape: Shape) -> int:
         return comb.pair_parity(self.pair, shape)
 

@@ -26,7 +26,6 @@ behaviour is reported separately and never asserted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -40,6 +39,7 @@ from .linalg import (
     ExactMatrix,
     algebra_closure,
     check_size_cap,
+    span_of,
 )
 
 
@@ -286,6 +286,17 @@ def hecke_generators(shape: Shape) -> tuple[HeckeGenerator, ...]:
     return tuple(gens)
 
 
+def coxeter_generators(shape: Shape) -> tuple[HeckeGenerator, ...]:
+    """The swaps, then ``LayerGen(l, id)`` and ``LayerGen(l, s_i)`` per
+    layer: O(r^2) generators, whose products give every
+    ``LayerGen(l, sigma)`` by relation 3.3."""
+    gens: list[HeckeGenerator] = [SwapGen(i) for i in range(1, shape.r)]
+    for l in range(shape.r + 1):
+        gens.append(LayerGen(l, tuple(range(l))))
+        gens.extend(LayerGen(l, _embedded_swap(l, i)) for i in range(1, l))
+    return tuple(gens)
+
+
 def layer_projector(l: int, shape: Shape) -> ExactMatrix:
     """Diagonal projector onto the span of all layer-l words."""
     if not 0 <= l <= shape.r:
@@ -298,48 +309,55 @@ def layer_projector(l: int, shape: Shape) -> ExactMatrix:
     )
 
 
-def _truncate_to_layer(mat: ExactMatrix, l: int, shape: Shape) -> ExactMatrix:
-    keep = set(enh.layer_positions(shape, l))
-    return ExactMatrix(
-        mat.field, mat.nrows, mat.ncols,
-        {pos: v for pos, v in mat.entries.items()
-         if pos[0] in keep and pos[1] in keep},
-    )
+@lru_cache(maxsize=None)
+def _d_closure(shape: Shape) -> tuple[AlgebraSpan, tuple[ExactMatrix, ...]]:
+    d, field = shape.dim_enhanced, shape.field
+    gens = [xi_gen(g, shape) for g in coxeter_generators(shape)]
+    span = algebra_closure(gens, True, d=d, field=field, size_cap=d)
+    every = (xi_gen(g, shape) for g in hecke_generators(shape))
+    missing = [m for m in every if not span.contains(m)]
+    if missing:
+        gens.extend(missing)
+        span = algebra_closure(gens, True, d=d, field=field, size_cap=d)
+    return span, tuple(gens)
+
+
+def d_algebra(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> AlgebraSpan:
+    """The image D: the closure, with identity, of every generator matrix.
+
+    D is closed once, by right products with the ``coxeter_generators``.
+    Every matrix of ``hecke_generators`` is then checked to lie in the
+    closure; any that does not joins the generators and D is closed
+    again.  The size cap is a guard, not part of the cache key.
+    """
+    check_size_cap(shape.dim_enhanced, size_cap)
+    return _d_closure(shape)[0]
+
+
+def d_generators(
+    shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
+) -> tuple[ExactMatrix, ...]:
+    """The generator matrices ``d_algebra`` closed over."""
+    check_size_cap(shape.dim_enhanced, size_cap)
+    return _d_closure(shape)[1]
 
 
 @lru_cache(maxsize=None)
+def _d_layer(l: int, shape: Shape) -> AlgebraSpan:
+    p = layer_projector(l, shape)
+    pieces = [p @ mat @ p for mat in _d_closure(shape)[0].basis]
+    return span_of(pieces, d=shape.dim_enhanced, field=shape.field)
+
+
 def d_layer_algebra(
     l: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> AlgebraSpan:
-    """Closure of the layer-l restricted generators.
+    """The layer-l piece P_l D P_l of D, zero on every other layer.
 
-    Generators are the swaps truncated to act within layer l (zero on
-    every other layer) and the layer-l permutation generators; the unit
-    adjoined is the projector onto the layer, not the global identity.
+    As every generator preserves the layers, this is the closure of the
+    generators cut down to layer l, with unit the layer projector.
     """
     if not 0 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range")
     check_size_cap(shape.dim_enhanced, size_cap)
-    gens = [layer_projector(l, shape)]
-    gens.extend(
-        _truncate_to_layer(xi_gen(SwapGen(i), shape), l, shape)
-        for i in range(1, shape.r)
-    )
-    gens.extend(
-        xi_gen(LayerGen(l, sigma), shape) for sigma in comb.perms(l)
-    )
-    return algebra_closure(
-        gens, include_identity=False,
-        d=shape.dim_enhanced, field=shape.field, size_cap=size_cap,
-    )
-
-
-@lru_cache(maxsize=None)
-def d_algebra(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> AlgebraSpan:
-    """Closure, with identity, of all generator matrices."""
-    check_size_cap(shape.dim_enhanced, size_cap)
-    gens = [xi_gen(g, shape) for g in hecke_generators(shape)]
-    return algebra_closure(
-        gens, include_identity=True,
-        d=shape.dim_enhanced, field=shape.field, size_cap=size_cap,
-    )
+    return _d_layer(l, shape)

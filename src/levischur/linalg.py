@@ -20,6 +20,7 @@ floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -57,21 +58,10 @@ class RationalField:
     def coerce(self, x) -> Fraction:
         return Fraction(x)
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     @staticmethod
     def inv(a):
@@ -200,15 +190,6 @@ class ExactMatrix:
                 rows.setdefault(r, []).append((c, v))
             self._rows = rows
         return self._rows
-
-    def row_support(self):
-        return set(r for (r, _c) in self.entries)
-
-    def col_support(self):
-        return set(c for (_r, c) in self.entries)
-
-    def row_entries(self, r: int):
-        return self._row_adj().get(r, [])
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
@@ -494,14 +475,6 @@ def span_of(mats: Sequence[ExactMatrix], *, d=None, field=None) -> AlgebraSpan:
     return AlgebraSpan(field, d, ech)
 
 
-def in_span(mat: ExactMatrix, span: AlgebraSpan) -> bool:
-    return span.contains(mat)
-
-
-def spans_equal(a: AlgebraSpan, b: AlgebraSpan) -> bool:
-    return a == b
-
-
 def _commutation_rows(g: ExactMatrix, d: int):
     """Nonzero rows of the linear system X @ g - g @ X = 0.
 
@@ -594,9 +567,10 @@ def algebra_closure(
 ) -> AlgebraSpan:
     """Smallest span containing ``gens`` that is closed under products.
 
-    Iterates left and right multiplication of the current basis by the
-    generators until the dimension stabilizes; terminates since the
-    dimension is bounded by d*d.
+    Multiplies the current basis on the right by the generators until
+    the dimension stabilizes; terminates since the dimension is bounded
+    by d*d.  Right products alone reach every word g1 g2 ... gk, since
+    it is the seed g1 (or the identity) times g2, ..., gk.
     """
     d, field = _ambient(gens, d, field)
     check_size_cap(d, size_cap)
@@ -612,8 +586,8 @@ def algebra_closure(
         fresh: list[ExactMatrix] = []
         for b in frontier:
             for g in gens:
-                for prod in (b @ g, g @ b):
-                    if ech.add(prod.flatten()):
-                        fresh.append(prod)
+                prod = b @ g
+                if ech.add(prod.flatten()):
+                    fresh.append(prod)
         frontier = fresh
     return AlgebraSpan(field, d, ech)

@@ -30,7 +30,6 @@ from .linalg import (
     check_size_cap,
     commutant,
     span_of,
-    spans_equal,
 )
 
 
@@ -160,7 +159,6 @@ class ClassicalDualityReport:
     dim_schur: int
     spans_equal: bool
     r_le_mplusn: bool
-    converse_checked: bool
     dim_commutant_of_schur: int | None
     converse_spans_equal: bool | None
 
@@ -184,20 +182,19 @@ def classical_duality(
     ]
     schur = schur_span(shape, r)
     comm = commutant(swaps, d, field=shape.field, size_cap=size_cap)
-    forward = spans_equal(comm, schur)
+    forward = comm == schur
 
     r_small = r <= shape.m + shape.n
     comm2 = commutant(schur.basis, d, field=shape.field, size_cap=size_cap)
     group_span = span_of(
         [pi_matrix(w, shape, r) for w in comb.perms(r)], d=d, field=shape.field
     )
-    converse = spans_equal(comm2, group_span)
+    converse = comm2 == group_span
     return ClassicalDualityReport(
         dim_commutant_of_symmetric_group=comm.dimension,
         dim_schur=schur.dimension,
         spans_equal=forward,
         r_le_mplusn=r_small,
-        converse_checked=True,
         dim_commutant_of_schur=comm2.dimension,
         converse_spans_equal=converse,
     )

@@ -47,7 +47,6 @@ from levischur.linalg import (
     commutant,
     rank_of_rows,
     span_of,
-    spans_equal,
 )
 from levischur.schur_core import classical_duality
 from levischur import enhanced_core
@@ -236,9 +235,9 @@ def test_criterion_09_decomposition():
                 for l in range(r + 1)
                 for mat in d_layer_algebra(l, shape).basis
             ]
-            ok = ok and spans_equal(
-                span_of(pieces, d=shape.dim_enhanced, field=shape.field),
-                full,
+            ok = ok and (
+                span_of(pieces, d=shape.dim_enhanced, field=shape.field)
+                == full
             )
             ok = ok and verify_layer_endos(shape).holds
     report(9, ok, f"direct sum and per-layer equality at 4 shape/parity "

@@ -36,7 +36,7 @@ from levischur.enhanced_core import (
     rho_levi,
     word_layer,
 )
-from levischur.linalg import ExactMatrix, rank_of_rows, span_of, spans_equal
+from levischur.linalg import ExactMatrix, rank_of_rows, span_of
 from levischur.schur_core import structure_constants, word_position, xi_matrix
 
 SH0 = Shape(1, 1, 2, vparity=0)
@@ -313,7 +313,7 @@ def test_direct_sum_over_layers():
             d=shape.dim_enhanced,
             field=shape.field,
         )
-        assert spans_equal(combined, total)
+        assert combined == total
 
 
 def test_parity_conjugation():
