@@ -11,12 +11,14 @@ Subcommands:
   report     verify plus dims plus relations in one JSON document
 
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 invalid
-configuration, 3 size cap exceeded.  JSON goes to stdout with sorted
-keys.  Wall-clock measurements live under a "timing" key, so reports
-can be compared byte for byte after dropping it; for ``verify`` and
-``report`` it also holds ``layers``, the size, dimensions and seconds of
-every layer block of the duality check.  Runs over a prime field are
-labelled informative; the rationals are authoritative.
+configuration, 3 size cap exceeded; the cap applies to every command
+but ``orbits``, whose work is proportional to its output.  JSON goes to
+stdout with sorted keys.  Wall-clock measurements live under a "timing"
+key, so reports can be compared byte for byte after dropping it; for
+``verify`` and ``report`` it also holds ``layers``, the size,
+dimensions and seconds of every layer block of the duality check.
+Runs over a prime field are labelled informative; the rationals are
+authoritative.
 """
 
 from __future__ import annotations

@@ -20,7 +20,10 @@ The two sign functions are
 and ``sigma_sign`` transports basis labels along a diagonal symmetric
 group orbit of a strict double index.  Strictness is exactly the
 condition making that transport independent of the chosen permutation
-(covered by the test suite, not assumed).
+(covered by the test suite, not assumed).  Orbits come from sorting:
+the diagonal action permutes the letter pairs ``(row[k], col[k])``, so
+a strict orbit is a multiset of letter pairs with no odd pair repeated,
+and its least element lists them sorted.
 """
 
 from __future__ import annotations
@@ -211,51 +214,62 @@ def _words(num_letters: int, l: int) -> tuple[MultiIndex, ...]:
     return tuple(itertools.product(range(1, num_letters + 1), repeat=l))
 
 
+def word_index(word: MultiIndex, num_letters: int) -> int:
+    """Mixed-radix position of a word in ``_words(num_letters, len(word))``."""
+    pos = 0
+    for x in word:
+        if not 1 <= x <= num_letters:
+            raise ValueError(f"letter {x} out of range")
+        pos = pos * num_letters + (x - 1)
+    return pos
+
+
 def natural_words(shape: Shape, l: int) -> tuple[MultiIndex, ...]:
     """All length-l words over 1..m+n, lexicographically ordered."""
     return _words(shape.m + shape.n, l)
 
 
-@lru_cache(maxsize=None)
-def _orbit_data(m: int, n: int, l: int):
-    """(canonical map, representatives) for strict pairs of degree l."""
-    sh = Shape(m, n, 1)
-    words = _words(m + n, l)
-    group = perms(l)
-    canon: dict[DoubleIndex, DoubleIndex] = {}
-    for row in words:
-        for col in words:
-            pair = (row, col)
-            if not is_strict(pair, sh):
-                continue
-            best = min((act(row, w), act(col, w)) for w in group)
-            canon[pair] = best
-    reps = sorted(set(canon.values()), key=lambda p: p[0] + p[1])
-    return canon, tuple(reps)
+def _unzip(cells) -> DoubleIndex:
+    return tuple(a for a, _ in cells), tuple(b for _, b in cells)
 
 
 def canonical_pair(pair: DoubleIndex, shape: Shape) -> DoubleIndex | None:
-    """Lexicographically least orbit element, or None if not strict."""
-    canon, _ = _orbit_data(shape.m, shape.n, len(pair[0]))
-    return canon.get(pair)
+    """Least orbit element (letter pairs sorted), or None if not strict."""
+    if not is_strict(pair, shape):
+        return None
+    return _unzip(sorted(zip(*pair)))
+
+
+@lru_cache(maxsize=None)
+def _orbit_reps(m: int, n: int, l: int) -> tuple[DoubleIndex, ...]:
+    cells = list(itertools.product(range(1, m + n + 1), repeat=2))
+    odd = [(a, b) for a, b in cells if (a > m) != (b > m)]
+    even = [c for c in cells if c not in odd]
+    reps = [
+        _unzip(sorted(ev + od))
+        for k in range(min(l, len(odd)) + 1)
+        for od in itertools.combinations(odd, k)
+        for ev in itertools.combinations_with_replacement(even, l - k)
+    ]
+    return tuple(sorted(reps, key=lambda p: p[0] + p[1]))
 
 
 def orbit_reps(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
     """Representatives of the diagonal orbits on strict double indexes.
 
-    One representative per orbit, each the lexicographically least
-    element of its orbit (row concatenated with column), the whole list
-    sorted; deterministic across runs.
+    One per multiset of even letter pairs joined with a set of odd
+    ones, listing its pairs sorted: the least element of its orbit (row
+    concatenated with column).  The list is sorted and deterministic.
     """
     if l < 0:
         raise ValueError("degree must be >= 0")
-    _, reps = _orbit_data(shape.m, shape.n, l)
-    return reps
+    return _orbit_reps(shape.m, shape.n, l)
 
 
 def strict_pairs(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
-    canon, _ = _orbit_data(shape.m, shape.n, l)
-    return tuple(sorted(canon, key=lambda p: p[0] + p[1]))
+    """All strict pairs of degree l, sorted by row then column."""
+    pairs = itertools.product(natural_words(shape, l), repeat=2)
+    return tuple(p for p in pairs if is_strict(p, shape))
 
 
 def orbit_elements(pair: DoubleIndex) -> tuple[DoubleIndex, ...]:

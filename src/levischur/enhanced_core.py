@@ -65,22 +65,14 @@ def letter_parity(letter: int, shape: Shape) -> int:
     return comb.parity_of_index(nat, shape)
 
 
-@lru_cache(maxsize=None)
-def _enh_words(num_letters: int, r: int) -> tuple[EnhWord, ...]:
-    return tuple(itertools.product(range(1, num_letters + 1), repeat=r))
-
-
 def enhanced_basis(shape: Shape) -> tuple[EnhWord, ...]:
     """All enhanced words of degree r, lexicographically ordered."""
-    return _enh_words(shape.m + shape.n + 1, shape.r)
+    return comb._words(shape.m + shape.n + 1, shape.r)
 
 
 def enh_position(word: EnhWord, shape: Shape) -> int:
-    base = shape.m + shape.n + 1
-    pos = 0
-    for x in word:
-        pos = pos * base + (x - 1)
-    return pos
+    """Mixed-radix position of a word in ``enhanced_basis``."""
+    return comb.word_index(word, shape.m + shape.n + 1)
 
 
 def enh_encode(core: MultiIndex, support: Support, shape: Shape) -> EnhWord:

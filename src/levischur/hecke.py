@@ -144,11 +144,6 @@ class RelationInstance:
             raise ValueError(f"unknown relation {self.rel!r}")
 
 
-def _embedded_swap(l: int, i: int) -> Permutation:
-    """The swap of slots i, i+1 viewed inside the degree-l group."""
-    return comb.adjacent_transposition(l, i)
-
-
 def relation_sides(
     inst: RelationInstance, shape: Shape
 ) -> tuple[HeckeWord, HeckeWord | None]:
@@ -179,7 +174,7 @@ def relation_sides(
     if rel == "3.4":
         if not inst.i < inst.l:
             raise ValueError("3.4 needs i < l")
-        s = _embedded_swap(inst.l, inst.i)
+        s = comb.adjacent_transposition(inst.l, inst.i)
         return (
             (SwapGen(inst.i), LayerGen(inst.l, inst.sigma)),
             (LayerGen(inst.l, comb.compose(s, inst.sigma)),),
@@ -217,7 +212,7 @@ def check_relation(inst: RelationInstance, shape: Shape) -> bool:
     if left != right:
         return False
     if inst.rel == "3.4":
-        s = _embedded_swap(inst.l, inst.i)
+        s = comb.adjacent_transposition(inst.l, inst.i)
         mirror_l = eval_word(
             (LayerGen(inst.l, inst.sigma), SwapGen(inst.i)), shape
         )
@@ -293,7 +288,8 @@ def coxeter_generators(shape: Shape) -> tuple[HeckeGenerator, ...]:
     gens: list[HeckeGenerator] = [SwapGen(i) for i in range(1, shape.r)]
     for l in range(shape.r + 1):
         gens.append(LayerGen(l, tuple(range(l))))
-        gens.extend(LayerGen(l, _embedded_swap(l, i)) for i in range(1, l))
+        gens.extend(LayerGen(l, comb.adjacent_transposition(l, i))
+                    for i in range(1, l))
     return tuple(gens)
 
 

@@ -40,13 +40,7 @@ def natural_basis(shape: Shape, l: int) -> tuple[MultiIndex, ...]:
 
 def word_position(word: MultiIndex, shape: Shape) -> int:
     """Mixed-radix position of a word in the lexicographic basis."""
-    base = shape.m + shape.n
-    pos = 0
-    for x in word:
-        if not 1 <= x <= base:
-            raise ValueError(f"letter {x} out of range")
-        pos = pos * base + (x - 1)
-    return pos
+    return comb.word_index(word, shape.m + shape.n)
 
 
 def pi_matrix(w: Permutation, shape: Shape, l: int) -> ExactMatrix:

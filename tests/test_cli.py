@@ -17,6 +17,7 @@ from levischur.cli import (
     cmd_verify,
     main,
 )
+from test_combinatorics import monomial_count
 
 TOP_KEYS = {
     "shape",
@@ -150,6 +151,21 @@ def test_orbits_command(capsys):
     )
     assert status == EXIT_OK
     assert "8 representatives" in out
+
+
+def test_orbits_ignores_size_cap(capsys):
+    """Orbit work is proportional to the representatives printed, so
+    ``orbits`` is the one command the size cap does not apply to."""
+    status, out, _ = run_main(
+        capsys,
+        ["orbits", "--m", "2", "--n", "1", "--r", "5", "--size-cap", "1",
+         "--output", "json"],
+    )
+    assert status == EXIT_OK
+    orbits = json.loads(out)["orbits"]
+    assert {l: len(reps) for l, reps in orbits.items()} == {
+        str(l): monomial_count(2, 1, l) for l in range(6)
+    }
 
 
 def test_relations_command():

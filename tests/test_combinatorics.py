@@ -135,6 +135,8 @@ def monomial_count(m, n, l):
         (2, 1, 2, 41),
         (1, 2, 2, 41),
         (2, 1, 3, 129),
+        (2, 1, 5, 681),
+        (2, 2, 4, 2816),
     ],
 )
 def test_orbit_counts(m, n, l, expected):
@@ -166,7 +168,10 @@ def brute_force_orbits(shape, l):
     return list(orbits.values())
 
 
-@pytest.mark.parametrize("m,n,l", [(1, 1, 2), (1, 1, 3), (2, 1, 2)])
+@pytest.mark.parametrize(
+    "m,n,l",
+    [(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 2, 2), (1, 2, 3), (1, 0, 4)],
+)
 def test_orbit_reps_partition(m, n, l):
     shape = Shape(m, n, 1)
     reps = orbit_reps(shape, l)
@@ -176,12 +181,38 @@ def test_orbit_reps_partition(m, n, l):
         members = [r for r in reps if r in orbit]
         assert len(members) == 1
         # representative is the least element, list covers the orbit
-        assert members[0] == min(orbit, key=lambda p: p[0] + p[1])
+        least = min(orbit, key=lambda p: p[0] + p[1])
+        assert members[0] == least
+        assert all(canonical_pair(p, shape) == least for p in orbit)
     # non-strict pairs never appear in any orbit list
     for rep in reps:
         assert is_strict(rep, shape)
         for el in orbit_elements(rep):
             assert is_strict(el, shape)
+
+
+def random_strict_pair(rng, shape, l):
+    letters = range(1, shape.m + shape.n + 1)
+    while True:
+        row = tuple(rng.choice(letters) for _ in range(l))
+        col = tuple(rng.choice(letters) for _ in range(l))
+        if is_strict((row, col), shape):
+            return row, col
+
+
+def test_canonical_pair_properties():
+    rng = random.Random(17)
+    for shape in (Shape(1, 1, 1), Shape(2, 1, 1), Shape(2, 2, 1)):
+        for l in range(6):
+            reps = set(orbit_reps(shape, l))
+            for _ in range(40):
+                pair = random_strict_pair(rng, shape, l)
+                canon = canonical_pair(pair, shape)
+                w = tuple(rng.sample(range(l), l))
+                moved = (act(pair[0], w), act(pair[1], w))
+                assert canonical_pair(moved, shape) == canon
+                assert canonical_pair(canon, shape) == canon
+                assert canon in reps
 
 
 def test_orbit_reps_sorted_and_deterministic():
