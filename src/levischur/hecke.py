@@ -13,9 +13,17 @@ space:
     word with core ``act(t, sigma)`` on the same support, and kills
     every word whose support is not exactly the leading one.
 
+Every generator sends a basis word to plus or minus one basis word or
+to zero, so it and every word in the generators is a signed partial
+permutation of the enhanced basis, held as a ``SignedMap``: entry p is
+``(q, s)`` when basis word p goes to s times basis word q, and None
+when the word kills it.  The signs are +-1 and the field never has
+characteristic 2, so two maps are equal exactly when their matrices
+are: relations compare maps, and only ``eval_word`` builds a matrix.
+
 The abstract algebra behind these generators is infinite dimensional
-and never materialized; only words of generators, their matrix images,
-and the relation checks below exist.  Words evaluate under the
+and never materialized; only words of generators, their images, and
+the relation checks below exist.  Words evaluate under the
 right-module convention: the leftmost generator acts first.
 
 The defining relations carry the labels 3.1a through 3.6; see
@@ -85,27 +93,42 @@ def _validate_gen(g: HeckeGenerator, shape: Shape) -> None:
         raise ValueError(f"not a generator: {g!r}")
 
 
+SignedMap = tuple[Union[tuple[int, int], None], ...]
+
+
 @lru_cache(maxsize=None)
-def xi_gen(g: HeckeGenerator, shape: Shape) -> ExactMatrix:
-    """Matrix of a single generator on the enhanced basis."""
+def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
     _validate_gen(g, shape)
-    d = shape.dim_enhanced
-    entries = {}
+    out: list = [None] * shape.dim_enhanced
     if isinstance(g, SwapGen):
         w = comb.adjacent_transposition(shape.r, g.i)
         for pos, word in enumerate(enh.enhanced_basis(shape)):
             eps = enh.enh_parity_vector(word, shape)
             tgt = comb.act(word, w)
-            entries[(enh.enh_position(tgt, shape), pos)] = gamma(eps, w)
+            out[pos] = (enh.enh_position(tgt, shape), gamma(eps, w))
     else:
         lead = tuple(range(g.l))
         for core in comb.natural_words(shape, g.l):
             src = enh.enh_encode(core, lead, shape)
             tgt = enh.enh_encode(comb.act(core, g.sigma), lead, shape)
             sgn = gamma(comb.parity_vector(core, shape), g.sigma)
-            entries[(enh.enh_position(tgt, shape),
-                     enh.enh_position(src, shape))] = sgn
-    return ExactMatrix(shape.field, d, d, entries)
+            out[enh.enh_position(src, shape)] = (
+                enh.enh_position(tgt, shape), sgn)
+    return tuple(out)
+
+
+def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
+    """Compose the generator maps; the leftmost generator acts first."""
+    out: SignedMap = tuple((p, 1) for p in range(shape.dim_enhanced))
+    for g in word:
+        gm = _gen_map(g, shape)
+        out = tuple(
+            (hit[0], img[1] * hit[1])
+            if img is not None and (hit := gm[img[0]]) is not None
+            else None
+            for img in out
+        )
+    return out
 
 
 def eval_word(word: Sequence[HeckeGenerator], shape: Shape) -> ExactMatrix:
@@ -114,10 +137,17 @@ def eval_word(word: Sequence[HeckeGenerator], shape: Shape) -> ExactMatrix:
     With matrices acting on column vectors from the left this is the
     reversed matrix product, and the empty word is the identity.
     """
-    out = ExactMatrix.identity(shape.field, shape.dim_enhanced)
-    for g in word:
-        out = xi_gen(g, shape) @ out
-    return out
+    d = shape.dim_enhanced
+    return ExactMatrix(shape.field, d, d, {
+        (img[0], p): img[1]
+        for p, img in enumerate(_word_map(word, shape)) if img is not None
+    })
+
+
+@lru_cache(maxsize=None)
+def xi_gen(g: HeckeGenerator, shape: Shape) -> ExactMatrix:
+    """Matrix of a single generator on the enhanced basis."""
+    return eval_word((g,), shape)
 
 
 RELATION_IDS = ("3.1a", "3.1b", "3.2", "3.3", "3.4", "3.5", "3.6")
@@ -197,29 +227,25 @@ def relation_sides(
 
 
 def check_relation(inst: RelationInstance, shape: Shape) -> bool:
-    """Evaluate both sides of a relation and compare matrices.
+    """Evaluate both sides of a relation and compare their signed maps.
 
     Relation 3.4 asserts the absorbed swap on either side, so both
     equalities are required for True.
     """
     lhs, rhs = relation_sides(inst, shape)
-    left = eval_word(lhs, shape)
     right = (
-        ExactMatrix.zero(shape.field, left.nrows, left.ncols)
-        if rhs is None
-        else eval_word(rhs, shape)
+        (None,) * shape.dim_enhanced if rhs is None
+        else _word_map(rhs, shape)
     )
-    if left != right:
+    if _word_map(lhs, shape) != right:
         return False
     if inst.rel == "3.4":
         s = comb.adjacent_transposition(inst.l, inst.i)
-        mirror_l = eval_word(
+        return _word_map(
             (LayerGen(inst.l, inst.sigma), SwapGen(inst.i)), shape
-        )
-        mirror_r = eval_word(
+        ) == _word_map(
             (LayerGen(inst.l, comb.compose(inst.sigma, s)),), shape
         )
-        return mirror_l == mirror_r
     return True
 
 
@@ -267,8 +293,8 @@ def boundary_observations(shape: Shape) -> list[tuple[int, Permutation, bool]]:
     for l in range(1, shape.r):
         i = l
         for sigma in comb.perms(l):
-            a = eval_word((SwapGen(i), LayerGen(l, sigma)), shape)
-            b = eval_word((LayerGen(l, sigma), SwapGen(i)), shape)
+            a = _word_map((SwapGen(i), LayerGen(l, sigma)), shape)
+            b = _word_map((LayerGen(l, sigma), SwapGen(i)), shape)
             out.append((i, sigma, a == b))
     return out
 

@@ -14,8 +14,10 @@ iff their canonical bases are identical.  ``AlgebraSpan`` wraps an
 echelon of flattened d x d matrices and supports membership, equality,
 commutant and closure computations.
 
-All values are immutable after construction; nothing here ever touches
-floating point.
+Over the rationals a value is an ``int`` when it is a whole number and
+a ``Fraction`` otherwise, never a float; most entries met in practice
+are small integers, and int arithmetic is far cheaper.  All values are
+immutable after construction; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -46,26 +48,44 @@ def check_size_cap(d: int, size_cap: int) -> None:
 # fields
 
 
+def _whole(x):
+    """A rational as an int when it is a whole number."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 class RationalField:
-    """Arbitrary-precision rationals; the authoritative field."""
+    """Arbitrary-precision rationals; the authoritative field.
+
+    A whole number is stored as an ``int`` and every other value as a
+    ``Fraction``; ``int`` and ``Fraction`` compare and hash alike, so
+    every equality stays exact.
+    """
 
     name = "q"
+    zero = 0
+    one = 1
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    @staticmethod
+    def coerce(x):
+        return x if x.__class__ is int else _whole(Fraction(x))
 
-    def coerce(self, x) -> Fraction:
-        return Fraction(x)
+    @staticmethod
+    def add(a, b):
+        return _whole(a + b)
 
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
+    @staticmethod
+    def sub(a, b):
+        return _whole(a - b)
+
+    @staticmethod
+    def mul(a, b):
+        return _whole(a * b)
+
     neg = staticmethod(operator.neg)
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return _whole(Fraction(1) / a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -582,11 +602,16 @@ def algebra_closure(
     for m in seed:
         if ech.add(m.flatten()):
             frontier.append(m)
+    # every product formed so far is in the span: a repeat skips the echelon
+    seen = set(seed)
     while frontier:
         fresh: list[ExactMatrix] = []
         for b in frontier:
             for g in gens:
                 prod = b @ g
+                if prod in seen:
+                    continue
+                seen.add(prod)
                 if ech.add(prod.flatten()):
                     fresh.append(prod)
         frontier = fresh

@@ -1,7 +1,15 @@
-"""Generator matrices, relation checking and the layer algebras."""
+"""Generator matrices, relation checking and the layer algebras.
+
+``matrix_word`` and ``matrix_relation`` below evaluate words as reversed
+products of ``xi_gen`` matrices and compare ``ExactMatrix``es; they are
+the independent oracle for the signed-map path in ``hecke``.
+"""
+
+import random
 
 import pytest
 
+from levischur import combinatorics as comb
 from levischur.combinatorics import Shape, identity_perm, perms
 from levischur.enhanced_core import (
     enh_position,
@@ -24,10 +32,50 @@ from levischur.hecke import (
     relation_instances,
     xi_gen,
 )
-from levischur.linalg import ExactMatrix, commutant, span_of
+from levischur.hecke import _word_map, relation_sides
+from levischur.linalg import QQ, ExactMatrix, PrimeField, commutant, span_of
 
 SH0 = Shape(1, 1, 2, 0)
 SH1 = Shape(1, 1, 2, 1)
+
+ORACLE_SHAPES = [
+    Shape(m, n, r, vp, field)
+    for (m, n, r) in [(1, 1, 3), (2, 1, 3), (1, 1, 4)]
+    for vp in (0, 1)
+    for field in (QQ, PrimeField(3))
+]
+
+
+def shape_id(sh):
+    return f"({sh.m}|{sh.n},{sh.r})-v{sh.vparity}-{sh.field!r}"
+
+
+def matrix_word(word, shape):
+    """Oracle: the reversed matrix product of the generator matrices."""
+    out = ExactMatrix.identity(shape.field, shape.dim_enhanced)
+    for g in word:
+        out = xi_gen(g, shape) @ out
+    return out
+
+
+def matrix_relation(inst, shape):
+    """Oracle for ``check_relation``: compare both sides as matrices."""
+    lhs, rhs = relation_sides(inst, shape)
+    d = shape.dim_enhanced
+    right = (
+        ExactMatrix.zero(shape.field, d, d) if rhs is None
+        else matrix_word(rhs, shape)
+    )
+    if matrix_word(lhs, shape) != right:
+        return False
+    if inst.rel == "3.4":
+        s = comb.adjacent_transposition(inst.l, inst.i)
+        return matrix_word(
+            (LayerGen(inst.l, inst.sigma), SwapGen(inst.i)), shape
+        ) == matrix_word(
+            (LayerGen(inst.l, comb.compose(inst.sigma, s)),), shape
+        )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +145,23 @@ def test_eval_word_order_convention():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
+def test_random_words_match_matrix_products(shape):
+    rng = random.Random(97)
+    gens = hecke_generators(shape)
+    for _ in range(60):
+        a = tuple(rng.choice(gens) for _ in range(rng.randrange(6)))
+        b = tuple(rng.choice(gens) for _ in range(rng.randrange(6)))
+        assert eval_word(a, shape) == matrix_word(a, shape)
+        # a word and the same word with a cancelling pair of swaps
+        i = rng.randrange(1, shape.r)
+        c = a + (SwapGen(i), SwapGen(i))
+        for x, y in ((a, b), (a, c)):
+            assert (_word_map(x, shape) == _word_map(y, shape)) == (
+                matrix_word(x, shape) == matrix_word(y, shape)
+            )
+
+
 # ---------------------------------------------------------------------------
 # relations
 
@@ -133,6 +198,18 @@ def test_specific_relations():
     assert check_relation(
         RelationInstance("3.3", l=2, sigma=(1, 0), mu=(1, 0)), shape
     )
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
+def test_check_relation_matches_matrix_oracle(shape):
+    for inst in relation_instances(shape):
+        assert check_relation(inst, shape) == matrix_relation(inst, shape)
+    expect = [
+        (i, sigma, matrix_word((SwapGen(i), LayerGen(i, sigma)), shape)
+         == matrix_word((LayerGen(i, sigma), SwapGen(i)), shape))
+        for i in range(1, shape.r) for sigma in perms(i)
+    ]
+    assert boundary_observations(shape) == expect
 
 
 def test_boundary_observations_are_reported_not_asserted():

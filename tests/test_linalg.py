@@ -2,9 +2,14 @@
 
 The commutant implementation skips generators whose constraints are
 already implied; ``naive_commutant`` below stacks every equation with
-no shortcuts and serves as the independent oracle for it.
+no shortcuts and serves as the independent oracle for it.  Likewise
+``FractionField`` keeps every rational a ``Fraction`` and is the oracle
+for the int fast path of ``QQ``, and ``fixpoint_closure`` closes with no
+shortcuts and is the oracle for ``algebra_closure``.
 """
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -54,6 +59,62 @@ def random_sign_matrix(rng, field, d, nnz):
     return ExactMatrix(field, d, d, entries)
 
 
+class FractionField:
+    """The rationals with every value a ``Fraction``, never an int."""
+
+    name = "q-fraction"
+    zero = Fraction(0)
+    one = Fraction(1)
+    coerce = staticmethod(Fraction)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def inv(a):
+        return 1 / a
+
+
+SMALL = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
+def random_row(rng, ncols, nnz):
+    return {rng.randrange(ncols): rng.choice(SMALL) for _ in range(nnz)}
+
+
+def random_entries(rng, d, nnz):
+    return {
+        (rng.randrange(d), rng.randrange(d)): rng.choice(SMALL)
+        for _ in range(nnz)
+    }
+
+
+def assert_qq_values(rows):
+    """Every stored rational is an int if whole, else a Fraction."""
+    for row in rows:
+        for v in row.values():
+            assert type(v) is int or (
+                type(v) is Fraction and v.denominator != 1
+            ), repr(v)
+
+
+def fixpoint_closure(gens, include_identity, d, field):
+    """Oracle: add every product of the basis with every generator until
+    nothing new appears, with no record of products already formed."""
+    ech = Echelon(field)
+    seed = [ExactMatrix.identity(field, d)] if include_identity else []
+    for m in seed + list(gens):
+        ech.add(m.flatten())
+    grew = True
+    while grew:
+        grew = False
+        for b in AlgebraSpan(field, d, ech).basis:
+            for g in gens:
+                grew |= ech.add((b @ g).flatten())
+    return AlgebraSpan(field, d, ech)
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -77,6 +138,62 @@ def test_prime_field_ops():
     assert f.coerce(Fraction(1, 2)) == 3
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def test_qq_stores_whole_numbers_as_int():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    assert type(QQ.coerce(Fraction(4, 2))) is int
+    assert QQ.coerce(0.5) == Fraction(1, 2) and type(QQ.coerce(0.5)) is Fraction
+    assert type(QQ.coerce(2.0)) is int
+    half = Fraction(1, 2)
+    assert type(QQ.add(half, half)) is int
+    assert type(QQ.sub(half, -half)) is int
+    assert type(QQ.mul(half, 2)) is int
+    assert QQ.add(half, 1) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_qq_echelon_matches_fraction_field(seed):
+    rng = random.Random(seed)
+    ncols = 9
+    rows = [random_row(rng, ncols, rng.randrange(1, 5)) for _ in range(7)]
+    eq, ef = Echelon(QQ), Echelon(FractionField)
+    for row in rows:
+        # QQ takes the raw ints and Fractions; the reference needs its rows
+        # coerced, as ExactMatrix would, or 1 / a of an int is a float
+        exact = {c: Fraction(v) for c, v in row.items()}
+        assert eq.add(row) == ef.add(exact)
+    assert eq.canonical_rows() == ef.canonical_rows()
+    assert eq.null_space(ncols) == ef.null_space(ncols)
+    assert_qq_values(eq.canonical_rows())
+    assert_qq_values(eq.null_space(ncols))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qq_commutant_and_closure_match_fraction_field(seed):
+    rng = random.Random(100 + seed)
+    d = 3
+    entries = [random_entries(rng, d, rng.randrange(2, 5)) for _ in range(2)]
+    out = {}
+    for field in (QQ, FractionField):
+        gens = [ExactMatrix(field, d, d, e) for e in entries]
+        out[field] = [
+            [m.entries for m in span.basis]
+            for span in (
+                commutant(gens, d, field=field),
+                commutant(gens[:1], d, field=field),
+                algebra_closure(gens[:1], True, d=d, field=field),
+                algebra_closure(gens, False, d=d, field=field),
+            )
+        ]
+    assert out[QQ] == out[FractionField]
+    for bases in out[QQ]:
+        assert_qq_values(bases)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +354,24 @@ def test_closure_idempotent_and_product_closed():
     for a in alg.basis:
         for b in alg.basis:
             assert alg.contains(a @ b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("include_identity", [True, False])
+def test_closure_with_repeated_products_matches_fixpoint(field, include_identity):
+    d = 3
+    perm_mats = [
+        ExactMatrix(field, d, d, {(w[i], i): 1 for i in range(d)})
+        for w in itertools.permutations(range(d))
+    ]
+    units3 = units(field, d)
+    for gens in (
+        perm_mats,                      # S_3 on K^3: every product repeats
+        perm_mats[1:3],
+        [units3[0], units3[1], units3[4]],  # E11, E12, E22
+    ):
+        got = algebra_closure(gens, include_identity, d=d, field=field)
+        assert got == fixpoint_closure(gens, include_identity, d, field)
 
 
 # ---------------------------------------------------------------------------
