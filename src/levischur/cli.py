@@ -16,9 +16,10 @@ but ``orbits``, whose work is proportional to its output.  JSON goes to
 stdout with sorted keys.  Wall-clock measurements live under a "timing"
 key, so reports can be compared byte for byte after dropping it; for
 ``verify`` and ``report`` it also holds ``layers``, the size,
-dimensions and seconds of every layer block of the duality check.
-Runs over a prime field are labelled informative; the rationals are
-authoritative.
+dimensions and seconds of every layer of the duality check.  ``dims``
+reads dim D from the factored layers, so it fails with a
+``d_certificate`` check when the certificate of D does.  Runs over a
+prime field are labelled informative; the rationals are authoritative.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke
 from .combinatorics import Shape
-from .duality import layer_blocks, run_duality
+from .duality import layer_factors, run_duality
 from .linalg import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,
@@ -159,7 +160,8 @@ def _duality_checks(shape: Shape, size_cap: int) -> tuple[list[dict], dict]:
             "layer_decomposition", shape.vparity,
             all(rep.per_layer_endo_equal) and rep.layer_sum_matches, True,
             per_layer=list(rep.per_layer_endo_equal),
-            sum_matches=rep.layer_sum_matches,
+            # True, or the name of the gate that failed
+            sum_matches=rep.failed_gate or True,
         ),
     ]
     dims = {
@@ -177,14 +179,14 @@ def _layer_timing(shape: Shape, size_cap: int) -> list[dict]:
     return [
         {
             "vparity": shape.vparity,
-            "layer": b.layer,
-            "block_size": b.D.ambient_dim,
-            "dim_D": b.D.dimension,
-            "dim_commutant_D": b.commutant_D.dimension,
-            "dim_commutant_levi": b.commutant_levi.dimension,
-            "seconds": round(b.seconds, 6),
+            "layer": x.layer,
+            "block_size": x.block_size,
+            "dim_D": x.dim_D,
+            "dim_commutant_D": x.commutant_pi.dimension,
+            "dim_commutant_levi": x.dim_commutant_levi,
+            "seconds": round(x.seconds, 6),
         }
-        for b in layer_blocks(shape, size_cap).blocks
+        for x in layer_factors(shape, size_cap).layers
     ]
 
 
@@ -254,9 +256,14 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
         "ambient": shape.dim_enhanced,
         "per_layer_orbits": per_layer,
         "levi": enh.levi_dimension(shape),
-        "d_algebra": hecke.d_algebra(shape, cfg.size_cap).dimension,
+        "d_algebra": hecke.d_dimension(shape, cfg.size_cap),
     }
-    return _finish(report, [], t0)
+    # dim D is read from the factored layers, valid under G1 and G2
+    failed = hecke.d_certificate(shape)
+    checks = [] if failed is None else [
+        _check("d_certificate", shape.vparity, False, True, gate=failed)
+    ]
+    return _finish(report, checks, t0)
 
 
 def cmd_orbits(cfg: RunConfig) -> tuple[dict, int]:

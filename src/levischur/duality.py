@@ -3,14 +3,18 @@ Theorem-level verifications: both directions of the double centralizer
 on the enhanced tensor space, per-layer endomorphism decomposition, and
 faithfulness of the layer actions.
 
-Both algebras preserve the tensor layers, so every commutant is solved
-on the layer blocks (block l holds the C(r,l)(m+n)^l words with l
-natural letters).  ``layer_blocks`` restricts D, its generators and the
-Levi basis to each block, once per shape.  The split is gated exactly:
-every layer projector P_l lies in the Levi span and in D, and no
-restricted matrix has an entry joining two layers.  Then both algebras
-and both commutants are the direct sums of their blocks; if the gate
-fails, every check read from the blocks fails.
+Layer l of the space is the sum over the C(r,l) supports S of copies
+of V^{(x)l}, and each layer of the double centralizer is classical
+Sergeev duality moved along them.  ``layer_factors`` reads it so, once
+per shape, under three exact gates: G1 and G2 of
+``hecke.d_certificate`` (the family spans D, and its X_{S,T,id} are
+matrix units), and G3 here (every Levi basis matrix is its leading
+block moved to each support by those units, and every layer projector
+lies in the Levi span).  Under them D_l = M_k (x) Pi_l and L_l = I_k (x)
+L_lead, k = C(r,l), so every commutant is solved on the (m+n)^l words
+of the leading support: C(D_l) = I_k (x) C(Pi_l), the commutant of the
+l-1 simple ``LayerGen(l, s_i)``, and C(L_l) = M_k (x) C(L_lead).  If a
+gate fails, every check read from the layers fails.
 
 The first direction holds at every degree; the second is asserted when
 r <= m+n and otherwise only reported (containment of D in the commutant
@@ -19,6 +23,8 @@ is always checked).
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,7 +37,6 @@ from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
     Echelon,
-    ExactMatrix,
     check_size_cap,
     commutant,
     span_of,
@@ -39,82 +44,102 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class LayerBlock:
-    """Spans of matrices on the words of one layer."""
+class LayerFactor:
+    """Layer l of both algebras, cut to the leading support: spans of
+    matrices on the (m+n)^l words of V^{(x)l}."""
 
     layer: int
-    D: AlgebraSpan
-    levi: AlgebraSpan
-    commutant_D: AlgebraSpan
+    supports: int           # k = C(r, l), the number of supports
+    pi: AlgebraSpan         # Pi_l, so D_l = M_k (x) Pi_l
+    levi: AlgebraSpan       # L_lead, so L_l = I_k (x) L_lead
+    commutant_pi: AlgebraSpan
     commutant_levi: AlgebraSpan
     seconds: float = field(compare=False, default=0.0)
 
+    @property
+    def block_size(self) -> int:
+        return self.supports * self.pi.ambient_dim
+
+    @property
+    def dim_D(self) -> int:
+        return self.supports ** 2 * self.pi.dimension
+
+    @property
+    def dim_commutant_levi(self) -> int:
+        return self.supports ** 2 * self.commutant_levi.dimension
+
 
 @dataclass(frozen=True)
-class LayerBlocks:
-    blocks: tuple[LayerBlock, ...]
-    gate: bool      # the layer split is exact (see the module docstring)
+class LayerFactors:
+    layers: tuple[LayerFactor, ...]
+    failed_gate: str | None     # the first of G1-G3 that fails, or None
 
 
-def _split(mats, shape: Shape) -> tuple[list[list[ExactMatrix]], bool]:
-    """Layer blocks of every matrix, and whether no entry joined two
-    layers (such entries are dropped)."""
-    positions = [enh.layer_positions(shape, l) for l in range(shape.r + 1)]
-    where = {p: (l, k) for l, ps in enumerate(positions)
-             for k, p in enumerate(ps)}
-    out: list[list[ExactMatrix]] = [[] for _ in positions]
-    lossless = True
-    for mat in mats:
-        parts: dict[int, dict] = {}
-        for (r, c), v in mat.entries.items():
-            (l, i), (lc, j) = where[r], where[c]
-            if lc != l:
-                lossless = False
-                continue
-            parts.setdefault(l, {})[(i, j)] = v
-        for l, entries in parts.items():
-            size = len(positions[l])
-            out[l].append(ExactMatrix(shape.field, size, size, entries))
-    return out, lossless
+def _levi_transport(shape: Shape) -> bool:
+    """G3: every Levi basis matrix is the sum over the supports S of its
+    leading block moved to S by the matrix units X_{S,lead,id}, and every
+    layer projector lies in the Levi span."""
+    fam = hecke.d_family(shape)
+    f = shape.field
+    for b in enh.levi_basis(shape):
+        lead = comb.identity_perm(b.layer)
+        keep = set(enh.support_positions(shape, lead))
+        mat = enh.rho_levi(b, shape)
+        block = [(q, q2, v) for (q, q2), v in mat.entries.items()
+                 if q in keep and q2 in keep]
+        moved = {}
+        for S in itertools.combinations(range(shape.r), b.layer):
+            # under G2, X_{S,lead,id} is defined on every leading word
+            unit = fam[(S, lead, lead)]
+            for q, q2, v in block:
+                (p, s), (p2, s2) = unit[q], unit[q2]
+                moved[(p, p2)] = v if s == s2 else f.neg(v)
+        if moved != mat.entries:
+            return False
+    levi = enh.levi_span(shape)
+    return all(
+        levi.contains(hecke.layer_projector(l, shape))
+        for l in range(shape.r + 1)
+    )
 
 
 @lru_cache(maxsize=None)
-def _layer_blocks(shape: Shape) -> LayerBlocks:
-    d, f = shape.dim_enhanced, shape.field
-    dalg = hecke.d_algebra(shape, d)
-    levi = enh.levi_span(shape)
-    d_parts, d_ok = _split(dalg.basis, shape)
-    gen_parts, gen_ok = _split(hecke.d_generators(shape, d), shape)
-    levi_parts, levi_ok = _split(
-        [enh.rho_levi(b, shape) for b in enh.levi_basis(shape)], shape
-    )
-    units = [hecke.layer_projector(l, shape) for l in range(shape.r + 1)]
-    gate = d_ok and gen_ok and levi_ok and all(
-        levi.contains(p) and dalg.contains(p) for p in units
-    )
-    blocks = []
+def _layer_factors(shape: Shape) -> LayerFactors:
+    f = shape.field
+    failed = hecke.d_certificate(shape)
+    if failed is None and not _levi_transport(shape):
+        failed = "levi_transport"
+    layers = []
     for l in range(shape.r + 1):
         t0 = time.perf_counter()
-        size = len(enh.layer_positions(shape, l))
-        blocks.append(LayerBlock(
+        lead = enh.support_positions(shape, comb.identity_perm(l))
+        size = len(lead)
+        levi = [enh.rho_levi(b, shape).block(lead)
+                for b in enh.levi_basis(shape) if b.layer == l]
+        simple = [
+            hecke.xi_gen(
+                hecke.LayerGen(l, comb.adjacent_transposition(l, i)), shape
+            ).block(lead)
+            for i in range(1, l)
+        ]
+        layers.append(LayerFactor(
             layer=l,
-            D=span_of(d_parts[l], d=size, field=f),
-            levi=span_of(levi_parts[l], d=size, field=f),
-            commutant_D=commutant(gen_parts[l], size, field=f, size_cap=size),
-            commutant_levi=commutant(
-                levi_parts[l], size, field=f, size_cap=size
-            ),
+            supports=math.comb(shape.r, l),
+            pi=hecke.pi_span(l, shape),
+            levi=span_of(levi, d=size, field=f),
+            commutant_pi=commutant(simple, size, field=f, size_cap=size),
+            commutant_levi=commutant(levi, size, field=f, size_cap=size),
             seconds=time.perf_counter() - t0,
         ))
-    return LayerBlocks(blocks=tuple(blocks), gate=gate)
+    return LayerFactors(layers=tuple(layers), failed_gate=failed)
 
 
-def layer_blocks(
+def layer_factors(
     shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
-) -> LayerBlocks:
-    """Per-layer blocks and the gate; the size cap is not a cache key."""
+) -> LayerFactors:
+    """Per-layer factors and the gates; the size cap is not a cache key."""
     check_size_cap(shape.dim_enhanced, size_cap)
-    return _layer_blocks(shape)
+    return _layer_factors(shape)
 
 
 @dataclass(frozen=True)
@@ -132,12 +157,12 @@ def verify_first(
     This direction has no degree restriction and must hold at every
     shape.
     """
-    blocks = layer_blocks(shape, size_cap)
+    fac = layer_factors(shape, size_cap)
     return FirstDualityResult(
         dim_levi=enh.levi_span(shape).dimension,
-        dim_commutant_D=sum(b.commutant_D.dimension for b in blocks.blocks),
-        holds=blocks.gate
-        and all(b.commutant_D == b.levi for b in blocks.blocks),
+        dim_commutant_D=sum(x.commutant_pi.dimension for x in fac.layers),
+        holds=fac.failed_gate is None
+        and all(x.commutant_pi == x.levi for x in fac.layers),
     )
 
 
@@ -163,18 +188,16 @@ def verify_second(
     Containment of the image in the commutant is unconditional.  Span
     equality is asserted only for r <= m+n and otherwise only reported.
     """
-    blocks = layer_blocks(shape, size_cap)
+    fac = layer_factors(shape, size_cap)
+    ok = fac.failed_gate is None
     return SecondDualityResult(
-        dim_D=hecke.d_algebra(shape, size_cap).dimension,
-        dim_commutant_levi=sum(
-            b.commutant_levi.dimension for b in blocks.blocks
+        dim_D=sum(x.dim_D for x in fac.layers),
+        dim_commutant_levi=sum(x.dim_commutant_levi for x in fac.layers),
+        containment_holds=ok and all(
+            x.commutant_levi.contains(m)
+            for x in fac.layers for m in x.pi.basis
         ),
-        containment_holds=blocks.gate and all(
-            b.commutant_levi.contains(m)
-            for b in blocks.blocks for m in b.D.basis
-        ),
-        spans_equal=blocks.gate
-        and all(b.commutant_levi == b.D for b in blocks.blocks),
+        spans_equal=ok and all(x.commutant_levi == x.pi for x in fac.layers),
         gated=shape.r <= shape.m + shape.n,
     )
 
@@ -195,19 +218,19 @@ def verify_layer_endos(
 ) -> LayerEndoReport:
     """Per-layer commutants against the layer algebras.
 
-    For each layer the commutant of the restricted Levi action is
-    compared with D_l.  ``sum_matches_commutant`` reports the layer
-    gate, under which their direct sum is the whole commutant.
+    For each layer the commutant of the Levi action, k^2 times that of
+    L_lead, is compared with D_l = M_k (x) Pi_l.  ``sum_matches_commutant``
+    reports the gates, under which their direct sum is the whole
+    commutant.
     """
-    blocks = layer_blocks(shape, size_cap)
+    fac = layer_factors(shape, size_cap)
+    ok = fac.failed_gate is None
     return LayerEndoReport(
-        per_layer_dims=tuple(
-            b.commutant_levi.dimension for b in blocks.blocks
-        ),
+        per_layer_dims=tuple(x.dim_commutant_levi for x in fac.layers),
         per_layer_equal=tuple(
-            blocks.gate and b.commutant_levi == b.D for b in blocks.blocks
+            ok and x.commutant_levi == x.pi for x in fac.layers
         ),
-        sum_matches_commutant=blocks.gate,
+        sum_matches_commutant=ok,
     )
 
 
@@ -256,10 +279,14 @@ class DualityReport:
     per_layer_orbits: tuple[int, ...]
     per_layer_endo_dims: tuple[int, ...]
     per_layer_endo_equal: tuple[bool, ...]
-    layer_sum_matches: bool
+    failed_gate: str | None
     faithful_layers: tuple[bool, ...]
     levi_rank_matches_basis: bool
     seconds: float = field(compare=False, default=0.0)
+
+    @property
+    def layer_sum_matches(self) -> bool:
+        return self.failed_gate is None
 
     @property
     def all_gated_hold(self) -> bool:
@@ -307,7 +334,7 @@ def run_duality(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> DualityReport
         ),
         per_layer_endo_dims=layers.per_layer_dims,
         per_layer_endo_equal=layers.per_layer_equal,
-        layer_sum_matches=layers.sum_matches_commutant,
+        failed_gate=layer_factors(shape, size_cap).failed_gate,
         faithful_layers=faithful,
         levi_rank_matches_basis=rank_ok,
         seconds=time.perf_counter() - t0,

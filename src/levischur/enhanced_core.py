@@ -122,6 +122,15 @@ def layer_positions(shape: Shape, l: int) -> tuple[int, ...]:
     )
 
 
+def support_positions(shape: Shape, support: Support) -> tuple[int, ...]:
+    """Basis positions of the words with natural letters exactly on
+    ``support``, in the order of their cores."""
+    return tuple(
+        enh_position(enh_encode(core, support, shape), shape)
+        for core in comb.natural_words(shape, len(support))
+    )
+
+
 @dataclass(frozen=True)
 class LeviBasisElement:
     """Either the bottom projector (layer 0, empty pair) or an orbit

@@ -15,9 +15,9 @@ space:
 
 Every generator sends a basis word to plus or minus one basis word or
 to zero, so it and every word in the generators is a signed partial
-permutation of the enhanced basis, held as a ``SignedMap``: entry p is
-``(q, s)`` when basis word p goes to s times basis word q, and None
-when the word kills it.  The signs are +-1 and the field never has
+permutation of the enhanced basis, held as a ``SignedMap``: a dict
+sending each basis word p that the word does not kill to ``(q, s)``
+when p goes to s times basis word q.  The signs are +-1 and the field never has
 characteristic 2, so two maps are equal exactly when their matrices
 are: relations compare maps, and only ``eval_word`` builds a matrix.
 
@@ -30,10 +30,24 @@ The defining relations carry the labels 3.1a through 3.6; see
 ``RELATION_IDS`` for the catalogue.  The boundary case i = l of a swap
 against a layer generator is constrained by none of them; its observed
 behaviour is reported separately and never asserted.
+
+The image D is never closed.  ``d_family`` holds the signed maps of
+the words X_{S,T,w} (``family_word``): swaps moving support T to the
+leading slots, ``LayerGen(l, id)``, the simple ``LayerGen(l, s_i)`` of
+a reduced word for w, and swaps moving the leading slots out to S;
+there are sum_l C(r,l)^2 l! of them.  ``d_certificate`` checks on
+signed maps that they span D (gate G1) and that the X_{S,T,id} are
+matrix units through which every member factors (gate G2).  Then layer
+l of D is M_{C(r,l)} (x) Pi_l, with Pi_l (``pi_span``) the span of the
+``LayerGen(l, w)`` on V^{(x)l}, and dim D is read from the Pi_l.
+``d_algebra`` and ``d_layer_algebra`` build the spans on the whole
+space; no verification reads them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -45,7 +59,6 @@ from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
     ExactMatrix,
-    algebra_closure,
     check_size_cap,
     span_of,
 )
@@ -93,13 +106,14 @@ def _validate_gen(g: HeckeGenerator, shape: Shape) -> None:
         raise ValueError(f"not a generator: {g!r}")
 
 
-SignedMap = tuple[Union[tuple[int, int], None], ...]
+# Each basis word p the map does not kill -> (image q, sign s).
+SignedMap = dict[int, tuple[int, int]]
 
 
 @lru_cache(maxsize=None)
 def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
     _validate_gen(g, shape)
-    out: list = [None] * shape.dim_enhanced
+    out: SignedMap = {}
     if isinstance(g, SwapGen):
         w = comb.adjacent_transposition(shape.r, g.i)
         for pos, word in enumerate(enh.enhanced_basis(shape)):
@@ -114,20 +128,24 @@ def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
             sgn = gamma(comb.parity_vector(core, shape), g.sigma)
             out[enh.enh_position(src, shape)] = (
                 enh.enh_position(tgt, shape), sgn)
-    return tuple(out)
+    return out
+
+
+def _then(a: SignedMap, b: SignedMap) -> SignedMap:
+    """The map a followed by b: the matrix product b @ a."""
+    out = {}
+    for p, (q, s) in a.items():
+        img = b.get(q)
+        if img is not None:
+            out[p] = (img[0], s * img[1])
+    return out
 
 
 def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
     """Compose the generator maps; the leftmost generator acts first."""
-    out: SignedMap = tuple((p, 1) for p in range(shape.dim_enhanced))
+    out = {p: (p, 1) for p in range(shape.dim_enhanced)}
     for g in word:
-        gm = _gen_map(g, shape)
-        out = tuple(
-            (hit[0], img[1] * hit[1])
-            if img is not None and (hit := gm[img[0]]) is not None
-            else None
-            for img in out
-        )
+        out = _then(out, _gen_map(g, shape))
     return out
 
 
@@ -137,11 +155,13 @@ def eval_word(word: Sequence[HeckeGenerator], shape: Shape) -> ExactMatrix:
     With matrices acting on column vectors from the left this is the
     reversed matrix product, and the empty word is the identity.
     """
+    return _matrix(_word_map(word, shape), shape)
+
+
+def _matrix(m: SignedMap, shape: Shape) -> ExactMatrix:
     d = shape.dim_enhanced
-    return ExactMatrix(shape.field, d, d, {
-        (img[0], p): img[1]
-        for p, img in enumerate(_word_map(word, shape)) if img is not None
-    })
+    return ExactMatrix(shape.field, d, d,
+                       {(q, p): s for p, (q, s) in m.items()})
 
 
 @lru_cache(maxsize=None)
@@ -233,10 +253,7 @@ def check_relation(inst: RelationInstance, shape: Shape) -> bool:
     equalities are required for True.
     """
     lhs, rhs = relation_sides(inst, shape)
-    right = (
-        (None,) * shape.dim_enhanced if rhs is None
-        else _word_map(rhs, shape)
-    )
+    right = {} if rhs is None else _word_map(rhs, shape)
     if _word_map(lhs, shape) != right:
         return False
     if inst.rel == "3.4":
@@ -331,54 +348,202 @@ def layer_projector(l: int, shape: Shape) -> ExactMatrix:
     )
 
 
+# ---------------------------------------------------------------------------
+# the spanning family of D and its certificate
+
+Member = tuple[enh.Support, enh.Support, Permutation]
+
+
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """Indices i_1..i_k, k the inversion count of w, with w the product
+    of the simple transpositions s_{i_1}, ..., s_{i_k} in acting order
+    (``comb.compose``)."""
+    w = list(w)
+    peeled = []
+    while True:
+        for i in range(1, len(w)):
+            if w[i - 1] > w[i]:
+                # w = compose(u, s_i) for u = w with slots i-1, i swapped
+                w[i - 1], w[i] = w[i], w[i - 1]
+                peeled.append(i)
+                break
+        else:
+            return tuple(reversed(peeled))
+
+
+def _to_lead(support: enh.Support) -> HeckeWord:
+    """Adjacent swaps moving the letters on ``support``, in order, to the
+    leading slots."""
+    return tuple(
+        SwapGen(i) for k, t in enumerate(support) for i in range(t, k, -1)
+    )
+
+
+def family_word(
+    S: enh.Support, T: enh.Support, w: Permutation
+) -> HeckeWord:
+    """The word X_{S,T,w}: move support T to the leading slots, apply
+    ``LayerGen(l, id)`` and the simple ``LayerGen(l, s_i)`` of a reduced
+    word for w, then move the leading slots out to S."""
+    l = len(w)
+    return (
+        _to_lead(T)
+        + (LayerGen(l, comb.identity_perm(l)),)
+        + tuple(LayerGen(l, comb.adjacent_transposition(l, i))
+                for i in reduced_word(w))
+        + _to_lead(S)[::-1]
+    )
+
+
 @lru_cache(maxsize=None)
-def _d_closure(shape: Shape) -> tuple[AlgebraSpan, tuple[ExactMatrix, ...]]:
-    d, field = shape.dim_enhanced, shape.field
-    gens = [xi_gen(g, shape) for g in coxeter_generators(shape)]
-    span = algebra_closure(gens, True, d=d, field=field, size_cap=d)
-    every = (xi_gen(g, shape) for g in hecke_generators(shape))
-    missing = [m for m in every if not span.contains(m)]
-    if missing:
-        gens.extend(missing)
-        span = algebra_closure(gens, True, d=d, field=field, size_cap=d)
-    return span, tuple(gens)
+def _preimages(g: HeckeGenerator, shape: Shape) -> dict:
+    out: dict[int, list] = {}
+    for p, (q, s) in _gen_map(g, shape).items():
+        out.setdefault(q, []).append((p, s))
+    return out
+
+
+@lru_cache(maxsize=None)
+def d_family(shape: Shape) -> dict[Member, SignedMap]:
+    """Every X_{S,T,w} with |S| = |T| = len(w), as a signed map.
+
+    The head of the word, up to ``LayerGen(l, id)``, kills every word
+    off support T; it is composed once per T.
+    """
+    out = {}
+    for l in range(shape.r + 1):
+        supports = list(itertools.combinations(range(shape.r), l))
+        for T in supports:
+            head = _to_lead(T) + (LayerGen(l, comb.identity_perm(l)),)
+            start = _word_map(head, shape)
+            for w in comb.perms(l):
+                for S in supports:
+                    x = start
+                    for g in family_word(S, T, w)[len(head):]:
+                        x = _then(x, _gen_map(g, shape))
+                    out[(S, T, w)] = x
+    return out
+
+
+def _key(x: SignedMap, sign: int = 1) -> frozenset:
+    return frozenset((p, (q, sign * s)) for p, (q, s) in x.items())
+
+
+@lru_cache(maxsize=None)
+def d_certificate(shape: Shape) -> str | None:
+    """The first of the gates G1, G2 that fails, or None.
+
+    Products are matrix products, the right factor acting first.
+
+    G1 ``"certificate"``: every family word is a word in the
+    ``coxeter_generators``; X_{S,S,id} is the projector onto the words
+    with support S, so the identity is their sum; X g is +- a member or
+    0 for every member X and Coxeter generator g; and ``LayerGen(l,
+    sigma)`` is X_{lead,lead,sigma}.  So the span of the family contains
+    1, lies in D and is closed under right products with generators of
+    D: it is D.
+
+    G2 ``"matrix_units"``: X_{S,T,id} X_{T,U,id} = X_{S,U,id},
+    X_{S,T,id} X_{T',U,id} = 0 for T != T', and X_{S,T,w} =
+    X_{S,lead,id} X_{lead,lead,w} X_{lead,T,id}.
+    """
+    fam = d_family(shape)
+    r = shape.r
+    allowed = set(coxeter_generators(shape))
+    index = {_key(x) for x in fam.values()}
+    # per layer: the identity of S_l, which as a tuple is also the
+    # leading support, and all supports
+    layers = [
+        (comb.identity_perm(l), list(itertools.combinations(range(r), l)))
+        for l in range(r + 1)
+    ]
+
+    def known(x: SignedMap) -> bool:
+        return not x or _key(x) in index or _key(x, -1) in index
+
+    def times_gen(x: SignedMap, g: HeckeGenerator) -> SignedMap:
+        return {p: (q2, s * s2) for q, (q2, s2) in x.items()
+                for p, s in _preimages(g, shape).get(q, ())}
+
+    g1 = (
+        all(set(family_word(*key)) <= allowed for key in fam)
+        and all(
+            fam[(S, S, one)]
+            == {p: (p, 1) for p in enh.support_positions(shape, S)}
+            for one, supports in layers for S in supports
+        )
+        and all(known(times_gen(x, g)) for x in fam.values() for g in allowed)
+        and all(
+            _gen_map(LayerGen(len(one), w), shape) == fam[(one, one, w)]
+            for one, _ in layers for w in comb.perms(len(one))
+        )
+    )
+    if not g1:
+        return "certificate"
+    units = all(
+        _then(fam[(T2, U, one)], fam[(S, T, one)])
+        == (fam[(S, U, one)] if T2 == T else {})
+        for one, supports in layers
+        for S in supports for T in supports for T2 in supports
+        for U in supports
+    )
+    factored = all(
+        x == _then(_then(fam[(lead, T, lead)], fam[(lead, lead, w)]),
+                   fam[(S, lead, lead)])
+        for (S, T, w), x in fam.items()
+        for lead in [comb.identity_perm(len(w))]
+    )
+    return None if units and factored else "matrix_units"
+
+
+@lru_cache(maxsize=None)
+def pi_span(l: int, shape: Shape) -> AlgebraSpan:
+    """Pi_l: the span of the ``LayerGen(l, w)`` cut to the leading
+    support, on the (m+n)^l words of V^{(x)l}."""
+    lead = enh.support_positions(shape, comb.identity_perm(l))
+    return span_of(
+        [xi_gen(LayerGen(l, w), shape).block(lead) for w in comb.perms(l)],
+        d=len(lead), field=shape.field,
+    )
+
+
+def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    """dim D = sum_l C(r,l)^2 dim Pi_l, valid when ``d_certificate``
+    passes."""
+    check_size_cap(shape.dim_enhanced, size_cap)
+    return sum(
+        math.comb(shape.r, l) ** 2 * pi_span(l, shape).dimension
+        for l in range(shape.r + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _d_span(shape: Shape) -> AlgebraSpan:
+    return span_of([_matrix(x, shape) for x in d_family(shape).values()],
+                   d=shape.dim_enhanced, field=shape.field)
 
 
 def d_algebra(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> AlgebraSpan:
-    """The image D: the closure, with identity, of every generator matrix.
+    """The image D, as the span of the matrices of ``d_family``.
 
-    D is closed once, by right products with the ``coxeter_generators``.
-    Every matrix of ``hecke_generators`` is then checked to lie in the
-    closure; any that does not joins the generators and D is closed
-    again.  The size cap is a guard, not part of the cache key.
+    That span is D when ``d_certificate`` passes.  The size cap is a
+    guard, not part of the cache key.
     """
     check_size_cap(shape.dim_enhanced, size_cap)
-    return _d_closure(shape)[0]
-
-
-def d_generators(
-    shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[ExactMatrix, ...]:
-    """The generator matrices ``d_algebra`` closed over."""
-    check_size_cap(shape.dim_enhanced, size_cap)
-    return _d_closure(shape)[1]
+    return _d_span(shape)
 
 
 @lru_cache(maxsize=None)
 def _d_layer(l: int, shape: Shape) -> AlgebraSpan:
     p = layer_projector(l, shape)
-    pieces = [p @ mat @ p for mat in _d_closure(shape)[0].basis]
+    pieces = [p @ mat @ p for mat in _d_span(shape).basis]
     return span_of(pieces, d=shape.dim_enhanced, field=shape.field)
 
 
 def d_layer_algebra(
     l: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> AlgebraSpan:
-    """The layer-l piece P_l D P_l of D, zero on every other layer.
-
-    As every generator preserves the layers, this is the closure of the
-    generators cut down to layer l, with unit the layer projector.
-    """
+    """The layer-l piece P_l D P_l of D, zero on every other layer."""
     if not 0 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range")
     check_size_cap(shape.dim_enhanced, size_cap)

@@ -259,6 +259,14 @@ class ExactMatrix:
                     out[pos] = s
         return ExactMatrix(f, self.nrows, other.ncols, out)
 
+    def block(self, positions: Sequence[int]) -> "ExactMatrix":
+        """The square submatrix on these rows and columns, in this order."""
+        index = {p: k for k, p in enumerate(positions)}
+        return ExactMatrix(self.field, len(index), len(index), {
+            (index[r], index[c]): v for (r, c), v in self.entries.items()
+            if r in index and c in index
+        })
+
     def commutes_with(self, other: "ExactMatrix") -> bool:
         return (self @ other).entries == (other @ self).entries
 

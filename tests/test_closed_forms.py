@@ -1,0 +1,45 @@
+"""``verify`` and ``dims`` against closed-form dimensions."""
+
+import pytest
+
+import levischur
+from closed_forms import d_dim, d_layer_dims, levi_layer_counts
+from levischur.cli import EXIT_OK, RunConfig, cmd_dims, cmd_verify
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    levischur.clear_caches()
+    yield
+    levischur.clear_caches()
+
+
+@pytest.mark.parametrize("m,n,r", [
+    (1, 1, 2), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 0, 4), (1, 1, 4),
+])
+def test_verify_matches_closed_forms(m, n, r):
+    report, status = cmd_verify(RunConfig(m=m, n=n, r=r))
+    assert status == EXIT_OK
+    dims = report["dims"]
+    orbits = levi_layer_counts(m, n, r)
+    assert dims["levi"] == sum(orbits)
+    assert dims["per_layer_orbits"] == orbits
+    assert dims["d_algebra"] == d_dim(m, n, r)
+    # over the rationals C(L_l) = D_l at every degree
+    assert dims["per_layer_endos"] == d_layer_dims(m, n, r)
+    layers = report["timing"]["layers"]
+    assert len(layers) == 2 * (r + 1)
+    for e in layers:
+        # C(D_l) = I_k (x) C(pi_l): the classical commutant, one
+        # dimension per diagonal orbit
+        assert e["dim_commutant_D"] == orbits[e["layer"]]
+        assert e["dim_D"] == d_layer_dims(m, n, r)[e["layer"]]
+        assert e["dim_commutant_levi"] == e["dim_D"]
+
+
+@pytest.mark.parametrize("m,n,r", [(1, 1, 5), (2, 1, 4)])
+def test_dims_matches_closed_forms(m, n, r):
+    report, status = cmd_dims(RunConfig(m=m, n=n, r=r, vparity="even"))
+    assert status == EXIT_OK
+    assert report["dims"]["d_algebra"] == d_dim(m, n, r)
+    assert report["dims"]["levi"] == sum(levi_layer_counts(m, n, r))

@@ -1,17 +1,31 @@
-"""The layer-blocked duality against the full-space constructions.
+"""The certificate of D and the factored layers against the full-space
+constructions.
 
-The brute-force constructions below (commutants on the whole enhanced
-space, the two-sided closure over every generator, the layer algebras
-closed from their own generators) are the oracle for the fast path in
-``hecke.d_algebra`` and ``duality.layer_blocks``.
+The brute-force constructions below are the oracle for
+``hecke.d_certificate``, ``hecke.d_algebra`` and ``duality.layer_factors``:
+the closure of D (right products with the Coxeter generators, and the
+two-sided closure over every generator), commutants on the whole
+enhanced space, the full layer blocks of C(r,l)(m+n)^l words, and the
+layer algebras closed from their own generators.
 """
+
+import itertools
+import json
+import math
+from functools import reduce
 
 import pytest
 
 import levischur
-from levischur import cli, duality, hecke
+from levischur import cli, duality, hecke, linalg
 from levischur import enhanced_core as enh
-from levischur.combinatorics import Shape, perms
+from levischur.combinatorics import (
+    Shape,
+    adjacent_transposition,
+    compose,
+    identity_perm,
+    perms,
+)
 from levischur.hecke import LayerGen, SwapGen, layer_projector, xi_gen
 from levischur.linalg import (
     AlgebraSpan,
@@ -30,6 +44,7 @@ SHAPES = [
     for vp in (0, 1)
     for field in (QQ, PrimeField(3))
 ]
+DEEP = [Shape(1, 1, 4, vp) for vp in (0, 1)]
 
 
 def shape_id(sh):
@@ -41,6 +56,14 @@ def fresh_caches():
     levischur.clear_caches()
     yield
     levischur.clear_caches()
+
+
+def coxeter_closure(shape):
+    """D closed from the identity by right products with the Coxeter
+    generators."""
+    d = shape.dim_enhanced
+    gens = [xi_gen(g, shape) for g in hecke.coxeter_generators(shape)]
+    return algebra_closure(gens, True, d=d, field=shape.field, size_cap=d)
 
 
 def two_sided_closure(shape):
@@ -85,24 +108,67 @@ def closed_layer_algebra(l, shape):
     )
 
 
-def zero_extended(spans, shape):
-    """Direct sum of per-layer spans, as a span on the whole space."""
+def full_blocks(shape, dalg):
+    """Per layer, the blocks on all C(r,l)(m+n)^l words of the layer: D_l,
+    L_l, the commutant of the generators of D and that of the Levi
+    basis."""
+    f = shape.field
+    levi = [enh.rho_levi(b, shape) for b in enh.levi_basis(shape)]
+    gens = [xi_gen(g, shape) for g in hecke.coxeter_generators(shape)]
+    for l in range(shape.r + 1):
+        pos = enh.layer_positions(shape, l)
+        size = len(pos)
+        levi_l = [m.block(pos) for m in levi]
+        yield (
+            span_of([m.block(pos) for m in dalg.basis], d=size, field=f),
+            span_of(levi_l, d=size, field=f),
+            commutant([m.block(pos) for m in gens], size, field=f,
+                      size_cap=size),
+            commutant(levi_l, size, field=f, size_cap=size),
+        )
+
+
+def member_matrix(x, shape):
+    d = shape.dim_enhanced
+    return ExactMatrix(shape.field, d, d,
+                       {(q, p): s for p, (q, s) in x.items()})
+
+
+def transported(span, l, shape, diagonal):
+    """Whole-space matrices E_{S,lead} Y E_{lead,T} for Y in the basis of a
+    span on the leading support: summed over S = T when ``diagonal``
+    (I_k (x) Y), one per pair (S, T) otherwise (M_k (x) Y)."""
+    fam = hecke.d_family(shape)
+    lead = identity_perm(l)
+    pos = enh.support_positions(shape, lead)
+    supports = list(itertools.combinations(range(shape.r), l))
+    out_of = {S: fam[(S, lead, lead)] for S in supports}
+    into = {
+        T: {q: (p, s) for p, (q, s) in fam[(lead, T, lead)].items()}
+        for T in supports
+    }
+    groups = (
+        [[(S, S) for S in supports]] if diagonal
+        else [[(S, T)] for S in supports for T in supports]
+    )
     d = shape.dim_enhanced
     mats = []
-    for l, span in enumerate(spans):
-        positions = enh.layer_positions(shape, l)
-        for m in span.basis:
-            mats.append(ExactMatrix(shape.field, d, d, {
-                (positions[r], positions[c]): v
-                for (r, c), v in m.entries.items()
-            }))
-    return span_of(mats, d=d, field=shape.field)
+    for y in span.basis:
+        for group in groups:
+            entries = {}
+            for S, T in group:
+                for (a, b), v in y.entries.items():
+                    (p, s), (p2, s2) = out_of[S][pos[a]], into[T][pos[b]]
+                    entries[(p, p2)] = v * s * s2
+            mats.append(ExactMatrix(shape.field, d, d, entries))
+    return mats
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_coxeter_closure_matches_two_sided_closure(shape):
     dalg = hecke.d_algebra(shape)
-    assert dalg == two_sided_closure(shape)
+    assert dalg == coxeter_closure(shape) == two_sided_closure(shape)
+    assert dalg.dimension == hecke.d_dimension(shape)
     for g in hecke.hecke_generators(shape):
         assert dalg.contains(xi_gen(g, shape))
     for l in range(shape.r + 1):
@@ -111,22 +177,68 @@ def test_coxeter_closure_matches_two_sided_closure(shape):
         )
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+@pytest.mark.parametrize("shape", SHAPES + DEEP, ids=shape_id)
 def test_blocks_match_full_space_commutants(shape):
-    d = shape.dim_enhanced
-    lb = duality.layer_blocks(shape)
-    assert lb.gate
-    blocks = lb.blocks
+    d, f = shape.dim_enhanced, shape.field
+    fac = duality.layer_factors(shape)
+    assert fac.failed_gate is None
+    dalg = coxeter_closure(shape)
     levi = enh.levi_span(shape)
-    dalg = hecke.d_algebra(shape)
-    assert zero_extended([b.levi for b in blocks], shape) == levi
-    assert zero_extended([b.D for b in blocks], shape) == dalg
-    assert zero_extended(
-        [b.commutant_D for b in blocks], shape
-    ) == commutant(dalg.basis, d, field=shape.field)
-    assert zero_extended(
-        [b.commutant_levi for b in blocks], shape
-    ) == commutant(levi.basis, d, field=shape.field)
+    gens = [xi_gen(g, shape) for g in hecke.coxeter_generators(shape)]
+
+    def whole(attr, diagonal):
+        return span_of([
+            m for x in fac.layers
+            for m in transported(getattr(x, attr), x.layer, shape, diagonal)
+        ], d=d, field=f)
+
+    assert whole("pi", False) == dalg == hecke.d_algebra(shape)
+    assert whole("levi", True) == levi
+    assert whole("commutant_pi", True) == commutant(gens, d, field=f)
+    assert whole("commutant_levi", False) == commutant(
+        levi.basis, d, field=f
+    )
+    for x, (d_l, levi_l, comm_d, comm_levi) in zip(
+        fac.layers, full_blocks(shape, dalg)
+    ):
+        assert x.block_size == d_l.ambient_dim
+        assert x.dim_D == d_l.dimension
+        assert x.commutant_pi.dimension == comm_d.dimension
+        assert x.dim_commutant_levi == comm_levi.dimension
+        assert x.commutant_pi == x.levi
+        assert comm_d == levi_l
+        assert (x.commutant_levi == x.pi) == (comm_levi == d_l)
+        assert all(comm_levi.contains(m) for m in d_l.basis)
+
+
+@pytest.mark.parametrize("shape", SHAPES[::2] + DEEP, ids=shape_id)
+def test_family_words_evaluate_to_members(shape):
+    fam = hecke.d_family(shape)
+    # 209 members at (1|1,4)
+    assert len(fam) == sum(
+        math.comb(shape.r, l) ** 2 * math.factorial(l)
+        for l in range(shape.r + 1)
+    )
+    for key, x in fam.items():
+        assert hecke.eval_word(hecke.family_word(*key), shape) == (
+            member_matrix(x, shape)
+        )
+
+
+def test_reduced_word():
+    for l in range(6):
+        for w in perms(l):
+            word = hecke.reduced_word(w)
+            inversions = sum(
+                1 for a, b in itertools.combinations(range(l), 2)
+                if w[a] > w[b]
+            )
+            assert len(word) == inversions
+            assert reduce(
+                compose,
+                (adjacent_transposition(l, i) for i in word),
+                identity_perm(l),
+            ) == w
 
 
 def drop_layer_zero(span, shape):
@@ -142,7 +254,7 @@ def drop_layer_zero(span, shape):
 
 
 def assert_all_block_checks_fail(shape):
-    assert not duality.layer_blocks(shape).gate
+    assert duality.layer_factors(shape).failed_gate is not None
     rep = duality.run_duality(shape)
     assert not rep.layer_sum_matches
     assert not rep.first_isomorphism_holds
@@ -157,12 +269,40 @@ def test_levi_span_missing_a_unit_fails_gate(shape, monkeypatch):
     broken = drop_layer_zero(enh.levi_span(shape), shape)
     monkeypatch.setattr(enh, "levi_span", lambda sh: broken)
     assert_all_block_checks_fail(shape)
+    assert duality.layer_factors(shape).failed_gate == "levi_transport"
+
+
+def patch_family(monkeypatch, edit):
+    """Serve a copy of ``d_family`` with ``edit`` applied to it."""
+    real = hecke.d_family
+
+    def family(sh):
+        fam = dict(real(sh))
+        edit(fam, sh)
+        return fam
+
+    monkeypatch.setattr(hecke, "d_family", family)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_d_missing_a_unit_fails_gate(shape, monkeypatch):
-    broken = drop_layer_zero(hecke.d_algebra(shape), shape)
-    monkeypatch.setattr(hecke, "d_algebra", lambda sh, cap=0: broken)
+    def kill_unit(fam, sh):
+        fam[((), (), ())] = {}      # X_{0,0,id}, which is P_0
+
+    patch_family(monkeypatch, kill_unit)
+    assert hecke.d_certificate(shape) == "certificate"
+    assert_all_block_checks_fail(shape)
+
+
+def test_flipped_member_fails_certificate_or_units(monkeypatch):
+    shape = Shape(1, 1, 3, 1)
+    key = ((0, 2), (1, 2), (1, 0))
+
+    def flip(fam, sh):
+        fam[key] = {p: (q, -s) for p, (q, s) in fam[key].items()}
+
+    patch_family(monkeypatch, flip)
+    assert hecke.d_certificate(shape) in ("certificate", "matrix_units")
     assert_all_block_checks_fail(shape)
 
 
@@ -176,16 +316,101 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
     assert "FAIL layer_decomposition" in capsys.readouterr().out
 
 
-def test_closure_adds_generators_the_coxeter_set_misses(monkeypatch):
+def test_closure_adds_generators_the_coxeter_set_misses(
+    monkeypatch, capsys
+):
+    """With the layer generators left out of the Coxeter set the family
+    is no longer made of its words: G1 fails, and so does everything
+    read from the layers, ``dims`` included."""
     shape = Shape(1, 1, 3, 1)
-    expected = two_sided_closure(shape)
     swaps_only = tuple(
         g for g in hecke.coxeter_generators(shape)
         if isinstance(g, SwapGen)
     )
     monkeypatch.setattr(hecke, "coxeter_generators", lambda sh: swaps_only)
-    assert hecke.d_algebra(shape) == expected
-    assert len(hecke.d_generators(shape)) > len(swaps_only)
+    assert hecke.d_certificate(shape) == "certificate"
+    assert_all_block_checks_fail(shape)
+    for command in ("verify", "dims"):
+        argv = [command, "--m", "1", "--n", "1", "--r", "3",
+                "--vparity", "odd", "--output", "json"]
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        gate = {
+            "verify": ("layer_decomposition", "sum_matches"),
+            "dims": ("d_certificate", "gate"),
+        }[command]
+        assert [c["details"][gate[1]] for c in report["checks"]
+                if c["name"] == gate[0]] == ["certificate"]
+
+
+def flip_sign(monkeypatch, gen, pos):
+    """Flip the sign of one entry of one generator map."""
+    real = hecke._gen_map
+
+    def mutant(g, shape):
+        m = real(g, shape)
+        if g != gen:
+            return m
+        q, s = m[pos]
+        return {**m, pos: (q, -s)}
+
+    monkeypatch.setattr(hecke, "_gen_map", mutant)
+
+
+MUTANT_SHAPE = Shape(1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "gen", hecke.hecke_generators(MUTANT_SHAPE), ids=repr
+)
+def test_every_sign_mutant_fails_verify(gen, monkeypatch):
+    live = list(hecke._gen_map(gen, MUTANT_SHAPE))
+    survivors = []
+    for p in live:
+        with monkeypatch.context() as mp:
+            flip_sign(mp, gen, p)
+            levischur.clear_caches()
+            _report, status = cli.cmd_verify(cli.RunConfig(
+                m=1, n=1, r=3, vparity="even"
+            ))
+            if status != cli.EXIT_CHECK_FAILED:
+                survivors.append(p)
+        levischur.clear_caches()
+    assert live and not survivors
+
+
+def test_named_mutant_fails_certificate(monkeypatch):
+    # the sign of SwapGen(1) on the word (2, 3, 1): both letters odd
+    shape = MUTANT_SHAPE
+    pos = enh.enh_position((2, 3, 1), shape)
+    flip_sign(monkeypatch, SwapGen(1), pos)
+    assert hecke.d_certificate(shape) == "certificate"
+    assert_all_block_checks_fail(shape)
+
+
+def test_run_path_never_closes_d(monkeypatch):
+    """``verify`` and ``dims`` close nothing and solve every commutant
+    on at most (m+n)^r words."""
+    sizes = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("algebra_closure on the run path")
+
+    def recording(gens, d=None, **kwargs):
+        sizes.append(d)
+        return commutant(gens, d, **kwargs)
+
+    for module in (levischur, linalg, hecke, duality, enh, cli):
+        monkeypatch.setattr(module, "algebra_closure", refuse, raising=False)
+    monkeypatch.setattr(duality, "commutant", recording)
+    monkeypatch.setattr(linalg, "commutant", recording)
+    for m, n, r in [(1, 1, 4), (2, 1, 3)]:
+        for command in (cli.cmd_verify, cli.cmd_dims):
+            _report, status = command(cli.RunConfig(m=m, n=n, r=r))
+            assert status == cli.EXIT_OK
+        assert sizes and max(sizes) <= (m + n) ** r
+        sizes.clear()
 
 
 def test_coxeter_generators_are_few():
@@ -199,20 +424,19 @@ def test_size_cap_is_a_guard_not_a_cache_key():
     shape = Shape(1, 1, 2)
     hecke.d_algebra(shape)
     hecke.d_algebra(shape, 256)
-    info = hecke._d_closure.cache_info()
+    info = hecke._d_span.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    duality.layer_blocks(shape)
-    duality.layer_blocks(shape, 256)
-    info = duality._layer_blocks.cache_info()
+    duality.layer_factors(shape)
+    duality.layer_factors(shape, 256)
+    info = duality._layer_factors.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     hecke.d_layer_algebra(1, shape)
     hecke.d_layer_algebra(1, shape, 256)
     info = hecke._d_layer.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    with pytest.raises(levischur.SizeCapExceeded):
-        hecke.d_algebra(shape, 4)
-    with pytest.raises(levischur.SizeCapExceeded):
-        duality.layer_blocks(shape, 4)
+    for fn in (hecke.d_algebra, duality.layer_factors, hecke.d_dimension):
+        with pytest.raises(levischur.SizeCapExceeded):
+            fn(shape, 4)
 
     levischur.clear_caches()
     cached = [
@@ -222,7 +446,10 @@ def test_size_cap_is_a_guard_not_a_cache_key():
         for obj in vars(module).values()
         if hasattr(obj, "cache_info")
     ]
-    assert hecke._d_closure in cached and duality._layer_blocks in cached
+    for fn in (hecke._d_span, hecke._d_layer, hecke.d_family,
+               hecke.d_certificate, hecke.pi_span, hecke._gen_map,
+               hecke._preimages, duality._layer_factors):
+        assert fn in cached
     assert all(obj.cache_info().currsize == 0 for obj in cached)
 
 
