@@ -11,7 +11,7 @@ The natural entry points:
   * ``hecke`` builds the layered permutation generators and their image.
   * ``duality`` runs the theorem-level verifications.
   * ``cli`` is the command-line front end (``levischur ...``).
-  * ``clear_caches()`` empties every per-shape cache.
+  * ``clear_caches()`` empties every cache, per shape or per degree.
 
 The names imported here are the package's public API.
 """
@@ -72,7 +72,7 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every per-shape cache in the package."""
+    """Empty every cache in the package, per shape or per degree."""
     for module in (combinatorics, schur_core, enhanced_core, hecke, duality):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

@@ -38,7 +38,7 @@ from .duality import layer_factors, run_duality
 from .linalg import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,
-    check_size_cap,
+    check_power_cap,
     parse_field,
 )
 
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     try:
         if cfg.command != "orbits":
-            check_size_cap((cfg.m + cfg.n + 1) ** cfg.r, cfg.size_cap)
+            check_power_cap(cfg.m + cfg.n + 1, cfg.r, cfg.size_cap)
         report, status = _COMMANDS[cfg.command](cfg)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,13 +8,13 @@ of V^{(x)l}, and each layer of the double centralizer is classical
 Sergeev duality moved along them.  ``layer_factors`` reads it so, once
 per shape, under three exact gates: G1 and G2 of
 ``hecke.d_certificate`` (the family spans D, and its X_{S,T,id} are
-matrix units), and G3 here (every Levi basis matrix is its leading
-block moved to each support by those units, and every layer projector
-lies in the Levi span).  Under them D_l = M_k (x) Pi_l and L_l = I_k (x)
-L_lead, k = C(r,l), so every commutant is solved on the (m+n)^l words
-of the leading support: C(D_l) = I_k (x) C(Pi_l), the commutant of the
-l-1 simple ``LayerGen(l, s_i)``, and C(L_l) = M_k (x) C(L_lead).  If a
-gate fails, every check read from the layers fails.
+matrix units), and G3 here (every Levi basis matrix is its
+``xi_matrix`` moved to each support by those units, and every layer
+projector lies in the Levi span).  Under them D_l = M_k (x) Pi_l and
+L_l = I_k (x) S(m|n,l), k = C(r,l), Pi_l the image of KS_l, so every
+layer reads ``schur_core.degree(shape, l)``: C(D_l) = I_k (x) C(Pi_l)
+and C(L_l) = M_k (x) C(S(m|n,l)).  If a gate fails, every check read
+from the layers fails.
 
 The first direction holds at every degree; the second is asserted when
 r <= m+n and otherwise only reported (containment of D in the commutant
@@ -31,27 +31,20 @@ from functools import lru_cache
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
-from . import hecke
+from . import hecke, schur_core
 from .combinatorics import Shape
-from .linalg import (
-    DEFAULT_SIZE_CAP,
-    AlgebraSpan,
-    Echelon,
-    check_size_cap,
-    commutant,
-    span_of,
-)
+from .linalg import DEFAULT_SIZE_CAP, AlgebraSpan, Echelon, check_size_cap
 
 
 @dataclass(frozen=True)
 class LayerFactor:
-    """Layer l of both algebras, cut to the leading support: spans of
-    matrices on the (m+n)^l words of V^{(x)l}."""
+    """Layer l of both algebras, read from ``schur_core.degree``: spans
+    of matrices on the (m+n)^l words of V^{(x)l}."""
 
     layer: int
     supports: int           # k = C(r, l), the number of supports
     pi: AlgebraSpan         # Pi_l, so D_l = M_k (x) Pi_l
-    levi: AlgebraSpan       # L_lead, so L_l = I_k (x) L_lead
+    levi: AlgebraSpan       # S(m|n,l), so L_l = I_k (x) S(m|n,l)
     commutant_pi: AlgebraSpan
     commutant_levi: AlgebraSpan
     seconds: float = field(compare=False, default=0.0)
@@ -77,24 +70,22 @@ class LayerFactors:
 
 def _levi_transport(shape: Shape) -> bool:
     """G3: every Levi basis matrix is the sum over the supports S of its
-    leading block moved to S by the matrix units X_{S,lead,id}, and every
-    layer projector lies in the Levi span."""
+    ``xi_matrix`` moved to S by the matrix units X_{S,lead,id}, and
+    every layer projector lies in the Levi span."""
     fam = hecke.d_family(shape)
     f = shape.field
     for b in enh.levi_basis(shape):
         lead = comb.identity_perm(b.layer)
-        keep = set(enh.support_positions(shape, lead))
-        mat = enh.rho_levi(b, shape)
-        block = [(q, q2, v) for (q, q2), v in mat.entries.items()
-                 if q in keep and q2 in keep]
+        pos = enh.support_positions(shape, lead)
+        xi = schur_core.degree(shape, b.layer).xi[b.pair]
         moved = {}
         for S in itertools.combinations(range(shape.r), b.layer):
             # under G2, X_{S,lead,id} is defined on every leading word
             unit = fam[(S, lead, lead)]
-            for q, q2, v in block:
-                (p, s), (p2, s2) = unit[q], unit[q2]
+            for (k, t), v in xi.entries.items():
+                (p, s), (p2, s2) = unit[pos[k]], unit[pos[t]]
                 moved[(p, p2)] = v if s == s2 else f.neg(v)
-        if moved != mat.entries:
+        if moved != enh.rho_levi(b, shape).entries:
             return False
     levi = enh.levi_span(shape)
     return all(
@@ -105,30 +96,20 @@ def _levi_transport(shape: Shape) -> bool:
 
 @lru_cache(maxsize=None)
 def _layer_factors(shape: Shape) -> LayerFactors:
-    f = shape.field
     failed = hecke.d_certificate(shape)
     if failed is None and not _levi_transport(shape):
         failed = "levi_transport"
     layers = []
     for l in range(shape.r + 1):
         t0 = time.perf_counter()
-        lead = enh.support_positions(shape, comb.identity_perm(l))
-        size = len(lead)
-        levi = [enh.rho_levi(b, shape).block(lead)
-                for b in enh.levi_basis(shape) if b.layer == l]
-        simple = [
-            hecke.xi_gen(
-                hecke.LayerGen(l, comb.adjacent_transposition(l, i)), shape
-            ).block(lead)
-            for i in range(1, l)
-        ]
+        deg = schur_core.degree(shape, l)
         layers.append(LayerFactor(
             layer=l,
             supports=math.comb(shape.r, l),
-            pi=hecke.pi_span(l, shape),
-            levi=span_of(levi, d=size, field=f),
-            commutant_pi=commutant(simple, size, field=f, size_cap=size),
-            commutant_levi=commutant(levi, size, field=f, size_cap=size),
+            pi=deg.group,
+            levi=deg.schur,
+            commutant_pi=deg.commutant_pi,
+            commutant_levi=deg.commutant_schur,
             seconds=time.perf_counter() - t0,
         ))
     return LayerFactors(layers=tuple(layers), failed_gate=failed)
@@ -219,7 +200,7 @@ def verify_layer_endos(
     """Per-layer commutants against the layer algebras.
 
     For each layer the commutant of the Levi action, k^2 times that of
-    L_lead, is compared with D_l = M_k (x) Pi_l.  ``sum_matches_commutant``
+    S(m|n,l), is compared with D_l = M_k (x) Pi_l.  ``sum_matches_commutant``
     reports the gates, under which their direct sum is the whole
     commutant.
     """

@@ -11,10 +11,10 @@ positions carrying them.
 Basis elements of the Levi algebra are a rank-one bottom element (layer
 0) together with one element per layer l >= 1 and per orbit
 representative of degree l.  Their matrices preserve every fixed
-support subspace and annihilate all other layers; the enhanced letters
-contribute the configured ``vparity`` to every parity vector, so entries
-may genuinely depend on it (the two parities are conjugate by an
-explicit diagonal sign matrix, see ``parity_flip_conjugator``).
+support subspace, on which they act by ``schur_core``'s basis matrices
+twisted by a sign per word that depends on the configured ``vparity``
+(the two parities are conjugate by an explicit diagonal sign matrix,
+see ``parity_flip_conjugator``).
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import combinatorics as comb
-from .combinatorics import (
-    DoubleIndex,
-    MultiIndex,
-    Shape,
-    add_parities,
-    alpha,
-)
+from . import schur_core
+from .combinatorics import DoubleIndex, MultiIndex, Shape
 from .linalg import AlgebraSpan, ExactMatrix, span_of
-from .schur_core import structure_constants
 
 EnhWord = tuple[int, ...]
 Support = tuple[int, ...]
@@ -161,40 +155,47 @@ def levi_basis(shape: Shape) -> tuple[LeviBasisElement, ...]:
 
 
 def embed_alpha(l: int, pair: DoubleIndex, shape: Shape) -> LeviBasisElement:
-    """Embed a degree-l basis label at layer l."""
+    """Embed a degree-l basis label (an orbit representative) at layer l."""
     if len(pair[0]) != l:
         raise ValueError("degree mismatch")
-    if not comb.is_strict(pair, shape):
-        raise ValueError(f"pair {pair} is not strict")
+    if comb.canonical_pair(pair, shape) != pair:
+        raise ValueError(f"pair {pair} is not a strict orbit representative")
     return LeviBasisElement(pair, l)
+
+
+@lru_cache(maxsize=None)
+def _placements(l: int, shape: Shape) -> tuple:
+    """Per support S of size l: ``support_positions`` and, per core word
+    k, vparity times the number of pairs (enhanced slot, later odd
+    letter of k), mod 2: the exponent of the twist tw(k)."""
+    out = []
+    for S in itertools.combinations(range(shape.r), l):
+        # S[j] - j enhanced slots precede the j-th support slot
+        gaps = [(p - j) * shape.vparity for j, p in enumerate(S)]
+        out.append((support_positions(shape, S), tuple(
+            sum(g for g, e in zip(gaps, comb.parity_vector(k, shape)) if e) & 1
+            for k in comb.natural_words(shape, l))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def rho_levi(b: LeviBasisElement, shape: Shape) -> ExactMatrix:
     """Matrix of a Levi basis element on the enhanced tensor space.
 
-    On a basis word of layer equal to ``b.layer`` with support I and
-    core t, the image is the sum over orbit elements (k, t) of
-    sigma(b.pair; k, t) * alpha(eps_{k,I} + eps_{t,I}, eps_{t,I}) times
-    the word with core k on the same support; all other layers are
-    annihilated.  The parity vectors have full length r, with enhanced
-    slots contributing ``vparity``.
+    ``xi_matrix(b.pair)`` placed on every support of size ``b.layer``,
+    the entry at cores (k, t) times tw(k) tw(t); other layers are
+    annihilated.  This is the reordering sign alpha(eps_k + eps_t, eps_t)
+    over parity vectors of full length r, enhanced slots contributing
+    ``vparity``: its pairs (enhanced slot, later natural slot) give the
+    twists.
     """
-    l = b.layer
-    r = shape.r
-    d = shape.dim_enhanced
+    f = shape.field
+    xi = schur_core.degree(shape, b.layer).xi[b.pair]
     entries = {}
-    orbit = comb.orbit_elements(b.pair)
-    signs = {kt: comb.sigma_sign(b.pair, kt, shape) for kt in orbit}
-    for supp in itertools.combinations(range(r), l):
-        for k, t in orbit:
-            wk = enh_encode(k, supp, shape)
-            wt = enh_encode(t, supp, shape)
-            ek = enh_parity_vector(wk, shape)
-            et = enh_parity_vector(wt, shape)
-            val = signs[(k, t)] * alpha(add_parities(ek, et), et)
-            entries[(enh_position(wk, shape), enh_position(wt, shape))] = val
-    return ExactMatrix(shape.field, d, d, entries)
+    for pos, tw in _placements(b.layer, shape):
+        for (k, t), v in xi.entries.items():
+            entries[(pos[k], pos[t])] = v if tw[k] == tw[t] else f.neg(v)
+    return ExactMatrix(f, shape.dim_enhanced, shape.dim_enhanced, entries)
 
 
 def rho_bottom(shape: Shape) -> ExactMatrix:
@@ -213,7 +214,7 @@ def levi_product(
     """
     if a.layer != b.layer:
         return {}
-    coeffs = structure_constants(a.pair, b.pair, shape)
+    coeffs = schur_core.structure_constants(a.pair, b.pair, shape)
     return {
         LeviBasisElement(rep, a.layer): c for rep, c in coeffs.items()
     }

@@ -8,10 +8,10 @@ space:
   * ``SwapGen(i)`` for 1 <= i <= r-1: the signed swap of tensor slots i
     and i+1 (slots 1-based), with sign given by the product of the slot
     parities.
-  * ``LayerGen(l, sigma)`` for 0 <= l <= r and sigma of degree l: sends
-    the word with core t on the leading support {1..l} to the signed
-    word with core ``act(t, sigma)`` on the same support, and kills
-    every word whose support is not exactly the leading one.
+  * ``LayerGen(l, sigma)`` for 0 <= l <= r and sigma of degree l:
+    ``schur_core.signed_action(sigma)`` on the cores of the words with
+    leading support {1..l}; it kills every word whose support is not
+    exactly the leading one.
 
 Every generator sends a basis word to plus or minus one basis word or
 to zero, so it and every word in the generators is a signed partial
@@ -38,8 +38,8 @@ a reduced word for w, and swaps moving the leading slots out to S;
 there are sum_l C(r,l)^2 l! of them.  ``d_certificate`` checks on
 signed maps that they span D (gate G1) and that the X_{S,T,id} are
 matrix units through which every member factors (gate G2).  Then layer
-l of D is M_{C(r,l)} (x) Pi_l, with Pi_l (``pi_span``) the span of the
-``LayerGen(l, w)`` on V^{(x)l}, and dim D is read from the Pi_l.
+l of D is M_{C(r,l)} (x) Pi_l, with Pi_l the span of the
+``LayerGen(l, w)`` on V^{(x)l}: ``schur_core.degree(shape, l).group``.
 ``d_algebra`` and ``d_layer_algebra`` build the spans on the whole
 space; no verification reads them.
 """
@@ -54,6 +54,7 @@ from typing import Iterator, Sequence, Union
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
+from . import schur_core
 from .combinatorics import Permutation, Shape, gamma
 from .linalg import (
     DEFAULT_SIZE_CAP,
@@ -121,13 +122,9 @@ def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
             tgt = comb.act(word, w)
             out[pos] = (enh.enh_position(tgt, shape), gamma(eps, w))
     else:
-        lead = tuple(range(g.l))
-        for core in comb.natural_words(shape, g.l):
-            src = enh.enh_encode(core, lead, shape)
-            tgt = enh.enh_encode(comb.act(core, g.sigma), lead, shape)
-            sgn = gamma(comb.parity_vector(core, shape), g.sigma)
-            out[enh.enh_position(src, shape)] = (
-                enh.enh_position(tgt, shape), sgn)
+        lead = enh.support_positions(shape, comb.identity_perm(g.l))
+        for p, (q, s) in schur_core.signed_action(g.sigma, shape).items():
+            out[lead[p]] = (lead[q], s)
     return out
 
 
@@ -155,13 +152,8 @@ def eval_word(word: Sequence[HeckeGenerator], shape: Shape) -> ExactMatrix:
     With matrices acting on column vectors from the left this is the
     reversed matrix product, and the empty word is the identity.
     """
-    return _matrix(_word_map(word, shape), shape)
-
-
-def _matrix(m: SignedMap, shape: Shape) -> ExactMatrix:
-    d = shape.dim_enhanced
-    return ExactMatrix(shape.field, d, d,
-                       {(q, p): s for p, (q, s) in m.items()})
+    return schur_core.signed_matrix(_word_map(word, shape),
+                                    shape.dim_enhanced, shape.field)
 
 
 @lru_cache(maxsize=None)
@@ -496,31 +488,22 @@ def d_certificate(shape: Shape) -> str | None:
     return None if units and factored else "matrix_units"
 
 
-@lru_cache(maxsize=None)
-def pi_span(l: int, shape: Shape) -> AlgebraSpan:
-    """Pi_l: the span of the ``LayerGen(l, w)`` cut to the leading
-    support, on the (m+n)^l words of V^{(x)l}."""
-    lead = enh.support_positions(shape, comb.identity_perm(l))
-    return span_of(
-        [xi_gen(LayerGen(l, w), shape).block(lead) for w in comb.perms(l)],
-        d=len(lead), field=shape.field,
-    )
-
-
 def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """dim D = sum_l C(r,l)^2 dim Pi_l, valid when ``d_certificate``
     passes."""
     check_size_cap(shape.dim_enhanced, size_cap)
     return sum(
-        math.comb(shape.r, l) ** 2 * pi_span(l, shape).dimension
+        math.comb(shape.r, l) ** 2
+        * schur_core.degree(shape, l).group.dimension
         for l in range(shape.r + 1)
     )
 
 
 @lru_cache(maxsize=None)
 def _d_span(shape: Shape) -> AlgebraSpan:
-    return span_of([_matrix(x, shape) for x in d_family(shape).values()],
-                   d=shape.dim_enhanced, field=shape.field)
+    d, f = shape.dim_enhanced, shape.field
+    return span_of([schur_core.signed_matrix(x, d, f)
+                    for x in d_family(shape).values()], d=d, field=f)
 
 
 def d_algebra(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> AlgebraSpan:

@@ -44,6 +44,20 @@ def check_size_cap(d: int, size_cap: int) -> None:
         )
 
 
+def check_power_cap(base: int, exponent: int, size_cap: int) -> None:
+    """``check_size_cap(base ** exponent, size_cap)`` for ``base >= 2``,
+    forming no power past the cap: a dimension whose power was not
+    formed is named ``base^exponent``."""
+    d = 1
+    for k in range(1, exponent + 1):
+        d *= base
+        if d > size_cap:
+            shown = d if k == exponent else f"{base}^{exponent}"
+            raise SizeCapExceeded(
+                f"ambient dimension {shown} exceeds size cap {size_cap}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -108,10 +122,18 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+# Orders are bounded so that ``_is_odd_prime`` makes at most about 23k
+# trial divisions.
+MAX_FIELD_ORDER = 2 ** 31
+
+
 class PrimeField:
-    """Integers mod an odd prime.  Characteristic 2 is rejected."""
+    """Integers mod an odd prime below ``MAX_FIELD_ORDER``.
+    Characteristic 2 is rejected."""
 
     def __init__(self, p: int):
+        if p >= MAX_FIELD_ORDER:
+            raise ValueError("field order must be below 2**31")
         if not _is_odd_prime(p):
             raise ValueError(f"field order must be an odd prime, got {p}")
         self.p = p
@@ -258,14 +280,6 @@ class ExactMatrix:
                 else:
                     out[pos] = s
         return ExactMatrix(f, self.nrows, other.ncols, out)
-
-    def block(self, positions: Sequence[int]) -> "ExactMatrix":
-        """The square submatrix on these rows and columns, in this order."""
-        index = {p: k for k, p in enumerate(positions)}
-        return ExactMatrix(self.field, len(index), len(index), {
-            (index[r], index[c]): v for (r, c), v in self.entries.items()
-            if r in index and c in index
-        })
 
     def commutes_with(self, other: "ExactMatrix") -> bool:
         return (self @ other).entries == (other @ self).entries

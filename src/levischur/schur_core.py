@@ -1,7 +1,9 @@
 """
 The classical side: signed symmetric group action on the natural tensor
 space, the Schur superalgebra basis matrices, structure constants, and
-the classical double-centralizer check.
+classical Schur-Sergeev duality, built and solved here alone: per
+degree l in ``degree(shape, l)``, cached per (m, n, l, field), which
+the enhanced modules move to the supports.
 
 The tensor basis of degree l is indexed by words over 1..m+n in
 lexicographic order, fixing row/column numbering for every matrix in
@@ -11,7 +13,7 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import combinatorics as comb
 from .combinatorics import (
@@ -43,25 +45,33 @@ def word_position(word: MultiIndex, shape: Shape) -> int:
     return comb.word_index(word, shape.m + shape.n)
 
 
-def pi_matrix(w: Permutation, shape: Shape, l: int) -> ExactMatrix:
-    """Signed permutation matrix of the right action of ``w``.
+def signed_action(w: Permutation, shape: Shape) -> dict:
+    """The right action of ``w`` on the degree-``len(w)`` natural words,
+    as a signed map (see ``hecke``): the basis word ``i`` is sent to
+    ``gamma(eps_i, w)`` times the word ``act(i, w)``."""
+    return {
+        p: (word_position(comb.act(word, w), shape),
+            gamma(comb.parity_vector(word, shape), w))
+        for p, word in enumerate(natural_basis(shape, len(w)))
+    }
 
-    The basis word ``i`` is sent to ``gamma(eps_i, w)`` times the word
-    ``act(i, w)``.  Matrix products compose contravariantly, as always
-    when a right action is written with matrices acting on the left:
+
+def pi_matrix(w: Permutation, shape: Shape, l: int) -> ExactMatrix:
+    """Signed permutation matrix of ``signed_action(w)``.
+
+    Matrix products compose contravariantly, as always when a right
+    action is written with matrices acting on the left:
     ``pi_matrix(compose(s, t)) == pi_matrix(t) @ pi_matrix(s)``.
     """
     if len(w) != l:
         raise ValueError("degree mismatch")
-    d = (shape.m + shape.n) ** l
-    entries = {}
-    for word in natural_basis(shape, l):
-        eps = comb.parity_vector(word, shape)
-        tgt = comb.act(word, w)
-        entries[(word_position(tgt, shape), word_position(word, shape))] = (
-            gamma(eps, w)
-        )
-    return ExactMatrix(shape.field, d, d, entries)
+    return signed_matrix(signed_action(w, shape), (shape.m + shape.n) ** l,
+                         shape.field)
+
+
+def signed_matrix(m: dict, d: int, field) -> ExactMatrix:
+    """The d x d matrix of a signed map."""
+    return ExactMatrix(field, d, d, {(q, p): s for p, (q, s) in m.items()})
 
 
 def schur_basis(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
@@ -139,12 +149,57 @@ def structure_constants(
     return out
 
 
-@lru_cache(maxsize=None)
-def schur_span(shape: Shape, l: int) -> AlgebraSpan:
-    """Span of all basis matrices of degree l."""
-    mats = [xi_matrix(p, shape) for p in schur_basis(shape, l)]
-    d = (shape.m + shape.n) ** l
-    return span_of(mats, d=d, field=shape.field)
+class Degree:
+    """Classical Schur-Sergeev duality on the (m+n)^l words of V^{(x)l},
+    each piece built on first use: ``hecke.d_dimension`` reads only
+    ``group`` and solves no commutant."""
+
+    def __init__(self, shape: Shape, l: int):
+        self.shape, self.l, self.dim = shape, l, (shape.m + shape.n) ** l
+
+    @cached_property
+    def xi(self) -> dict[DoubleIndex, ExactMatrix]:
+        """``xi_matrix`` of every basis label, in ``schur_basis`` order."""
+        return {p: xi_matrix(p, self.shape)
+                for p in schur_basis(self.shape, self.l)}
+
+    @cached_property
+    def schur(self) -> AlgebraSpan:
+        """S(m|n,l), the span of the basis matrices."""
+        return span_of(list(self.xi.values()), d=self.dim,
+                       field=self.shape.field)
+
+    @cached_property
+    def group(self) -> AlgebraSpan:
+        """The image of KS_l, the span of every ``pi_matrix``."""
+        return span_of([pi_matrix(w, self.shape, self.l)
+                        for w in comb.perms(self.l)],
+                       d=self.dim, field=self.shape.field)
+
+    @cached_property
+    def commutant_pi(self) -> AlgebraSpan:
+        """The commutant of the l-1 simple transpositions."""
+        return self._commutant([
+            pi_matrix(comb.adjacent_transposition(self.l, i), self.shape,
+                      self.l) for i in range(1, self.l)])
+
+    @cached_property
+    def commutant_schur(self) -> AlgebraSpan:
+        """The commutant of the basis matrices."""
+        return self._commutant(list(self.xi.values()))
+
+    def _commutant(self, mats) -> AlgebraSpan:
+        return commutant(mats, self.dim, field=self.shape.field,
+                         size_cap=self.dim)
+
+
+def degree(shape: Shape, l: int) -> Degree:
+    """The degree-l data, one per (m, n, l, field): r and vparity do not
+    reach the natural tensor spaces, so the key fixes them."""
+    return _degree(Shape(shape.m, shape.n, 1, 0, shape.field), l)
+
+
+_degree = lru_cache(maxsize=None)(Degree)
 
 
 @dataclass(frozen=True)
@@ -167,28 +222,13 @@ def classical_duality(
     span is the image of the group algebra, of dimension r!) is gated
     on r <= m+n and merely reported otherwise.
     """
-    r = shape.r
-    d = (shape.m + shape.n) ** r
-    check_size_cap(d, size_cap)
-    swaps = [
-        pi_matrix(comb.adjacent_transposition(r, i), shape, r)
-        for i in range(1, r)
-    ]
-    schur = schur_span(shape, r)
-    comm = commutant(swaps, d, field=shape.field, size_cap=size_cap)
-    forward = comm == schur
-
-    r_small = r <= shape.m + shape.n
-    comm2 = commutant(schur.basis, d, field=shape.field, size_cap=size_cap)
-    group_span = span_of(
-        [pi_matrix(w, shape, r) for w in comb.perms(r)], d=d, field=shape.field
-    )
-    converse = comm2 == group_span
+    check_size_cap(shape.dim_natural, size_cap)
+    deg = degree(shape, shape.r)
     return ClassicalDualityReport(
-        dim_commutant_of_symmetric_group=comm.dimension,
-        dim_schur=schur.dimension,
-        spans_equal=forward,
-        r_le_mplusn=r_small,
-        dim_commutant_of_schur=comm2.dimension,
-        converse_spans_equal=converse,
+        dim_commutant_of_symmetric_group=deg.commutant_pi.dimension,
+        dim_schur=deg.schur.dimension,
+        spans_equal=deg.commutant_pi == deg.schur,
+        r_le_mplusn=shape.r <= shape.m + shape.n,
+        dim_commutant_of_schur=deg.commutant_schur.dimension,
+        converse_spans_equal=deg.commutant_schur == deg.group,
     )

@@ -204,3 +204,40 @@ def test_prime_field_validation(capsys):
         ["verify", "--m", "1", "--n", "1", "--r", "2", "--field", "p:4"],
     )
     assert status == EXIT_BAD_CONFIG
+
+
+def test_size_cap_refuses_huge_degree_at_once(capsys):
+    """The guard stops multiplying once past the cap, so a degree whose
+    ambient dimension has far more than 4300 digits is refused with one
+    line, naming the dimension as a power."""
+    status, out, err = run_main(
+        capsys, ["dims", "--m", "1", "--n", "1", "--r", "100000"]
+    )
+    assert status == EXIT_SIZE_CAP
+    assert not out
+    assert err == "error: ambient dimension 3^100000 exceeds size cap 256\n"
+    # a dimension formed in full is printed as before
+    status, _, err = run_main(
+        capsys, ["verify", "--m", "2", "--n", "2", "--r", "4"]
+    )
+    assert status == EXIT_SIZE_CAP
+    assert err == "error: ambient dimension 625 exceeds size cap 256\n"
+
+
+def test_prime_field_order_is_bounded(capsys):
+    """Orders at or above 2**31 are refused before any trial division."""
+    status, out, err = run_main(
+        capsys,
+        ["verify", "--m", "1", "--n", "1", "--r", "2",
+         "--field", "p:1000000000000000003"],
+    )
+    assert status == EXIT_BAD_CONFIG
+    assert not out
+    assert err == "error: field order must be below 2**31\n"
+    # the largest prime below the bound is accepted
+    status, _, _ = run_main(
+        capsys,
+        ["dims", "--m", "1", "--n", "1", "--r", "2",
+         "--field", "p:2147483647"],
+    )
+    assert status == EXIT_OK

@@ -12,6 +12,8 @@ import pytest
 
 from levischur.combinatorics import (
     Shape,
+    add_parities,
+    alpha,
     orbit_elements,
     orbit_reps,
     sigma_sign,
@@ -36,7 +38,7 @@ from levischur.enhanced_core import (
     rho_levi,
     word_layer,
 )
-from levischur.linalg import ExactMatrix, rank_of_rows, span_of
+from levischur.linalg import QQ, ExactMatrix, PrimeField, rank_of_rows, span_of
 from levischur.schur_core import structure_constants, word_position, xi_matrix
 
 SH0 = Shape(1, 1, 2, vparity=0)
@@ -201,12 +203,45 @@ def rho_oracle(b, shape):
     return out
 
 
+def rho_alpha_oracle(b, shape):
+    """The reordering sign over the full parity vectors: on a word of
+    support I and core t, the image is the sum over orbit elements (k, t)
+    of sigma(b.pair; k, t) alpha(eps_{k,I} + eps_{t,I}, eps_{t,I}) times
+    the word with core k on I, enhanced slots contributing vparity."""
+    d = shape.dim_enhanced
+    entries = {}
+    for supp in itertools.combinations(range(shape.r), b.layer):
+        for k, t in orbit_elements(b.pair):
+            wk = enh_encode(k, supp, shape)
+            wt = enh_encode(t, supp, shape)
+            ek = enh_parity_vector(wk, shape)
+            et = enh_parity_vector(wt, shape)
+            entries[(enh_position(wk, shape), enh_position(wt, shape))] = (
+                sigma_sign(b.pair, (k, t), shape)
+                * alpha(add_parities(ek, et), et)
+            )
+    return ExactMatrix(shape.field, d, d, entries)
+
+
 @pytest.mark.parametrize(
     "shape", [SH0, SH1, Shape(2, 1, 2, 1), Shape(1, 1, 3, 0)]
 )
 def test_rho_levi_matches_site_by_site_oracle(shape):
     for b in levi_basis(shape):
         assert rho_levi(b, shape) == rho_oracle(b, shape)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("vparity", [0, 1])
+@pytest.mark.parametrize(
+    "mnr", [(1, 1, 2), (2, 1, 2), (1, 1, 3), (2, 1, 3), (1, 2, 3), (1, 1, 4)]
+)
+def test_rho_levi_matches_alpha_oracle(mnr, vparity, field):
+    """The twisted placement of ``xi_matrix`` against the reordering sign
+    over the full parity vectors."""
+    shape = Shape(*mnr, vparity, field)
+    for b in levi_basis(shape):
+        assert rho_levi(b, shape) == rho_alpha_oracle(b, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +264,9 @@ def test_embed_alpha():
         embed_alpha(1, ((1, 2), (1, 2)), SH0)
     with pytest.raises(ValueError):
         embed_alpha(2, ((1, 1), (2, 2)), SH0)
+    # strict, but not the sorted representative of its orbit
+    with pytest.raises(ValueError):
+        embed_alpha(2, ((2, 1), (2, 1)), SH0)
 
 
 def test_faithfulness_rank():

@@ -17,13 +17,15 @@ from functools import reduce
 import pytest
 
 import levischur
-from levischur import cli, duality, hecke, linalg
+from levischur import cli, duality, hecke, linalg, schur_core
 from levischur import enhanced_core as enh
 from levischur.combinatorics import (
     Shape,
     adjacent_transposition,
     compose,
     identity_perm,
+    natural_words,
+    parity_vector,
     perms,
 )
 from levischur.hecke import LayerGen, SwapGen, layer_projector, xi_gen
@@ -56,6 +58,15 @@ def fresh_caches():
     levischur.clear_caches()
     yield
     levischur.clear_caches()
+
+
+def block(mat, positions):
+    """The square submatrix on these rows and columns, in this order."""
+    index = {p: k for k, p in enumerate(positions)}
+    return ExactMatrix(mat.field, len(index), len(index), {
+        (index[r], index[c]): v for (r, c), v in mat.entries.items()
+        if r in index and c in index
+    })
 
 
 def coxeter_closure(shape):
@@ -118,11 +129,11 @@ def full_blocks(shape, dalg):
     for l in range(shape.r + 1):
         pos = enh.layer_positions(shape, l)
         size = len(pos)
-        levi_l = [m.block(pos) for m in levi]
+        levi_l = [block(m, pos) for m in levi]
         yield (
-            span_of([m.block(pos) for m in dalg.basis], d=size, field=f),
+            span_of([block(m, pos) for m in dalg.basis], d=size, field=f),
             span_of(levi_l, d=size, field=f),
-            commutant([m.block(pos) for m in gens], size, field=f,
+            commutant([block(m, pos) for m in gens], size, field=f,
                       size_cap=size),
             commutant(levi_l, size, field=f, size_cap=size),
         )
@@ -209,6 +220,130 @@ def test_blocks_match_full_space_commutants(shape):
         assert comm_d == levi_l
         assert (x.commutant_levi == x.pi) == (comm_levi == d_l)
         assert all(comm_levi.contains(m) for m in d_l.basis)
+
+
+@pytest.mark.parametrize("shape", SHAPES + DEEP, ids=shape_id)
+def test_degree_data_matches_cut_blocks(shape):
+    """The classical data of every degree against the leading blocks cut
+    from the whole-space ``rho_levi`` and ``LayerGen`` matrices, and the
+    commutants solved on those blocks."""
+    f = shape.field
+    for l in range(shape.r + 1):
+        deg = schur_core.degree(shape, l)
+        lead = enh.support_positions(shape, identity_perm(l))
+        size = len(lead)
+        assert deg.dim == size
+        levi = [block(enh.rho_levi(b, shape), lead)
+                for b in enh.levi_basis(shape) if b.layer == l]
+        assert list(deg.xi.values()) == levi
+        pis = [block(xi_gen(LayerGen(l, w), shape), lead) for w in perms(l)]
+        assert pis == [schur_core.pi_matrix(w, shape, l) for w in perms(l)]
+        simple = [block(xi_gen(LayerGen(l, adjacent_transposition(l, i)),
+                               shape), lead) for i in range(1, l)]
+        assert deg.schur == span_of(levi, d=size, field=f)
+        assert deg.group == span_of(pis, d=size, field=f)
+        assert deg.commutant_pi == commutant(simple, size, field=f,
+                                             size_cap=size)
+        assert deg.commutant_schur == commutant(levi, size, field=f,
+                                                size_cap=size)
+
+
+def test_both_parities_solve_each_degree_once(monkeypatch):
+    """The classical data is keyed on (m, n, l, field): ``verify
+    --vparity both`` solves the two commutants of each degree once, and
+    ``dims`` solves none."""
+    solved = []
+
+    def recording(gens, d=None, **kwargs):
+        solved.append(d)
+        return commutant(gens, d, **kwargs)
+
+    monkeypatch.setattr(schur_core, "commutant", recording)
+    # ``dims`` reads only the group spans
+    _report, status = cli.cmd_dims(cli.RunConfig(m=2, n=1, r=3))
+    assert status == cli.EXIT_OK and solved == []
+    _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3))
+    assert status == cli.EXIT_OK
+    assert sorted(solved) == sorted(2 * [3 ** l for l in range(4)])
+    assert schur_core._degree.cache_info().misses == 4
+    for l in range(4):
+        assert (schur_core.degree(Shape(2, 1, 3, 0), l)
+                is schur_core.degree(Shape(2, 1, 5, 1), l))
+    assert (schur_core.degree(Shape(2, 1, 3), 2)
+            is not schur_core.degree(Shape(2, 1, 3, 0, PrimeField(3)), 2))
+
+
+def xi_sign_mutants(shape):
+    """(pair, entry) for every entry of every basis matrix with more than
+    one entry; a matrix with one entry only changes sign as a whole."""
+    return [
+        (pair, kt)
+        for l in range(shape.r + 1)
+        for pair in schur_core.schur_basis(shape, l)
+        for kt in schur_core.xi_matrix(pair, shape).entries
+        if len(schur_core.xi_matrix(pair, shape).entries) > 1
+    ]
+
+
+def test_every_xi_sign_mutant_fails_verify(monkeypatch):
+    real = schur_core.xi_matrix
+    mutants = xi_sign_mutants(MUTANT_SHAPE)
+    assert len(mutants) == 54
+    survivors = []
+    for pair, kt in mutants:
+        def mutant(p, sh):
+            mat = real(p, sh)
+            if p != pair:
+                return mat
+            entries = dict(mat.entries)
+            entries[kt] = sh.field.neg(entries[kt])
+            return ExactMatrix(sh.field, mat.nrows, mat.ncols, entries)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(schur_core, "xi_matrix", mutant)
+            levischur.clear_caches()
+            _report, status = cli.cmd_verify(cli.RunConfig(
+                m=1, n=1, r=3, vparity="even"
+            ))
+            if status != cli.EXIT_CHECK_FAILED:
+                survivors.append((pair, kt))
+        levischur.clear_caches()
+    assert not survivors
+
+
+# per support S, the twist exponent of every core word, as
+# ``enh._placements`` computes it
+TWIST_MUTANTS = {
+    # the twist forgotten: vparity 1 served the vparity 0 matrices
+    "none": lambda supp, sh: (0,) * (sh.m + sh.n) ** len(supp),
+    # enhanced slots counted after the letter instead of before it
+    "after": lambda supp, sh: tuple(
+        sum(sh.r - 1 - p - (len(supp) - 1 - j)
+            for j, (p, e) in enumerate(zip(supp, parity_vector(k, sh)))
+            if e) & 1
+        for k in natural_words(sh, len(supp))
+    ),
+    # every earlier slot counted, natural ones too
+    "slots": lambda supp, sh: tuple(
+        sum(p for p, e in zip(supp, parity_vector(k, sh)) if e) & 1
+        for k in natural_words(sh, len(supp))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIST_MUTANTS))
+def test_twist_mutants_fail_transport_and_cross_parity(name, monkeypatch):
+    twist = TWIST_MUTANTS[name]
+    monkeypatch.setattr(enh, "_placements", lambda l, sh: tuple(
+        (enh.support_positions(sh, S), twist(S, sh))
+        for S in itertools.combinations(range(sh.r), l)
+    ))
+    shape = Shape(1, 1, 3, 1)
+    assert duality.layer_factors(shape).failed_gate == "levi_transport"
+    assert_all_block_checks_fail(shape)
+    check = cli._cross_parity_check(cli.RunConfig(m=1, n=1, r=3))
+    assert check["name"] == "cross_parity_conjugation"
+    assert check["passed"] is False
 
 
 @pytest.mark.parametrize("shape", SHAPES[::2] + DEEP, ids=shape_id)
@@ -403,7 +538,7 @@ def test_run_path_never_closes_d(monkeypatch):
 
     for module in (levischur, linalg, hecke, duality, enh, cli):
         monkeypatch.setattr(module, "algebra_closure", refuse, raising=False)
-    monkeypatch.setattr(duality, "commutant", recording)
+    monkeypatch.setattr(schur_core, "commutant", recording)
     monkeypatch.setattr(linalg, "commutant", recording)
     for m, n, r in [(1, 1, 4), (2, 1, 3)]:
         for command in (cli.cmd_verify, cli.cmd_dims):
@@ -447,7 +582,7 @@ def test_size_cap_is_a_guard_not_a_cache_key():
         if hasattr(obj, "cache_info")
     ]
     for fn in (hecke._d_span, hecke._d_layer, hecke.d_family,
-               hecke.d_certificate, hecke.pi_span, hecke._gen_map,
+               hecke.d_certificate, schur_core._degree, hecke._gen_map,
                hecke._preimages, duality._layer_factors):
         assert fn in cached
     assert all(obj.cache_info().currsize == 0 for obj in cached)

@@ -20,11 +20,11 @@ from levischur.combinatorics import (
 from levischur.linalg import ExactMatrix, commutant, rank_of_rows, span_of
 from levischur.schur_core import (
     classical_duality,
+    degree,
     natural_basis,
     normalize_pair,
     pi_matrix,
     schur_basis,
-    schur_span,
     structure_constants,
     word_position,
     xi_matrix,
@@ -200,4 +200,4 @@ def test_commutant_of_pi_dimension_example():
 
 def test_schur_span_matches_commutant():
     swap = pi_matrix(adjacent_transposition(2, 1), SH11, 2)
-    assert commutant([swap], 4) == schur_span(SH11, 2)
+    assert commutant([swap], 4) == degree(SH11, 2).schur
