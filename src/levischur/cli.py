@@ -16,7 +16,8 @@ but ``orbits``, whose work is proportional to its output.  JSON goes to
 stdout with sorted keys.  Wall-clock measurements live under a "timing"
 key, so reports can be compared byte for byte after dropping it; for
 ``verify`` and ``report`` it also holds ``layers``, the size,
-dimensions and seconds of every layer of the duality check.  ``dims``
+dimensions and seconds of every layer of the duality check, and how
+each of its two commutants was obtained (``schur_core.Degree.solves``).  ``dims``
 reads dim D from the factored layers, so it fails with a
 ``d_certificate`` check when the certificate of D does.  Runs over a
 prime field are labelled informative; the rationals are authoritative.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
-from . import hecke
+from . import hecke, schur_core
 from .combinatorics import Shape
 from .duality import layer_factors, run_duality
 from .linalg import (
@@ -114,17 +115,14 @@ def _relation_checks(shape: Shape) -> list[dict]:
 
 
 def _commutation_check(shape: Shape) -> dict:
-    gens = [hecke.xi_gen(g, shape) for g in hecke.hecke_generators(shape)]
+    tests = [schur_core.commutation_test(hecke._gen_map(g, shape))
+             for g in hecke.hecke_generators(shape)]
     basis = enh.levi_basis(shape)
-    bad = 0
-    for b in basis:
-        mat = enh.rho_levi(b, shape)
-        for g in gens:
-            if not mat.commutes_with(g):
-                bad += 1
+    bad = sum(not test(enh.rho_levi(b, shape))
+              for b in basis for test in tests)
     return _check(
         "commutation", shape.vparity, bad == 0, True,
-        pairs=len(basis) * len(gens), failed=bad,
+        pairs=len(basis) * len(tests), failed=bad,
     )
 
 
@@ -185,6 +183,8 @@ def _layer_timing(shape: Shape, size_cap: int) -> list[dict]:
             "dim_commutant_D": x.commutant_pi.dimension,
             "dim_commutant_levi": x.dim_commutant_levi,
             "seconds": round(x.seconds, 6),
+            "solves": {"commutant_D": x.solves["commutant_pi"],
+                       "commutant_levi": x.solves["commutant_schur"]},
         }
         for x in layer_factors(shape, size_cap).layers
     ]

@@ -13,7 +13,8 @@ matrix units), and G3 here (every Levi basis matrix is its
 projector lies in the Levi span).  Under them D_l = M_k (x) Pi_l and
 L_l = I_k (x) S(m|n,l), k = C(r,l), Pi_l the image of KS_l, so every
 layer reads ``schur_core.degree(shape, l)``: C(D_l) = I_k (x) C(Pi_l)
-and C(L_l) = M_k (x) C(S(m|n,l)).  If a gate fails, every check read
+and C(L_l) = M_k (x) C(S(m|n,l)), the classical commutants that
+``schur_core.Degree`` certifies.  If a gate fails, every check read
 from the layers fails.
 
 The first direction holds at every degree; the second is asserted when
@@ -48,6 +49,8 @@ class LayerFactor:
     commutant_pi: AlgebraSpan
     commutant_levi: AlgebraSpan
     seconds: float = field(compare=False, default=0.0)
+    # how each commutant was obtained: ``schur_core.Degree.solves``
+    solves: dict = field(compare=False, default_factory=dict)
 
     @property
     def block_size(self) -> int:
@@ -103,14 +106,16 @@ def _layer_factors(shape: Shape) -> LayerFactors:
     for l in range(shape.r + 1):
         t0 = time.perf_counter()
         deg = schur_core.degree(shape, l)
+        commutant_pi, commutant_levi = deg.commutant_pi, deg.commutant_schur
         layers.append(LayerFactor(
             layer=l,
             supports=math.comb(shape.r, l),
             pi=deg.group,
             levi=deg.schur,
-            commutant_pi=deg.commutant_pi,
-            commutant_levi=deg.commutant_schur,
+            commutant_pi=commutant_pi,
+            commutant_levi=commutant_levi,
             seconds=time.perf_counter() - t0,
+            solves=dict(deg.solves),
         ))
     return LayerFactors(layers=tuple(layers), failed_gate=failed)
 

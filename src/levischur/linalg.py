@@ -14,6 +14,9 @@ iff their canonical bases are identical.  ``AlgebraSpan`` wraps an
 echelon of flattened d x d matrices and supports membership, equality,
 commutant and closure computations.
 
+``commutant`` eliminates; ``nullity_reaches`` only bounds a commutant's
+dimension from above by a count modulo a prime.
+
 Over the rationals a value is an ``int`` when it is a whole number and
 a ``Fraction`` otherwise, never a float; most entries met in practice
 are small integers, and int arithmetic is far cheaper.  All values are
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_SIZE_CAP = 256
@@ -597,6 +601,43 @@ def commutant(
     for vec in ech.null_space(d * d):
         out.add(vec)
     return AlgebraSpan(field, d, out)
+
+
+# The prime the certificate counts modulo over the rationals, 2^31 - 1.
+CERTIFICATE_PRIME = 2 ** 31 - 1
+
+
+@lru_cache(maxsize=2)
+def _certificate_field(field) -> PrimeField:
+    """The field the certificate counts in."""
+    return field if isinstance(field, PrimeField) else PrimeField(
+        CERTIFICATE_PRIME)
+
+
+def nullity_reaches(
+    gens: Sequence[ExactMatrix], d: int, target: int, field
+) -> tuple[int, int | None]:
+    """Stack the rows of X -> XG - GX over GF(p), p the field's own prime
+    or ``CERTIFICATE_PRIME`` over the rationals, until the nullity
+    reaches ``target``.  Returns p and the generators stacked, or p and
+    None when it never equals ``target`` or an entry is not an integer.
+    The nullity bounds the commutant from above (rank mod p is at most
+    the rational rank), so meeting a proven lower bound fixes it.
+    """
+    gf = _certificate_field(field)
+    if any(v.__class__ is not int for g in gens for v in g.entries.values()):
+        return gf.p, None
+    ech = Echelon(gf)
+    nullity, stacked = d * d, 0
+    for g in gens:
+        if nullity <= target:
+            break
+        stacked += 1
+        for row in _commutation_rows(ExactMatrix(gf, d, d, g.entries), d):
+            nullity -= ech.add(row)
+            if nullity <= target:
+                break
+    return gf.p, stacked if nullity == target else None
 
 
 def algebra_closure(

@@ -1,7 +1,7 @@
 """
 The classical side: signed symmetric group action on the natural tensor
 space, the Schur superalgebra basis matrices, structure constants, and
-classical Schur-Sergeev duality, built and solved here alone: per
+classical Schur-Sergeev duality, built and certified here alone: per
 degree l in ``degree(shape, l)``, cached per (m, n, l, field), which
 the enhanced modules move to the supports.
 
@@ -31,6 +31,7 @@ from .linalg import (
     ExactMatrix,
     check_size_cap,
     commutant,
+    nullity_reaches,
     span_of,
 )
 
@@ -72,6 +73,26 @@ def pi_matrix(w: Permutation, shape: Shape, l: int) -> ExactMatrix:
 def signed_matrix(m: dict, d: int, field) -> ExactMatrix:
     """The d x d matrix of a signed map."""
     return ExactMatrix(field, d, d, {(q, p): s for p, (q, s) in m.items()})
+
+
+def commutation_test(m: dict):
+    """A test whether a matrix commutes with ``signed_matrix(m)``, for a
+    one-to-one signed map m.  Both products only move and re-sign the
+    matrix's entries, so neither is formed."""
+    inv = {q: (p, s) for p, (q, s) in m.items()}
+
+    def commutes(x: ExactMatrix) -> bool:
+        neg = x.field.neg
+        left, right = {}, {}
+        for (a, b), v in x.entries.items():
+            if a in m:      # (M x)[q, b] = s x[a, b] for m(a) = (q, s)
+                q, s = m[a]
+                left[(q, b)] = v if s > 0 else neg(v)
+            if b in inv:    # (x M)[a, p] = s x[a, b] for m(p) = (b, s)
+                p, s = inv[b]
+                right[(a, p)] = v if s > 0 else neg(v)
+        return left == right
+    return commutes
 
 
 def schur_basis(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
@@ -152,10 +173,18 @@ def structure_constants(
 class Degree:
     """Classical Schur-Sergeev duality on the (m+n)^l words of V^{(x)l},
     each piece built on first use: ``hecke.d_dimension`` reads only
-    ``group`` and solves no commutant."""
+    ``group`` and solves no commutant.
+
+    Under ``gate``, S(m|n,l) lies in C(Pi_l) and Pi_l in C(S(m|n,l)),
+    the simple transpositions generating S_l.  Each commutant is then
+    the lower-bound span once ``linalg.nullity_reaches`` meets its
+    dimension, and found by elimination otherwise; ``solves`` records
+    which, with the prime and the generators stacked.
+    """
 
     def __init__(self, shape: Shape, l: int):
         self.shape, self.l, self.dim = shape, l, (shape.m + shape.n) ** l
+        self.solves: dict[str, dict] = {}
 
     @cached_property
     def xi(self) -> dict[DoubleIndex, ExactMatrix]:
@@ -177,18 +206,44 @@ class Degree:
                        d=self.dim, field=self.shape.field)
 
     @cached_property
+    def simple(self) -> list[dict]:
+        """``signed_action`` of the l-1 simple transpositions."""
+        return [signed_action(comb.adjacent_transposition(self.l, i),
+                              self.shape) for i in range(1, self.l)]
+
+    @cached_property
+    def gate(self) -> bool:
+        """Every basis matrix commutes with every simple transposition."""
+        tests = [commutation_test(m) for m in self.simple]
+        return all(t(x) for t in tests for x in self.xi.values())
+
+    @cached_property
     def commutant_pi(self) -> AlgebraSpan:
         """The commutant of the l-1 simple transpositions."""
-        return self._commutant([
-            pi_matrix(comb.adjacent_transposition(self.l, i), self.shape,
-                      self.l) for i in range(1, self.l)])
+        return self._commutant("commutant_pi", [
+            signed_matrix(m, self.dim, self.shape.field)
+            for m in self.simple], self.schur)
 
     @cached_property
     def commutant_schur(self) -> AlgebraSpan:
-        """The commutant of the basis matrices."""
-        return self._commutant(list(self.xi.values()))
+        """The commutant of the basis matrices, stacked with those whose
+        row and column words differ in at most one slot first."""
+        order = sorted(self.xi, key=lambda pair: sum(
+            a != b for a, b in zip(*pair)) > 1)
+        return self._commutant("commutant_schur",
+                               [self.xi[p] for p in order], self.group)
 
-    def _commutant(self, mats) -> AlgebraSpan:
+    def _commutant(self, name: str, mats, lower: AlgebraSpan) -> AlgebraSpan:
+        prime = stacked = None
+        if self.gate:
+            prime, stacked = nullity_reaches(mats, self.dim, lower.dimension,
+                                             self.shape.field)
+        self.solves[name] = {
+            "method": "eliminated" if stacked is None else "certified",
+            "prime": prime, "stacked": stacked,
+        }
+        if stacked is not None:
+            return lower
         return commutant(mats, self.dim, field=self.shape.field,
                          size_cap=self.dim)
 

@@ -248,27 +248,34 @@ def test_degree_data_matches_cut_blocks(shape):
                                                 size_cap=size)
 
 
+def refuse_elimination(*args, **kwargs):
+    raise AssertionError("commutant eliminated on the run path")
+
+
 def test_both_parities_solve_each_degree_once(monkeypatch):
     """The classical data is keyed on (m, n, l, field): ``verify
-    --vparity both`` solves the two commutants of each degree once, and
-    ``dims`` solves none."""
-    solved = []
+    --vparity both`` certifies the two commutants of each degree once,
+    with no elimination, and ``dims`` certifies none."""
+    counted = []
 
-    def recording(gens, d=None, **kwargs):
-        solved.append(d)
-        return commutant(gens, d, **kwargs)
+    def recording(gens, d, target, field):
+        counted.append(d)
+        return linalg.nullity_reaches(gens, d, target, field)
 
-    monkeypatch.setattr(schur_core, "commutant", recording)
+    monkeypatch.setattr(schur_core, "nullity_reaches", recording)
+    monkeypatch.setattr(schur_core, "commutant", refuse_elimination)
     # ``dims`` reads only the group spans
     _report, status = cli.cmd_dims(cli.RunConfig(m=2, n=1, r=3))
-    assert status == cli.EXIT_OK and solved == []
+    assert status == cli.EXIT_OK and counted == []
     _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3))
     assert status == cli.EXIT_OK
-    assert sorted(solved) == sorted(2 * [3 ** l for l in range(4)])
+    assert sorted(counted) == sorted(2 * [3 ** l for l in range(4)])
     assert schur_core._degree.cache_info().misses == 4
     for l in range(4):
         assert (schur_core.degree(Shape(2, 1, 3, 0), l)
                 is schur_core.degree(Shape(2, 1, 5, 1), l))
+        assert {e["method"] for e in schur_core.degree(
+            Shape(2, 1, 3), l).solves.values()} == {"certified"}
     assert (schur_core.degree(Shape(2, 1, 3), 2)
             is not schur_core.degree(Shape(2, 1, 3, 0, PrimeField(3)), 2))
 
@@ -525,27 +532,32 @@ def test_named_mutant_fails_certificate(monkeypatch):
 
 
 def test_run_path_never_closes_d(monkeypatch):
-    """``verify`` and ``dims`` close nothing and solve every commutant
-    on at most (m+n)^r words."""
+    """``verify`` and ``dims`` close nothing and eliminate no commutant
+    over the rationals: each is certified by a count on at most (m+n)^r
+    words, also at (1|1,5) and (2|1,4)."""
     sizes = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("algebra_closure on the run path")
 
-    def recording(gens, d=None, **kwargs):
+    def recording(gens, d, target, field):
         sizes.append(d)
-        return commutant(gens, d, **kwargs)
+        return linalg.nullity_reaches(gens, d, target, field)
 
-    for module in (levischur, linalg, hecke, duality, enh, cli):
+    for module in (levischur, linalg, hecke, duality, enh, cli, schur_core):
         monkeypatch.setattr(module, "algebra_closure", refuse, raising=False)
-    monkeypatch.setattr(schur_core, "commutant", recording)
-    monkeypatch.setattr(linalg, "commutant", recording)
-    for m, n, r in [(1, 1, 4), (2, 1, 3)]:
+        monkeypatch.setattr(module, "commutant", refuse_elimination,
+                            raising=False)
+    monkeypatch.setattr(schur_core, "nullity_reaches", recording)
+    for m, n, r, vparity in [(1, 1, 4, "both"), (2, 1, 3, "both"),
+                             (1, 1, 5, "even"), (2, 1, 4, "even")]:
         for command in (cli.cmd_verify, cli.cmd_dims):
-            _report, status = command(cli.RunConfig(m=m, n=n, r=r))
+            _report, status = command(cli.RunConfig(m=m, n=n, r=r,
+                                                    vparity=vparity))
             assert status == cli.EXIT_OK
-        assert sizes and max(sizes) <= (m + n) ** r
+        assert len(sizes) == 2 * (r + 1) and max(sizes) == (m + n) ** r
         sizes.clear()
+        levischur.clear_caches()
 
 
 def test_coxeter_generators_are_few():
@@ -601,3 +613,20 @@ def test_layer_telemetry_under_timing():
     for e in layers:
         assert e["dim_commutant_levi"] == e["dim_D"]
         assert e["seconds"] >= 0
+        assert sorted(e["solves"]) == ["commutant_D", "commutant_levi"]
+        for solve in e["solves"].values():
+            assert solve["method"] == "certified"
+            assert solve["prime"] == linalg.CERTIFICATE_PRIME
+            assert solve["stacked"] >= 0
+    # C(Pi_l) stacks the l-1 simple transpositions, at most
+    assert [e["solves"]["commutant_D"]["stacked"] for e in layers[:3]] == [
+        0, 0, 1]
+    # over a prime field the count runs modulo its own prime, and the
+    # rest of the JSON does not see any of it
+    report3, _status = cli.cmd_verify(cli.RunConfig(
+        m=1, n=1, r=2, vparity="both", field="p:3"))
+    assert {e["solves"]["commutant_levi"]["prime"]
+            for e in report3["timing"]["layers"]} == {3}
+    for rep in (report, report3):
+        assert "solves" not in json.dumps(
+            {k: v for k, v in rep.items() if k != "timing"})
