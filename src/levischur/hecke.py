@@ -27,9 +27,26 @@ the relation checks below exist.  Words evaluate under the
 right-module convention: the leftmost generator acts first.
 
 The defining relations carry the labels 3.1a through 3.6; see
-``RELATION_IDS`` for the catalogue.  The boundary case i = l of a swap
-against a layer generator is constrained by none of them; its observed
-behaviour is reported separately and never asserted.
+``RELATION_IDS`` for the catalogue.  ``relation_instances`` enumerates
+all ``relation_count(r)`` instances, sum_l (l!)^2 of them from 3.3
+alone.  ``certified_instances`` is a subset whose truth implies every
+instance, since maps compose associatively.  In word order, with L for
+``LayerGen(l, -)`` and s for ``SwapGen(i)``:
+
+  * 3.3 for mu = id or simple: L(sigma)L(mu) = L(sigma mu) for every
+    mu follows by induction on the length of mu;
+  * 3.4 at sigma = id, on both sides: s L(sigma) = s L(id) L(sigma) =
+    L(s_i) L(sigma) = L(s_i sigma), and the same on the right;
+  * 3.5 for sigma = id or simple: by 3.3 every L(sigma) is a product of
+    these;
+  * 3.6 at sigma = mu = id: L(l, sigma) L(k, mu) = L(l, sigma) L(l, id)
+    L(k, id) L(k, mu) = 0;
+  * 3.1a, 3.1b and 3.2 in full.
+
+The relation check reports ``relation_count(r)`` as the number of
+instances the certificate covers.  The boundary case i = l of a swap
+against a layer generator is constrained by none of the relations; its
+observed behaviour is reported separately and never asserted.
 
 The image D is never closed.  ``d_family`` holds the signed maps of
 the words X_{S,T,w} (``family_word``): swaps moving support T to the
@@ -139,9 +156,15 @@ def _then(a: SignedMap, b: SignedMap) -> SignedMap:
 
 
 def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
-    """Compose the generator maps; the leftmost generator acts first."""
-    out = {p: (p, 1) for p in range(shape.dim_enhanced)}
-    for g in word:
+    """Compose the generator maps; the leftmost generator acts first.
+
+    A one-letter word returns the cached generator map itself, so
+    callers must not mutate the result.
+    """
+    if not word:
+        return {p: (p, 1) for p in range(shape.dim_enhanced)}
+    out = _gen_map(word[0], shape)
+    for g in word[1:]:
         out = _then(out, _gen_map(g, shape))
     return out
 
@@ -258,9 +281,8 @@ def check_relation(inst: RelationInstance, shape: Shape) -> bool:
     return True
 
 
-def relation_instances(shape: Shape) -> Iterator[RelationInstance]:
-    """All valid relation instances at this shape, deterministic order."""
-    r = shape.r
+def _swap_instances(r: int) -> Iterator[RelationInstance]:
+    """Every instance of 3.1a, 3.1b and 3.2."""
     for i in range(1, r):
         yield RelationInstance("3.1a", i=i)
     for i in range(1, r):
@@ -271,6 +293,12 @@ def relation_instances(shape: Shape) -> Iterator[RelationInstance]:
         for j in range(1, r):
             if abs(i - j) == 1:
                 yield RelationInstance("3.2", i=i, j=j)
+
+
+def relation_instances(shape: Shape) -> Iterator[RelationInstance]:
+    """All valid relation instances at this shape, deterministic order."""
+    r = shape.r
+    yield from _swap_instances(r)
     for l in range(r + 1):
         for sigma in comb.perms(l):
             for mu in comb.perms(l):
@@ -290,6 +318,56 @@ def relation_instances(shape: Shape) -> Iterator[RelationInstance]:
             for sigma in comb.perms(l):
                 for mu in comb.perms(k):
                     yield RelationInstance("3.6", l=l, k=k, sigma=sigma, mu=mu)
+
+
+def _id_and_simple(l: int) -> list[Permutation]:
+    return [comb.identity_perm(l)] + [
+        comb.adjacent_transposition(l, i) for i in range(1, l)
+    ]
+
+
+def certified_instances(shape: Shape) -> Iterator[RelationInstance]:
+    """The generating subset of ``relation_instances`` (see the module
+    docstring): all of them hold exactly when these do.  There are
+    sum_l l! max(l, 1) instances of 3.3 instead of sum_l (l!)^2, and one
+    per ordered pair of layers of 3.6."""
+    r = shape.r
+    yield from _swap_instances(r)
+    for l in range(r + 1):
+        for sigma in comb.perms(l):
+            for mu in _id_and_simple(l):
+                yield RelationInstance("3.3", l=l, sigma=sigma, mu=mu)
+    for l in range(r + 1):
+        for i in range(1, l):
+            yield RelationInstance("3.4", i=i, l=l,
+                                   sigma=comb.identity_perm(l))
+    for l in range(r + 1):
+        for i in range(l + 1, r):
+            for sigma in _id_and_simple(l):
+                yield RelationInstance("3.5", i=i, l=l, sigma=sigma)
+    for l in range(r + 1):
+        for k in range(r + 1):
+            if l != k:
+                yield RelationInstance(
+                    "3.6", l=l, k=k, sigma=comb.identity_perm(l),
+                    mu=comb.identity_perm(k),
+                )
+
+
+def relation_count(r: int) -> int:
+    """``len(relation_instances)`` at degree r, in closed form: (r-1)^2
+    swap relations, (sum_l l!)^2 of 3.3 and 3.6 together, and
+    (max(l-1, 0) + max(r-1-l, 0)) l! of 3.4 and 3.5 per layer."""
+    f = [math.factorial(l) for l in range(r + 1)]
+    return (r - 1) ** 2 + sum(f) ** 2 + sum(
+        (max(l - 1, 0) + max(r - 1 - l, 0)) * f[l] for l in range(r + 1)
+    )
+
+
+def generator_count(r: int) -> int:
+    """``len(hecke_generators)`` at degree r: r-1 swaps and l! layer
+    generators per layer."""
+    return r - 1 + sum(math.factorial(l) for l in range(r + 1))
 
 
 def boundary_observations(shape: Shape) -> list[tuple[int, Permutation, bool]]:
@@ -322,9 +400,7 @@ def coxeter_generators(shape: Shape) -> tuple[HeckeGenerator, ...]:
     ``LayerGen(l, sigma)`` by relation 3.3."""
     gens: list[HeckeGenerator] = [SwapGen(i) for i in range(1, shape.r)]
     for l in range(shape.r + 1):
-        gens.append(LayerGen(l, tuple(range(l))))
-        gens.extend(LayerGen(l, comb.adjacent_transposition(l, i))
-                    for i in range(1, l))
+        gens.extend(LayerGen(l, w) for w in _id_and_simple(l))
     return tuple(gens)
 
 
@@ -453,9 +529,11 @@ def d_certificate(shape: Shape) -> str | None:
     def known(x: SignedMap) -> bool:
         return not x or _key(x) in index or _key(x, -1) in index
 
-    def times_gen(x: SignedMap, g: HeckeGenerator) -> SignedMap:
+    def times_gen(x: SignedMap, pre: dict) -> SignedMap:
         return {p: (q2, s * s2) for q, (q2, s2) in x.items()
-                for p, s in _preimages(g, shape).get(q, ())}
+                for p, s in pre.get(q, ())}
+
+    pres = [_preimages(g, shape) for g in allowed]
 
     g1 = (
         all(set(family_word(*key)) <= allowed for key in fam)
@@ -464,7 +542,8 @@ def d_certificate(shape: Shape) -> str | None:
             == {p: (p, 1) for p in enh.support_positions(shape, S)}
             for one, supports in layers for S in supports
         )
-        and all(known(times_gen(x, g)) for x in fam.values() for g in allowed)
+        and all(known(times_gen(x, pre))
+                for x in fam.values() for pre in pres)
         and all(
             _gen_map(LayerGen(len(one), w), shape) == fam[(one, one, w)]
             for one, _ in layers for w in comb.perms(len(one))

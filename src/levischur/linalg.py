@@ -116,18 +116,29 @@ class RationalField:
 
 
 def _is_odd_prime(p: int) -> bool:
+    """Miller-Rabin on the bases 2, 3, 5, 7, which has no false positive
+    below 3,215,031,751 (Jaeschke 1993)."""
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p in (3, 5, 7):
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-# Orders are bounded so that ``_is_odd_prime`` makes at most about 23k
-# trial divisions.
+# Orders are bounded below the range in which ``_is_odd_prime`` is exact.
 MAX_FIELD_ORDER = 2 ** 31
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,18 @@ TOP_KEYS = {
     "checks",
     "pass",
     "timing",
+}
+
+
+# Reports with ``timing`` dropped, written when every relation instance
+# was enumerated and every generator tested for commutation; the
+# certified checks must reproduce them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "verify_1_1_4": ["verify", "--m", "1", "--n", "1", "--r", "4"],
+    "verify_2_1_3": ["verify", "--m", "2", "--n", "1", "--r", "3"],
+    "relations_1_0_5": ["relations", "--m", "1", "--n", "0", "--r", "5"],
+    "dims_1_1_4": ["dims", "--m", "1", "--n", "1", "--r", "4"],
 }
 
 
@@ -92,6 +105,16 @@ def test_json_schema_and_determinism(capsys):
     assert "cross_parity_conjugation" in names
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_json_matches_golden_report(capsys, name):
+    status, out, _ = run_main(capsys, GOLDEN_RUNS[name] + ["--output", "json"])
+    assert status == EXIT_OK
+    report = json.loads(out)
+    del report["timing"]
+    got = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_text_and_json_agree(capsys):
     cfg = RunConfig(m=1, n=1, r=2, vparity="even")
     report, status = cmd_verify(cfg)
@@ -126,6 +149,14 @@ def test_gated_failure_exit_1(monkeypatch):
     report, status = cmd_relations(RunConfig(m=1, n=1, r=2))
     assert status == EXIT_CHECK_FAILED
     assert report["pass"] is False
+    # the Coxeter generators stand for all generators only when the
+    # relations hold
+    report, status = cmd_verify(RunConfig(m=1, n=1, r=2, vparity="even"))
+    assert status == EXIT_CHECK_FAILED
+    [comm] = [c for c in report["checks"] if c["name"] == "commutation"]
+    assert comm["passed"] is False
+    assert comm["details"] == {"pairs": 13 * 5, "failed": 0,
+                               "relations_certified": False}
 
 
 def test_dims_values():
@@ -225,7 +256,7 @@ def test_size_cap_refuses_huge_degree_at_once(capsys):
 
 
 def test_prime_field_order_is_bounded(capsys):
-    """Orders at or above 2**31 are refused before any trial division."""
+    """Orders at or above 2**31 are refused before any primality test."""
     status, out, err = run_main(
         capsys,
         ["verify", "--m", "1", "--n", "1", "--r", "2",

@@ -18,21 +18,25 @@ from levischur.enhanced_core import (
     rho_bottom,
     rho_levi,
 )
+from levischur import clear_caches
 from levischur.hecke import (
     LayerGen,
     RelationInstance,
     SwapGen,
     boundary_observations,
+    certified_instances,
     check_relation,
     d_algebra,
     d_layer_algebra,
     eval_word,
+    generator_count,
     hecke_generators,
     layer_projector,
+    relation_count,
     relation_instances,
     xi_gen,
 )
-from levischur.hecke import _word_map, relation_sides
+from levischur.hecke import _gen_map, _word_map, relation_sides
 from levischur.linalg import QQ, ExactMatrix, PrimeField, commutant, span_of
 
 SH0 = Shape(1, 1, 2, 0)
@@ -210,6 +214,48 @@ def test_check_relation_matches_matrix_oracle(shape):
         for i in range(1, shape.r) for sigma in perms(i)
     ]
     assert boundary_observations(shape) == expect
+
+
+def test_closed_form_counts():
+    for r in range(1, 6):
+        shape = Shape(1, 0, r)
+        assert relation_count(r) == len(list(relation_instances(shape)))
+        assert generator_count(r) == len(hecke_generators(shape))
+    assert relation_count(7) == 35010043
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
+def test_certified_instances_are_distinct_members_of_the_full_set(shape):
+    full = list(relation_instances(shape))
+    certified = list(certified_instances(shape))
+    assert len(set(certified)) == len(certified)
+    assert set(certified) <= set(full)
+    assert all(check_relation(inst, shape) for inst in full)
+
+
+@pytest.mark.parametrize("vp", [0, 1])
+def test_sign_mutants_fail_certified_set_iff_full_set(vp):
+    """Flip the sign of one entry of one generator map at a time: the
+    certified instances fail exactly when the full enumeration does."""
+    shape = Shape(1, 1, 3, vp)
+
+    def holds(instances):
+        return all(check_relation(inst, shape) for inst in instances)
+
+    caught = mutants = 0
+    try:
+        for g in hecke_generators(shape):
+            gmap = _gen_map(g, shape)
+            for p, (q, s) in list(gmap.items()):
+                gmap[p] = (q, -s)
+                full = holds(relation_instances(shape))
+                assert holds(certified_instances(shape)) == full, (g, p)
+                gmap[p] = (q, s)
+                mutants += 1
+                caught += not full
+    finally:
+        clear_caches()
+    assert mutants == caught > 100
 
 
 def test_boundary_observations_are_reported_not_asserted():

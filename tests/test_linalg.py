@@ -28,7 +28,7 @@ from levischur.linalg import (
     rank_of_rows,
     span_of,
 )
-from levischur.linalg import _commutation_rows
+from levischur.linalg import _commutation_rows, _is_odd_prime
 
 
 def units(field, d):
@@ -128,6 +128,29 @@ def test_parse_field():
         parse_field("p:9")
     with pytest.raises(ValueError):
         parse_field("r")
+
+
+def trial_division_prime(p):
+    """Oracle for ``_is_odd_prime``."""
+    if p < 3 or p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_odd_prime_matches_trial_division():
+    for p in range(200_000):
+        assert _is_odd_prime(p) == trial_division_prime(p), p
+    strong_pseudoprimes = (2047, 1373653, 25326001)  # to 2; 2, 3; 2, 3, 5
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185)
+    for p in strong_pseudoprimes + carmichael + (2 ** 31 - 3, 2 ** 31 - 1):
+        assert _is_odd_prime(p) == trial_division_prime(p), p
+    assert _is_odd_prime(2 ** 31 - 1)
 
 
 def test_prime_field_ops():
