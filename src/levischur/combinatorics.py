@@ -65,10 +65,6 @@ class Shape:
             raise ValueError("vparity must be 0 or 1")
 
     @property
-    def num_letters(self) -> int:
-        return self.m + self.n
-
-    @property
     def dim_natural(self) -> int:
         """Dimension of the degree-r natural tensor space."""
         return (self.m + self.n) ** self.r
@@ -94,10 +90,6 @@ def parity_of_index(idx: int, shape: Shape) -> int:
 
 def parity_vector(word: MultiIndex, shape: Shape) -> ParityVector:
     return tuple(parity_of_index(x, shape) for x in word)
-
-
-def word_parity(word: MultiIndex, shape: Shape) -> int:
-    return sum(parity_vector(word, shape)) % 2
 
 
 def add_parities(eps: ParityVector, delta: ParityVector) -> ParityVector:
@@ -203,10 +195,6 @@ def is_strict(pair: DoubleIndex, shape: Shape) -> bool:
                 return False
             seen_odd.add((a, b))
     return True
-
-
-def pair_parity(pair: DoubleIndex, shape: Shape) -> int:
-    return (word_parity(pair[0], shape) + word_parity(pair[1], shape)) % 2
 
 
 @lru_cache(maxsize=None)

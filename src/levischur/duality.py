@@ -7,10 +7,10 @@ Layer l of the space is the sum over the C(r,l) supports S of copies
 of V^{(x)l}, and each layer of the double centralizer is classical
 Sergeev duality moved along them.  ``layer_factors`` reads it so, once
 per shape, under three exact gates: G1 and G2 of
-``hecke.d_certificate`` (the family spans D, and its X_{S,T,id} are
-matrix units), and G3 here (every Levi basis matrix is its
-``xi_matrix`` moved to each support by those units, and every layer
-projector lies in the Levi span).  Under them D_l = M_k (x) Pi_l and
+``hecke.d_certificate`` (the products B_S L_w A_T of its factors span
+D, and the B_S A_T are matrix units), and G3 here (every Levi basis
+matrix is its ``xi_matrix`` moved to each support by the B_S, and every
+layer projector lies in the Levi span).  Under them D_l = M_k (x) Pi_l and
 L_l = I_k (x) S(m|n,l), k = C(r,l), Pi_l the image of KS_l, so every
 layer reads ``schur_core.degree(shape, l)``: C(D_l) = I_k (x) C(Pi_l)
 and C(L_l) = M_k (x) C(S(m|n,l)), the classical commutants that
@@ -24,7 +24,6 @@ is always checked).
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -73,18 +72,23 @@ class LayerFactors:
 
 def _levi_transport(shape: Shape) -> bool:
     """G3: every Levi basis matrix is the sum over the supports S of its
-    ``xi_matrix`` moved to S by the matrix units X_{S,lead,id}, and
-    every layer projector lies in the Levi span."""
-    fam = hecke.d_family(shape)
+    ``xi_matrix`` moved to S by the matrix units B_S = X_{S,lead,id} of
+    ``hecke.d_factors``, and every layer projector lies in the Levi
+    span."""
+    fac = hecke.d_factors(shape)
     f = shape.field
+    # per layer: the leading words and the B_S, fetched once
+    layers = [
+        (enh.support_positions(shape, comb.identity_perm(l)),
+         [B for S, (_A, B) in fac.items() if len(S) == l])
+        for l in range(shape.r + 1)
+    ]
     for b in enh.levi_basis(shape):
-        lead = comb.identity_perm(b.layer)
-        pos = enh.support_positions(shape, lead)
+        pos, units = layers[b.layer]
         xi = schur_core.degree(shape, b.layer).xi[b.pair]
         moved = {}
-        for S in itertools.combinations(range(shape.r), b.layer):
-            # under G2, X_{S,lead,id} is defined on every leading word
-            unit = fam[(S, lead, lead)]
+        for unit in units:
+            # under G2, B_S is defined on every leading word
             for (k, t), v in xi.entries.items():
                 (p, s), (p2, s2) = unit[pos[k]], unit[pos[t]]
                 moved[(p, p2)] = v if s == s2 else f.neg(v)

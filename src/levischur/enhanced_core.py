@@ -137,9 +137,6 @@ class LeviBasisElement:
         if self.layer != len(self.pair[0]) or self.layer != len(self.pair[1]):
             raise ValueError("layer must equal the pair degree")
 
-    def parity(self, shape: Shape) -> int:
-        return comb.pair_parity(self.pair, shape)
-
 
 BOTTOM = LeviBasisElement(((), ()), 0)
 

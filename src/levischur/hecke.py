@@ -48,17 +48,17 @@ instances the certificate covers.  The boundary case i = l of a swap
 against a layer generator is constrained by none of the relations; its
 observed behaviour is reported separately and never asserted.
 
-The image D is never closed.  ``d_family`` holds the signed maps of
-the words X_{S,T,w} (``family_word``): swaps moving support T to the
-leading slots, ``LayerGen(l, id)``, the simple ``LayerGen(l, s_i)`` of
-a reduced word for w, and swaps moving the leading slots out to S;
-there are sum_l C(r,l)^2 l! of them.  ``d_certificate`` checks on
-signed maps that they span D (gate G1) and that the X_{S,T,id} are
-matrix units through which every member factors (gate G2).  Then layer
-l of D is M_{C(r,l)} (x) Pi_l, with Pi_l the span of the
+The image D is never closed.  ``d_factors`` holds, per support T of
+size l, the signed maps of the two words of ``factor_words(T)``: A_T
+moves the letters on T to the leading slots and applies ``LayerGen(l,
+id)``, and B_T moves them back.  With L_w the map of ``LayerGen(l, w)``,
+every member of D factors as B_S L_w A_T.  ``d_certificate`` checks on
+these O(sum_l C(r,l) (|cox| + C(r,l)) + l! l) maps that the products
+span D (gate G1) and that the B_S A_T are matrix units (gate G2).  Then
+layer l of D is M_{C(r,l)} (x) Pi_l, with Pi_l the span of the
 ``LayerGen(l, w)`` on V^{(x)l}: ``schur_core.degree(shape, l).group``.
-``d_algebra`` and ``d_layer_algebra`` build the spans on the whole
-space; no verification reads them.
+``d_algebra`` and ``d_layer_algebra`` build the spans of the sum_l
+C(r,l)^2 l! products on the whole space; no verification reads them.
 """
 
 from __future__ import annotations
@@ -417,26 +417,7 @@ def layer_projector(l: int, shape: Shape) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the spanning family of D and its certificate
-
-Member = tuple[enh.Support, enh.Support, Permutation]
-
-
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """Indices i_1..i_k, k the inversion count of w, with w the product
-    of the simple transpositions s_{i_1}, ..., s_{i_k} in acting order
-    (``comb.compose``)."""
-    w = list(w)
-    peeled = []
-    while True:
-        for i in range(1, len(w)):
-            if w[i - 1] > w[i]:
-                # w = compose(u, s_i) for u = w with slots i-1, i swapped
-                w[i - 1], w[i] = w[i], w[i - 1]
-                peeled.append(i)
-                break
-        else:
-            return tuple(reversed(peeled))
+# the factors of D and their certificate
 
 
 def _to_lead(support: enh.Support) -> HeckeWord:
@@ -447,20 +428,25 @@ def _to_lead(support: enh.Support) -> HeckeWord:
     )
 
 
-def family_word(
-    S: enh.Support, T: enh.Support, w: Permutation
-) -> HeckeWord:
-    """The word X_{S,T,w}: move support T to the leading slots, apply
-    ``LayerGen(l, id)`` and the simple ``LayerGen(l, s_i)`` of a reduced
-    word for w, then move the leading slots out to S."""
-    l = len(w)
-    return (
-        _to_lead(T)
-        + (LayerGen(l, comb.identity_perm(l)),)
-        + tuple(LayerGen(l, comb.adjacent_transposition(l, i))
-                for i in reduced_word(w))
-        + _to_lead(S)[::-1]
-    )
+def factor_words(T: enh.Support) -> tuple[HeckeWord, HeckeWord]:
+    """The words of A_T and B_T: move support T to the leading slots,
+    then apply ``LayerGen(l, id)``; and the mirror image."""
+    one = (LayerGen(len(T), comb.identity_perm(len(T))),)
+    return _to_lead(T) + one, one + _to_lead(T)[::-1]
+
+
+@lru_cache(maxsize=None)
+def d_factors(shape: Shape) -> dict[enh.Support, tuple[SignedMap, ...]]:
+    """(A_T, B_T) for every support T, layer by layer, as signed maps.
+
+    A_T = X_{lead,T,id} moves the words on support T to the leading
+    slots and kills the rest; B_T = X_{T,lead,id} moves them back.
+    """
+    return {
+        T: tuple(_word_map(word, shape) for word in factor_words(T))
+        for l in range(shape.r + 1)
+        for T in itertools.combinations(range(shape.r), l)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -468,28 +454,6 @@ def _preimages(g: HeckeGenerator, shape: Shape) -> dict:
     out: dict[int, list] = {}
     for p, (q, s) in _gen_map(g, shape).items():
         out.setdefault(q, []).append((p, s))
-    return out
-
-
-@lru_cache(maxsize=None)
-def d_family(shape: Shape) -> dict[Member, SignedMap]:
-    """Every X_{S,T,w} with |S| = |T| = len(w), as a signed map.
-
-    The head of the word, up to ``LayerGen(l, id)``, kills every word
-    off support T; it is composed once per T.
-    """
-    out = {}
-    for l in range(shape.r + 1):
-        supports = list(itertools.combinations(range(shape.r), l))
-        for T in supports:
-            head = _to_lead(T) + (LayerGen(l, comb.identity_perm(l)),)
-            start = _word_map(head, shape)
-            for w in comb.perms(l):
-                for S in supports:
-                    x = start
-                    for g in family_word(S, T, w)[len(head):]:
-                        x = _then(x, _gen_map(g, shape))
-                    out[(S, T, w)] = x
     return out
 
 
@@ -501,30 +465,43 @@ def _key(x: SignedMap, sign: int = 1) -> frozenset:
 def d_certificate(shape: Shape) -> str | None:
     """The first of the gates G1, G2 that fails, or None.
 
-    Products are matrix products, the right factor acting first.
+    Products are matrix products, the right factor acting first.  L_w
+    is the map of ``LayerGen(l, w)``, (A_T, B_T) are ``d_factors`` and s
+    runs over id and the simple transpositions.
 
-    G1 ``"certificate"``: every family word is a word in the
-    ``coxeter_generators``; X_{S,S,id} is the projector onto the words
-    with support S, so the identity is their sum; X g is +- a member or
-    0 for every member X and Coxeter generator g; and ``LayerGen(l,
-    sigma)`` is X_{lead,lead,sigma}.  So the span of the family contains
-    1, lies in D and is closed under right products with generators of
-    D: it is D.
+    G1 ``"certificate"``: (a) the words of A_T, B_T and the simple L_s
+    are words in the ``coxeter_generators``; (b) B_T A_T is the
+    projector onto the words with support T; (c) L_w L_s =
+    L_{compose(s, w)} for every w and s; (d) A_T g is +- L_s A_{T'}
+    for some s and T', or 0, for every T and Coxeter generator g.
 
-    G2 ``"matrix_units"``: X_{S,T,id} X_{T,U,id} = X_{S,U,id},
-    X_{S,T,id} X_{T',U,id} = 0 for T != T', and X_{S,T,w} =
-    X_{S,lead,id} X_{lead,lead,w} X_{lead,T,id}.
+    G2 ``"matrix_units"``: A_T B_S = L_id if S = T, and 0 otherwise.
+
+    Why they suffice.  Let F be the span of the B_S L_w A_T.  Every
+    factor is the image of a word in the generators, so F lies in D.
+    The supports partition the basis words and L_id A_T = A_T by (c),
+    so by (b) the identity, the sum of the B_T L_id A_T, lies in F.  By
+    (d) and (c), B_S L_w A_T g is 0 or +- B_S L_{compose(s, w)} A_{T'}:
+    F is closed under right products with the Coxeter generators.  By
+    (c) every L_w is a product of L_id and the simple L_s, so the
+    Coxeter generators generate D, and F = D.  By (b) and G2 the B_S A_T
+    are matrix units and A_T, B_T are inverse bijections between the
+    words on T and the leading words, so layer l of D is M_k (x) Pi_l,
+    k = C(r, l).
     """
-    fam = d_family(shape)
-    r = shape.r
+    fac = d_factors(shape)
     allowed = set(coxeter_generators(shape))
-    index = {_key(x) for x in fam.values()}
-    # per layer: the identity of S_l, which as a tuple is also the
-    # leading support, and all supports
+    # per layer: the supports and the map of every LayerGen(l, w)
     layers = [
-        (comb.identity_perm(l), list(itertools.combinations(range(r), l)))
-        for l in range(r + 1)
+        (l, list(itertools.combinations(range(shape.r), l)),
+         {w: _gen_map(LayerGen(l, w), shape) for w in comb.perms(l)})
+        for l in range(shape.r + 1)
     ]
+    index = {
+        _key(_then(fac[T][0], L[s]))
+        for l, supports, L in layers for T in supports
+        for s in _id_and_simple(l)
+    }
 
     def known(x: SignedMap) -> bool:
         return not x or _key(x) in index or _key(x, -1) in index
@@ -534,37 +511,28 @@ def d_certificate(shape: Shape) -> str | None:
                 for p, s in pre.get(q, ())}
 
     pres = [_preimages(g, shape) for g in allowed]
-
     g1 = (
-        all(set(family_word(*key)) <= allowed for key in fam)
+        all(set(word) <= allowed for T in fac for word in factor_words(T))
+        and all(LayerGen(l, s) in allowed
+                for l, _, _ in layers for s in _id_and_simple(l))
         and all(
-            fam[(S, S, one)]
-            == {p: (p, 1) for p in enh.support_positions(shape, S)}
-            for one, supports in layers for S in supports
+            _then(A, B)
+            == {p: (p, 1) for p in enh.support_positions(shape, T)}
+            for T, (A, B) in fac.items()
         )
-        and all(known(times_gen(x, pre))
-                for x in fam.values() for pre in pres)
-        and all(
-            _gen_map(LayerGen(len(one), w), shape) == fam[(one, one, w)]
-            for one, _ in layers for w in comb.perms(len(one))
-        )
+        and all(_then(L[s], L[w]) == L[comb.compose(s, w)]
+                for l, _, L in layers for w in L for s in _id_and_simple(l))
+        and all(known(times_gen(A, pre))
+                for A, _ in fac.values() for pre in pres)
     )
     if not g1:
         return "certificate"
     units = all(
-        _then(fam[(T2, U, one)], fam[(S, T, one)])
-        == (fam[(S, U, one)] if T2 == T else {})
-        for one, supports in layers
-        for S in supports for T in supports for T2 in supports
-        for U in supports
+        _then(fac[S][1], fac[T][0])
+        == (L[comb.identity_perm(l)] if S == T else {})
+        for l, supports, L in layers for S in supports for T in supports
     )
-    factored = all(
-        x == _then(_then(fam[(lead, T, lead)], fam[(lead, lead, w)]),
-                   fam[(S, lead, lead)])
-        for (S, T, w), x in fam.items()
-        for lead in [comb.identity_perm(len(w))]
-    )
-    return None if units and factored else "matrix_units"
+    return None if units else "matrix_units"
 
 
 def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -581,12 +549,20 @@ def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
 @lru_cache(maxsize=None)
 def _d_span(shape: Shape) -> AlgebraSpan:
     d, f = shape.dim_enhanced, shape.field
-    return span_of([schur_core.signed_matrix(x, d, f)
-                    for x in d_family(shape).values()], d=d, field=f)
+    fac = d_factors(shape)
+    mats = []
+    for T, (A, _) in fac.items():
+        l = len(T)
+        for w in comb.perms(l):
+            head = _then(A, _gen_map(LayerGen(l, w), shape))
+            mats.extend(schur_core.signed_matrix(_then(head, B), d, f)
+                        for S, (_, B) in fac.items() if len(S) == l)
+    return span_of(mats, d=d, field=f)
 
 
 def d_algebra(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> AlgebraSpan:
-    """The image D, as the span of the matrices of ``d_family``.
+    """The image D, as the span of the sum_l C(r,l)^2 l! products
+    B_S L_w A_T of ``d_factors``.
 
     That span is D when ``d_certificate`` passes.  The size cap is a
     guard, not part of the cache key.

@@ -12,7 +12,6 @@ layer algebras closed from their own generators.
 import itertools
 import json
 import math
-from functools import reduce
 
 import pytest
 
@@ -22,7 +21,6 @@ from levischur import enhanced_core as enh
 from levischur.combinatorics import (
     Shape,
     adjacent_transposition,
-    compose,
     identity_perm,
     natural_words,
     parity_vector,
@@ -149,13 +147,12 @@ def transported(span, l, shape, diagonal):
     """Whole-space matrices E_{S,lead} Y E_{lead,T} for Y in the basis of a
     span on the leading support: summed over S = T when ``diagonal``
     (I_k (x) Y), one per pair (S, T) otherwise (M_k (x) Y)."""
-    fam = hecke.d_family(shape)
-    lead = identity_perm(l)
-    pos = enh.support_positions(shape, lead)
+    fac = hecke.d_factors(shape)
+    pos = enh.support_positions(shape, identity_perm(l))
     supports = list(itertools.combinations(range(shape.r), l))
-    out_of = {S: fam[(S, lead, lead)] for S in supports}
+    out_of = {S: fac[S][1] for S in supports}
     into = {
-        T: {q: (p, s) for p, (q, s) in fam[(lead, T, lead)].items()}
+        T: {q: (p, s) for p, (q, s) in fac[T][0].items()}
         for T in supports
     }
     groups = (
@@ -355,32 +352,28 @@ def test_twist_mutants_fail_transport_and_cross_parity(name, monkeypatch):
 
 @pytest.mark.parametrize("shape", SHAPES[::2] + DEEP, ids=shape_id)
 def test_family_words_evaluate_to_members(shape):
-    fam = hecke.d_family(shape)
-    # 209 members at (1|1,4)
-    assert len(fam) == sum(
+    """Each factor A_T, B_T is the matrix of its word, and the matrix
+    products B_S L_w A_T span ``d_algebra``."""
+    fac = hecke.d_factors(shape)
+    assert len(fac) == 2 ** shape.r
+    words = {}
+    for T, maps in fac.items():
+        words[T] = [hecke.eval_word(word, shape)
+                    for word in hecke.factor_words(T)]
+        for mat, x in zip(words[T], maps):
+            assert mat == member_matrix(x, shape)
+    products = [
+        words[S][1] @ xi_gen(LayerGen(len(T), w), shape) @ words[T][0]
+        for T in fac for w in perms(len(T)) for S in fac
+        if len(S) == len(T)
+    ]
+    # 209 products at (1|1,4)
+    assert len(products) == sum(
         math.comb(shape.r, l) ** 2 * math.factorial(l)
         for l in range(shape.r + 1)
     )
-    for key, x in fam.items():
-        assert hecke.eval_word(hecke.family_word(*key), shape) == (
-            member_matrix(x, shape)
-        )
-
-
-def test_reduced_word():
-    for l in range(6):
-        for w in perms(l):
-            word = hecke.reduced_word(w)
-            inversions = sum(
-                1 for a, b in itertools.combinations(range(l), 2)
-                if w[a] > w[b]
-            )
-            assert len(word) == inversions
-            assert reduce(
-                compose,
-                (adjacent_transposition(l, i) for i in word),
-                identity_perm(l),
-            ) == w
+    assert span_of(products, d=shape.dim_enhanced,
+                   field=shape.field) == hecke.d_algebra(shape)
 
 
 def drop_layer_zero(span, shape):
@@ -415,21 +408,21 @@ def test_levi_span_missing_a_unit_fails_gate(shape, monkeypatch):
 
 
 def patch_family(monkeypatch, edit):
-    """Serve a copy of ``d_family`` with ``edit`` applied to it."""
-    real = hecke.d_family
+    """Serve a copy of ``d_factors`` with ``edit`` applied to it."""
+    real = hecke.d_factors
 
-    def family(sh):
-        fam = dict(real(sh))
-        edit(fam, sh)
-        return fam
+    def factors(sh):
+        fac = dict(real(sh))
+        edit(fac, sh)
+        return fac
 
-    monkeypatch.setattr(hecke, "d_family", family)
+    monkeypatch.setattr(hecke, "d_factors", factors)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_d_missing_a_unit_fails_gate(shape, monkeypatch):
-    def kill_unit(fam, sh):
-        fam[((), (), ())] = {}      # X_{0,0,id}, which is P_0
+    def kill_unit(fac, sh):
+        fac[()] = (fac[()][0], {})      # B_0, which is P_0
 
     patch_family(monkeypatch, kill_unit)
     assert hecke.d_certificate(shape) == "certificate"
@@ -438,10 +431,11 @@ def test_d_missing_a_unit_fails_gate(shape, monkeypatch):
 
 def test_flipped_member_fails_certificate_or_units(monkeypatch):
     shape = Shape(1, 1, 3, 1)
-    key = ((0, 2), (1, 2), (1, 0))
+    T = (1, 2)
 
-    def flip(fam, sh):
-        fam[key] = {p: (q, -s) for p, (q, s) in fam[key].items()}
+    def flip(fac, sh):
+        A, B = fac[T]
+        fac[T] = ({p: (q, -s) for p, (q, s) in A.items()}, B)
 
     patch_family(monkeypatch, flip)
     assert hecke.d_certificate(shape) in ("certificate", "matrix_units")
@@ -461,8 +455,8 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
 def test_closure_adds_generators_the_coxeter_set_misses(
     monkeypatch, capsys
 ):
-    """With the layer generators left out of the Coxeter set the family
-    is no longer made of its words: G1 fails, and so does everything
+    """With the layer generators left out of the Coxeter set the factors
+    are no longer words in it: G1 fails, and so does everything
     read from the layers, ``dims`` included."""
     shape = Shape(1, 1, 3, 1)
     swaps_only = tuple(
@@ -484,6 +478,33 @@ def test_closure_adds_generators_the_coxeter_set_misses(
         }[command]
         assert [c["details"][gate[1]] for c in report["checks"]
                 if c["name"] == gate[0]] == ["certificate"]
+
+
+def test_coxeter_set_missing_a_swap_fails_certificate(monkeypatch):
+    """The factor words move supports with every swap; without
+    ``SwapGen(1)`` in the Coxeter set they are no longer words in it."""
+    shape = Shape(1, 1, 3, 0)
+    fewer = tuple(g for g in hecke.coxeter_generators(shape)
+                  if g != SwapGen(1))
+    monkeypatch.setattr(hecke, "coxeter_generators", lambda sh: fewer)
+    assert hecke.d_certificate(shape) == "certificate"
+    assert_all_block_checks_fail(shape)
+
+
+def test_unit_defined_off_the_leading_words_fails_units(monkeypatch):
+    """B_S sends one word that is not leading to a word on S: only G2
+    sees it, as A_S B_S is then no longer L_id."""
+    shape = Shape(1, 1, 3, 1)
+    S = (1, 2)
+
+    def widen(fac, sh):
+        A, B = fac[S]
+        off = enh.enh_position((1, 2, 3), sh)
+        fac[S] = (A, {**B, off: (enh.enh_position((2, 1, 3), sh), 1)})
+
+    patch_family(monkeypatch, widen)
+    assert hecke.d_certificate(shape) == "matrix_units"
+    assert_all_block_checks_fail(shape)
 
 
 def flip_sign(monkeypatch, gen, pos):
@@ -520,6 +541,26 @@ def test_every_sign_mutant_fails_verify(gen, monkeypatch):
                 survivors.append(p)
         levischur.clear_caches()
     assert live and not survivors
+
+
+@pytest.mark.parametrize("vparity", (0, 1))
+def test_certificate_alone_fails_sign_mutants(vparity, monkeypatch):
+    """``d_certificate`` by itself fails on every single-sign mutant of
+    the generator maps at (1|1,3) but two: ``SwapGen(1)`` and
+    ``SwapGen(2)`` on the all-v word, which only the relation check
+    catches."""
+    shape = Shape(1, 1, 3, vparity)
+    survivors = []
+    for gen in hecke.hecke_generators(shape):
+        for p in list(hecke._gen_map(gen, shape)):
+            with monkeypatch.context() as mp:
+                flip_sign(mp, gen, p)
+                levischur.clear_caches()
+                if hecke.d_certificate(shape) is None:
+                    survivors.append((gen, p))
+            levischur.clear_caches()
+    all_v = enh.enh_position((2, 2, 2), shape)
+    assert survivors == [(SwapGen(1), all_v), (SwapGen(2), all_v)]
 
 
 def test_named_mutant_fails_certificate(monkeypatch):
@@ -593,7 +634,7 @@ def test_size_cap_is_a_guard_not_a_cache_key():
         for obj in vars(module).values()
         if hasattr(obj, "cache_info")
     ]
-    for fn in (hecke._d_span, hecke._d_layer, hecke.d_family,
+    for fn in (hecke._d_span, hecke._d_layer, hecke.d_factors,
                hecke.d_certificate, schur_core._degree, hecke._gen_map,
                hecke._preimages, duality._layer_factors):
         assert fn in cached
