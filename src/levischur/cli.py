@@ -10,7 +10,8 @@ Subcommands:
              observations, which are reported and never gated)
   report     verify plus dims plus relations in one JSON document
 
-The ``relations`` check runs ``hecke.certified_instances``, and
+The ``relations`` check reads ``hecke.relation_failures``, the cached
+verdict on ``hecke.certified_instances`` that gate G1 reads too, and
 ``commutation`` tests the Levi basis against the Coxeter generators
 only; their ``instances`` and ``pairs`` are the counts the certificate
 covers: every relation instance, and the Levi basis against every
@@ -26,8 +27,9 @@ key, so reports can be compared byte for byte after dropping it; for
 dimensions and seconds of every layer of the duality check, and how
 each of its two commutants was obtained (``schur_core.Degree.solves``).  ``dims``
 reads dim D from the factored layers, so it fails with a
-``d_certificate`` check when the certificate of D does.  Runs over a
-prime field are labelled informative; the rationals are authoritative.
+``d_certificate`` check when the certificate of D does at any
+requested parity.  Runs over a prime field are labelled informative;
+the rationals are authoritative.
 """
 
 from __future__ import annotations
@@ -94,13 +96,9 @@ def _check(name: str, vparity: int, passed: bool, gated: bool, **details):
 
 
 def _relation_checks(shape: Shape) -> list[dict]:
-    """Check ``hecke.certified_instances``; ``instances`` counts the
-    instances they cover, and ``failed`` names the families of the
-    certified instances that fail."""
-    failures = {
-        inst.rel for inst in hecke.certified_instances(shape)
-        if not hecke.check_relation(inst, shape)
-    }
+    """Read ``hecke.relation_failures``: ``failed`` names the failing
+    families, and ``instances`` counts every instance covered."""
+    failures = hecke.relation_failures(shape)
     checks = [
         _check(
             "relations", shape.vparity, not failures, True,
@@ -207,17 +205,15 @@ def _cross_parity_check(cfg: RunConfig) -> dict:
     """The two Levi representations are conjugate by a diagonal sign
     matrix (the swap generators are genuinely different operators across
     parities, so no global conjugation exists; see enhanced_core)."""
-    field = parse_field(cfg.field)
-    sh0 = Shape(cfg.m, cfg.n, cfg.r, 0, field)
-    sh1 = Shape(cfg.m, cfg.n, cfg.r, 1, field)
-    flip = enh.parity_flip_conjugator(sh0)
-    ok = True
-    for b0, b1 in zip(enh.levi_basis(sh0), enh.levi_basis(sh1)):
-        m0 = enh.rho_levi(b0, sh0)
-        m1 = enh.rho_levi(b1, sh1)
-        if (flip @ m0 @ flip).entries != m1.entries:
-            ok = False
-            break
+    sh0, sh1 = cfg.shapes()
+    # the conjugator is diagonal +-1: entry (a, b) flips when its signs do
+    flip = {a: v for (a, _), v in
+            enh.parity_flip_conjugator(sh0).entries.items()}
+    ok = all(
+        enh.rho_levi(b1, sh1).entries == {
+            (a, b): v if flip[a] == flip[b] else sh0.field.neg(v)
+            for (a, b), v in enh.rho_levi(b0, sh0).entries.items()}
+        for b0, b1 in zip(enh.levi_basis(sh0), enh.levi_basis(sh1)))
     return _check("cross_parity_conjugation", -1, ok, True)
 
 
@@ -273,10 +269,9 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
         "d_algebra": hecke.d_dimension(shape, cfg.size_cap),
     }
     # dim D is read from the factored layers, valid under G1 and G2
-    failed = hecke.d_certificate(shape)
-    checks = [] if failed is None else [
-        _check("d_certificate", shape.vparity, False, True, gate=failed)
-    ]
+    gates = [(sh.vparity, hecke.d_certificate(sh)) for sh in cfg.shapes()]
+    checks = [_check("d_certificate", vp, False, True, gate=gate)
+              for vp, gate in gates if gate is not None]
     return _finish(report, checks, t0)
 
 

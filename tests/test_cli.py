@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import levischur
+from levischur import hecke
 from levischur.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -140,7 +142,16 @@ def test_second_duality_observed_beyond_gate():
     assert second[0]["details"]["observed_only"] is True
 
 
-def test_gated_failure_exit_1(monkeypatch):
+@pytest.fixture
+def fresh_caches():
+    """The relation verdict is cached per shape: a test that patches
+    what it reads starts and ends with empty caches."""
+    levischur.clear_caches()
+    yield
+    levischur.clear_caches()
+
+
+def test_gated_failure_exit_1(fresh_caches, monkeypatch):
     import levischur.cli as cli_mod
 
     monkeypatch.setattr(
@@ -157,6 +168,21 @@ def test_gated_failure_exit_1(monkeypatch):
     assert comm["passed"] is False
     assert comm["details"] == {"pairs": 13 * 5, "failed": 0,
                                "relations_certified": False}
+
+
+def test_dims_certifies_every_requested_parity(fresh_caches, monkeypatch,
+                                               capsys):
+    real = hecke.d_certificate
+    monkeypatch.setattr(
+        hecke, "d_certificate",
+        lambda sh: "certificate" if sh.vparity == 1 else real(sh))
+    argv = ["dims", "--m", "1", "--n", "1", "--r", "2", "--output", "json"]
+    status, out, _ = run_main(capsys, argv + ["--vparity", "both"])
+    assert status == EXIT_CHECK_FAILED
+    assert [(c["name"], c["vparity"], c["details"])
+            for c in json.loads(out)["checks"]] == [
+        ("d_certificate", 1, {"gate": "certificate"})]
+    assert main(argv + ["--vparity", "even"]) == EXIT_OK
 
 
 def test_dims_values():

@@ -19,6 +19,7 @@ from levischur.enhanced_core import (
     rho_levi,
 )
 from levischur import clear_caches
+from levischur import cli, hecke
 from levischur.hecke import (
     LayerGen,
     RelationInstance,
@@ -231,6 +232,61 @@ def test_certified_instances_are_distinct_members_of_the_full_set(shape):
     assert len(set(certified)) == len(certified)
     assert set(certified) <= set(full)
     assert all(check_relation(inst, shape) for inst in full)
+
+
+def inversions(w):
+    return sum(a > b for k, a in enumerate(w) for b in w[k + 1:])
+
+
+def test_certified_3_3_is_a_cayley_spanning_tree():
+    """Beside (id, id), the certified 3.3 instances are the edges
+    (parent, s) -> compose(parent, s) of a spanning tree of the Cayley
+    graph of S_l on the simple transpositions: every sigma != id is a
+    child exactly once, of a parent with one inversion fewer."""
+    instances = [inst for inst in certified_instances(Shape(1, 0, 6))
+                 if inst.rel == "3.3"]
+    for l in range(7):
+        one = identity_perm(l)
+        simple = {comb.adjacent_transposition(l, i) for i in range(1, l)}
+        edges = [(inst.sigma, inst.mu) for inst in instances
+                 if inst.l == l and inst.mu != one]
+        assert [inst for inst in instances if inst.l == l][0] == (
+            RelationInstance("3.3", l=l, sigma=one, mu=one))
+        children = [comb.compose(parent, s) for parent, s in edges]
+        assert sorted(children) == sorted(set(perms(l)) - {one})
+        for (parent, s), child in zip(edges, children):
+            assert s in simple
+            assert inversions(parent) == inversions(child) - 1
+
+
+def test_certified_totals():
+    # (r-1)^2 swap relations, sum_l l! of 3.3, then 3.4, 3.5 and 3.6
+    assert [sum(1 for _ in certified_instances(Shape(1, 0, r)))
+            for r in (4, 7, 8)] == [76, 6068, 46446]
+
+
+def test_dims_then_relations_check_each_certified_instance_once(
+    monkeypatch
+):
+    """G1 and the relation suite read one cached verdict: ``dims`` then
+    ``relations`` evaluate every certified instance once between them."""
+    shape = Shape(1, 1, 3, 1)
+    calls = []
+
+    def counting(inst, sh):
+        calls.append(inst)
+        return check_relation(inst, sh)
+
+    clear_caches()
+    monkeypatch.setattr(hecke, "check_relation", counting)
+    try:
+        for command in (cli.cmd_dims, cli.cmd_relations):
+            _report, status = command(cli.RunConfig(m=1, n=1, r=3,
+                                                    vparity="odd"))
+            assert status == cli.EXIT_OK
+    finally:
+        clear_caches()
+    assert calls == list(certified_instances(shape))
 
 
 @pytest.mark.parametrize("vp", [0, 1])

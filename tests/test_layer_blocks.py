@@ -546,9 +546,9 @@ def test_every_sign_mutant_fails_verify(gen, monkeypatch):
 @pytest.mark.parametrize("vparity", (0, 1))
 def test_certificate_alone_fails_sign_mutants(vparity, monkeypatch):
     """``d_certificate`` by itself fails on every single-sign mutant of
-    the generator maps at (1|1,3) but two: ``SwapGen(1)`` and
-    ``SwapGen(2)`` on the all-v word, which only the relation check
-    catches."""
+    the generator maps at (1|1,3).  Its check (c) reads the relation
+    verdict, which alone catches ``SwapGen(1)`` and ``SwapGen(2)`` on
+    the all-v word."""
     shape = Shape(1, 1, 3, vparity)
     survivors = []
     for gen in hecke.hecke_generators(shape):
@@ -559,8 +559,7 @@ def test_certificate_alone_fails_sign_mutants(vparity, monkeypatch):
                 if hecke.d_certificate(shape) is None:
                     survivors.append((gen, p))
             levischur.clear_caches()
-    all_v = enh.enh_position((2, 2, 2), shape)
-    assert survivors == [(SwapGen(1), all_v), (SwapGen(2), all_v)]
+    assert survivors == []
 
 
 def test_named_mutant_fails_certificate(monkeypatch):
@@ -635,7 +634,8 @@ def test_size_cap_is_a_guard_not_a_cache_key():
         if hasattr(obj, "cache_info")
     ]
     for fn in (hecke._d_span, hecke._d_layer, hecke.d_factors,
-               hecke.d_certificate, schur_core._degree, hecke._gen_map,
+               hecke.d_certificate, hecke.relation_failures,
+               schur_core._degree, hecke._gen_map,
                hecke._preimages, duality._layer_factors):
         assert fn in cached
     assert all(obj.cache_info().currsize == 0 for obj in cached)

@@ -6,6 +6,9 @@
   over the rationals (rank mod p is at most the rational rank), so
   ``nullity_reaches`` never meets a target below the rational
   commutant dimension.
+* The sign functions of ``combinatorics``: ``gamma`` is a cocycle for
+  the right action, the identity relation 3.3 rests on, and ``alpha``
+  is multiplicative in each argument under ``add_parities``.
 """
 
 import pytest
@@ -14,6 +17,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
+from levischur.combinatorics import (  # noqa: E402
+    act,
+    add_parities,
+    alpha,
+    compose,
+    gamma,
+)
 from levischur.linalg import (  # noqa: E402
     QQ,
     Echelon,
@@ -89,3 +99,25 @@ def test_count_never_certifies_below_the_rational_commutant(gens):
     # each commutation row has norm at most sqrt(72), so by Hadamard every
     # minor is below 2^31 - 1 in size: the rank mod p is the rational rank
     assert nullity_reaches(gens, 3, dim, QQ)[1] is not None
+
+
+parity_words = st.integers(0, 5).flatmap(
+    lambda l: st.lists(st.integers(0, 1), min_size=l, max_size=l).map(tuple))
+
+
+@PROFILE
+@given(eps=parity_words, data=st.data())
+def test_gamma_is_a_cocycle(eps, data):
+    s, t = (tuple(data.draw(st.permutations(range(len(eps)))))
+            for _ in range(2))
+    assert gamma(eps, compose(s, t)) == gamma(eps, s) * gamma(act(eps, s), t)
+
+
+@PROFILE
+@given(l=st.integers(0, 5), data=st.data())
+def test_alpha_is_multiplicative_in_each_argument(l, data):
+    a, b, c = (tuple(data.draw(st.lists(st.integers(0, 1), min_size=l,
+                                        max_size=l)))
+               for _ in range(3))
+    assert alpha(add_parities(a, b), c) == alpha(a, c) * alpha(b, c)
+    assert alpha(a, add_parities(b, c)) == alpha(a, b) * alpha(a, c)
