@@ -25,7 +25,11 @@ stdout with sorted keys.  Wall-clock measurements live under a "timing"
 key, so reports can be compared byte for byte after dropping it; for
 ``verify`` and ``report`` it also holds ``layers``, the size,
 dimensions and seconds of every layer of the duality check, and how
-each of its two commutants was obtained (``schur_core.Degree.solves``).  ``dims``
+each of its two commutants was obtained (``schur_core.Degree.solves``):
+``commutant_D`` gives the signed orbits counted and whether the basis
+matrices matched them, ``commutant_levi`` whether the weight blocks
+restricted the count, its unknowns and prime, and how many Chevalley
+elements and basis matrices it stacked.  ``dims``
 reads dim D from the factored layers, so it fails with a
 ``d_certificate`` check when the certificate of D does at any
 requested parity.  Runs over a prime field are labelled informative;

@@ -17,10 +17,13 @@ The two sign functions are
     alpha(eps, delta) = prod_{s<t} (-1)^(eps[t] * delta[s])
     gamma(eps, w)     = prod_{s<t, w placing s after t} (-1)^(eps[s]*eps[t])
 
-and ``sigma_sign`` transports basis labels along a diagonal symmetric
+and the transport sign carries basis labels along a diagonal symmetric
 group orbit of a strict double index.  Strictness is exactly the
 condition making that transport independent of the chosen permutation
-(covered by the test suite, not assumed).  Orbits come from sorting:
+(covered by the test suite, not assumed).  ``orbit_signs`` walks a
+whole orbit once along simple transpositions; ``sigma_sign`` searches
+a permutation per element and serves as the tests' oracle.  Orbits come
+from sorting:
 the diagonal action permutes the letter pairs ``(row[k], col[k])``, so
 a strict orbit is a multiset of letter pairs with no odd pair repeated,
 and its least element lists them sorted.
@@ -265,6 +268,37 @@ def orbit_elements(pair: DoubleIndex) -> tuple[DoubleIndex, ...]:
     row, col = pair
     orb = {(act(row, w), act(col, w)) for w in perms(len(row))}
     return tuple(sorted(orb, key=lambda p: p[0] + p[1]))
+
+
+def orbit_signs(pair: DoubleIndex, shape: Shape) -> dict[DoubleIndex, int]:
+    """The diagonal orbit of ``pair``, each element with its transport
+    sign, walked once from ``pair`` along simple transpositions.
+
+    A step from p to q = act(p, s) multiplies the sign by gamma(eps_p, s),
+    eps_p the parity word of p (row plus column), so by the cocycle
+    identity the sign at q is gamma(eps_pair, w) for any w carrying pair
+    to q; for a simple s swapping slots i and i+1, gamma(eps_p, s) is -1
+    exactly when both slots are odd.  Two paths to one element carrying
+    different signs raise ValueError; that happens exactly when the pair
+    is not strict.
+    """
+    m = shape.m
+    signs = {pair: 1}
+    stack = [pair]
+    while stack:
+        p = stack.pop()
+        k, t = p
+        odd = [(a > m) != (b > m) for a, b in zip(k, t)]
+        for i in range(len(k) - 1):
+            sign = -signs[p] if odd[i] and odd[i + 1] else signs[p]
+            q = (k[:i] + (k[i + 1], k[i]) + k[i + 2:],
+                 t[:i] + (t[i + 1], t[i]) + t[i + 2:])
+            if q not in signs:
+                signs[q] = sign
+                stack.append(q)
+            elif signs[q] != sign:
+                raise ValueError(f"pair {pair} is not strict")
+    return signs
 
 
 def sigma_sign(src: DoubleIndex, dst: DoubleIndex, shape: Shape) -> int:

@@ -532,40 +532,38 @@ def span_of(mats: Sequence[ExactMatrix], *, d=None, field=None) -> AlgebraSpan:
     return AlgebraSpan(field, d, ech)
 
 
-def _commutation_rows(g: ExactMatrix, d: int):
+def _commutation_rows(g: ExactMatrix, d: int, unknowns=None):
     """Nonzero rows of the linear system X @ g - g @ X = 0.
 
     The unknown X is flattened row-major; the equation indexed by
-    (a, b) reads  sum_k X[a,k] g[k,b] - g[a,k] X[k,b] = 0.
+    (a, b) reads  sum_k X[a,k] g[k,b] - g[a,k] X[k,b] = 0, and equations
+    come in order of (a, b).  With ``unknowns``, a set of flattened
+    positions, every other entry of X is held at zero.
     """
     f = g.field
     zero, add, sub = f.zero, f.add, f.sub
     cols: dict[int, list] = {}
     for (r, c), v in g.entries.items():
         cols.setdefault(c, []).append((r, v))
-    rows_adj = g._row_adj()
-    csup = sorted(cols)
-    for a in range(d):
-        bs = range(d) if a in rows_adj else csup
-        ga = rows_adj.get(a, ())
-        for b in bs:
-            row: dict = {}
-            for k, v in cols.get(b, ()):
-                key = a * d + k
-                s = add(row.get(key, zero), v)
-                if s == zero:
-                    row.pop(key, None)
-                else:
-                    row[key] = s
-            for k, v in ga:
-                key = k * d + b
-                s = sub(row.get(key, zero), v)
-                if s == zero:
-                    row.pop(key, None)
-                else:
-                    row[key] = s
-            if row:
-                yield row
+    eqs: dict[int, dict] = {}
+    for k, row in g._row_adj().items():     # X[a,k] g[k,b]
+        for a in range(d):
+            x = a * d + k
+            if unknowns is None or x in unknowns:
+                for b, v in row:
+                    eq = eqs.setdefault(a * d + b, {})
+                    eq[x] = add(eq.get(x, zero), v)
+    for k, col in cols.items():             # -g[a,k] X[k,b]
+        for b in range(d):
+            x = k * d + b
+            if unknowns is None or x in unknowns:
+                for a, v in col:
+                    eq = eqs.setdefault(a * d + b, {})
+                    eq[x] = sub(eq.get(x, zero), v)
+    for key in sorted(eqs):
+        eq = {c: v for c, v in eqs[key].items() if v != zero}
+        if eq:
+            yield eq
 
 
 def commutant(
@@ -626,25 +624,29 @@ def _certificate_field(field) -> PrimeField:
 
 
 def nullity_reaches(
-    gens: Sequence[ExactMatrix], d: int, target: int, field
+    gens: Sequence[ExactMatrix], d: int, target: int, field, unknowns=None
 ) -> tuple[int, int | None]:
     """Stack the rows of X -> XG - GX over GF(p), p the field's own prime
     or ``CERTIFICATE_PRIME`` over the rationals, until the nullity
     reaches ``target``.  Returns p and the generators stacked, or p and
     None when it never equals ``target`` or an entry is not an integer.
     The nullity bounds the commutant from above (rank mod p is at most
-    the rational rank), so meeting a proven lower bound fixes it.
+    the rational rank), so meeting a proven lower bound fixes it.  With
+    ``unknowns``, a set of flattened positions a*d + b, every other entry
+    of X is held at zero: the nullity then bounds a commutant known to
+    vanish off those positions.
     """
     gf = _certificate_field(field)
     if any(v.__class__ is not int for g in gens for v in g.entries.values()):
         return gf.p, None
     ech = Echelon(gf)
-    nullity, stacked = d * d, 0
+    nullity, stacked = d * d if unknowns is None else len(unknowns), 0
     for g in gens:
         if nullity <= target:
             break
         stacked += 1
-        for row in _commutation_rows(ExactMatrix(gf, d, d, g.entries), d):
+        for row in _commutation_rows(ExactMatrix(gf, d, d, g.entries), d,
+                                     unknowns):
             nullity -= ech.add(row)
             if nullity <= target:
                 break

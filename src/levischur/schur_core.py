@@ -5,6 +5,14 @@ classical Schur-Sergeev duality, built and certified here alone: per
 degree l in ``degree(shape, l)``, cached per (m, n, l, field), which
 the enhanced modules move to the supports.
 
+Each piece is read off its structure.  The basis matrices come from the
+paper's formula, the transport signs carried along each orbit once.
+C(Pi_l) is the span of the signed orbits of the simple transpositions
+on the matrix positions, with no field arithmetic; checking that every
+basis matrix is one of those orbits is the first direction.
+C(S(m|n,l)) is bounded by a count inside the weight blocks that the
+diagonal basis matrices cut out, on the Chevalley elements E_{a,a+-1}.
+
 The tensor basis of degree l is indexed by words over 1..m+n in
 lexicographic order, fixing row/column numbering for every matrix in
 the package.
@@ -28,6 +36,7 @@ from .combinatorics import (
 from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
+    Echelon,
     ExactMatrix,
     check_size_cap,
     commutant,
@@ -117,19 +126,21 @@ def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
 
     Basis word t is sent to the sum of sigma(pair; k, t) *
     alpha(eps_k + eps_t, eps_t) * (word k) over all orbit elements
-    (k, t) of ``pair`` whose column matches t.
+    (k, t) of ``pair`` whose column matches t, the transport signs
+    sigma carried along the orbit by ``combinatorics.orbit_signs``.
     """
     if not comb.is_strict(pair, shape):
         raise ValueError(f"pair {pair} is not strict")
     l = len(pair[0])
     d = (shape.m + shape.n) ** l
+    odd = {x: comb.parity_of_index(x, shape)
+           for x in range(1, shape.m + shape.n + 1)}
     entries = {}
-    for k, t in comb.orbit_elements(pair):
-        sgn = comb.sigma_sign(pair, (k, t), shape)
-        ek = comb.parity_vector(k, shape)
-        et = comb.parity_vector(t, shape)
-        val = sgn * alpha(add_parities(ek, et), et)
-        entries[(word_position(k, shape), word_position(t, shape))] = val
+    for (k, t), sgn in comb.orbit_signs(pair, shape).items():
+        et = tuple(odd[x] for x in t)
+        ekt = tuple(odd[a] ^ odd[b] for a, b in zip(k, t))
+        entries[(word_position(k, shape), word_position(t, shape))] = (
+            sgn * alpha(ekt, et))
     return ExactMatrix(shape.field, d, d, entries)
 
 
@@ -170,16 +181,57 @@ def structure_constants(
     return out
 
 
+def signed_orbits(maps: list[dict], d: int) -> tuple[list[dict], int]:
+    """The commutant of the matrices of one-to-one signed maps on d
+    words, read off the d*d matrix positions.  X commutes with
+    ``signed_matrix(m)`` exactly when X[q_a, q_b] = s_a s_b X[a, b] for
+    m(a) = (q_a, s_a) and m(b) = (q_b, s_b), so the positions a*d + b
+    fall into orbits under the maps, each position signed relative to
+    the least one of its orbit.  An orbit reaching a position with both
+    signs forces X to vanish on it (the characteristic is not 2); every
+    other orbit is one dimension of the commutant.  Returns the
+    consistent orbits, each a dict from position to sign with its least
+    position first, and the number of the others.
+    """
+    steps = [([m[a][0] for a in range(d)], [m[a][1] for a in range(d)])
+             for m in maps]
+    sign = [0] * (d * d)
+    orbits, conflicts = [], 0
+    for root in range(d * d):
+        if sign[root]:
+            continue
+        sign[root] = 1
+        orbit, stack, consistent = [root], [root], True
+        while stack:
+            a, b = divmod(stack.pop(), d)
+            for img, sg in steps:
+                y = img[a] * d + img[b]
+                sy = sign[a * d + b] * sg[a] * sg[b]
+                if not sign[y]:
+                    sign[y] = sy
+                    orbit.append(y)
+                    stack.append(y)
+                elif sign[y] != sy:
+                    consistent = False
+        if consistent:
+            orbits.append({y: sign[y] for y in orbit})
+        else:
+            conflicts += 1
+    return orbits, conflicts
+
+
 class Degree:
     """Classical Schur-Sergeev duality on the (m+n)^l words of V^{(x)l},
     each piece built on first use: ``hecke.d_dimension`` reads only
     ``group`` and solves no commutant.
 
-    Under ``gate``, S(m|n,l) lies in C(Pi_l) and Pi_l in C(S(m|n,l)),
-    the simple transpositions generating S_l.  Each commutant is then
-    the lower-bound span once ``linalg.nullity_reaches`` meets its
-    dimension, and found by elimination otherwise; ``solves`` records
-    which, with the prime and the generators stacked.
+    ``signed_orbits`` of the l-1 simple transpositions, which generate
+    S_l, is C(Pi_l) exactly.  Under ``certified`` the basis matrices span
+    it, so C(Pi_l) = S(m|n,l) and Pi_l lies in C(S(m|n,l)); then
+    C(S(m|n,l)) is Pi_l once ``linalg.nullity_reaches`` meets dim Pi_l,
+    stacking the ``chevalley`` elements and after them the basis
+    matrices, inside the ``weight_blocks`` when they pass, and is found
+    by elimination otherwise.  ``solves`` records the path each took.
     """
 
     def __init__(self, shape: Shape, l: int):
@@ -206,46 +258,117 @@ class Degree:
                        d=self.dim, field=self.shape.field)
 
     @cached_property
-    def simple(self) -> list[dict]:
-        """``signed_action`` of the l-1 simple transpositions."""
-        return [signed_action(comb.adjacent_transposition(self.l, i),
-                              self.shape) for i in range(1, self.l)]
+    def orbits(self) -> tuple[list[dict], int]:
+        """``signed_orbits`` of the l-1 simple transpositions."""
+        return signed_orbits([
+            signed_action(comb.adjacent_transposition(self.l, i), self.shape)
+            for i in range(1, self.l)], self.dim)
 
     @cached_property
-    def gate(self) -> bool:
-        """Every basis matrix commutes with every simple transposition."""
-        tests = [commutation_test(m) for m in self.simple]
-        return all(t(x) for t in tests for x in self.xi.values())
+    def certified(self) -> bool:
+        """Each basis matrix is one consistent signed orbit, all of it,
+        with the orbit's signs, and the matrices take distinct orbits,
+        as many as there are: they span C(Pi_l)."""
+        orbits, _conflicts = self.orbits
+        if len(orbits) != len(self.xi):
+            return False
+        roots = {next(iter(orbit)): orbit for orbit in orbits}
+        neg, seen = self.shape.field.neg, set()
+        for x in self.xi.values():
+            flat = x.flatten()
+            root = min(flat, default=None)
+            orbit = roots.get(root)
+            if orbit is None or root in seen or len(orbit) != len(flat):
+                return False
+            seen.add(root)
+            v = flat[root]
+            if any(flat.get(y) != (v if s > 0 else neg(v))
+                   for y, s in orbit.items()):
+                return False
+        return True
+
+    @cached_property
+    def weight_blocks(self) -> list[list[int]] | None:
+        """The supports of the diagonal basis matrices xi((w, w)) when
+        these are 0/1 diagonal and partition the d words, and None
+        otherwise.  They are then the weight idempotents e, orthogonal
+        with sum 1, so any X commuting with S(m|n,l) is the sum of the
+        e X e: it vanishes off the blocks."""
+        one, blocks = self.shape.field.one, []
+        for (row, col), x in self.xi.items():
+            if row != col:
+                continue
+            if any(a != b or v != one for (a, b), v in x.entries.items()):
+                return None
+            blocks.append([a for a, _b in x.entries])
+        if sorted(a for block in blocks for a in block) != list(
+                range(self.dim)):
+            return None
+        return blocks
+
+    @cached_property
+    def chevalley(self) -> list[ExactMatrix]:
+        """E_{a,a+-1}: the sum of the basis matrices whose row and column
+        words differ in exactly one slot, with letters a and a+-1 there.
+        Over the rationals they generate S(m|n,l), the image of
+        U(gl(m|n)) (Sergeev; Berele-Regev)."""
+        sums: dict[tuple[int, int], ExactMatrix] = {}
+        for (row, col), x in self.xi.items():
+            diff = [(a, b) for a, b in zip(row, col) if a != b]
+            if len(diff) == 1 and abs(diff[0][0] - diff[0][1]) == 1:
+                ab = diff[0]
+                sums[ab] = sums[ab] + x if ab in sums else x
+        return [sums[ab] for ab in sorted(sums)]
 
     @cached_property
     def commutant_pi(self) -> AlgebraSpan:
-        """The commutant of the l-1 simple transpositions."""
-        return self._commutant("commutant_pi", [
-            signed_matrix(m, self.dim, self.shape.field)
-            for m in self.simple], self.schur)
+        """C(Pi_l): S(m|n,l) under ``certified``, else the span of the
+        signed orbits."""
+        orbits, conflicts = self.orbits
+        self.solves["commutant_pi"] = {
+            "method": "certified" if self.certified else "signed_orbits",
+            "orbits": len(orbits), "conflicts": conflicts,
+        }
+        if self.certified:
+            return self.schur
+        f = self.shape.field
+        ech = Echelon(f)
+        for orbit in orbits:
+            ech.add({y: f.one if s > 0 else f.neg(f.one)
+                     for y, s in orbit.items()})
+        return AlgebraSpan(f, self.dim, ech)
 
     @cached_property
     def commutant_schur(self) -> AlgebraSpan:
-        """The commutant of the basis matrices, stacked with those whose
-        row and column words differ in at most one slot first."""
-        order = sorted(self.xi, key=lambda pair: sum(
-            a != b for a, b in zip(*pair)) > 1)
-        return self._commutant("commutant_schur",
-                               [self.xi[p] for p in order], self.group)
-
-    def _commutant(self, name: str, mats, lower: AlgebraSpan) -> AlgebraSpan:
-        prime = stacked = None
-        if self.gate:
-            prime, stacked = nullity_reaches(mats, self.dim, lower.dimension,
-                                             self.shape.field)
-        self.solves[name] = {
-            "method": "eliminated" if stacked is None else "certified",
-            "prime": prime, "stacked": stacked,
+        """C(S(m|n,l)): Pi_l when ``certified`` and the count meets its
+        dimension.  The count stacks the Chevalley elements, then the
+        basis matrices, those whose row and column words differ in at
+        most one slot first; its unknowns are the weight blocks' when
+        ``weight_blocks`` passes, all d^2 otherwise."""
+        blocks = self.weight_blocks
+        solve = self.solves["commutant_schur"] = {
+            "method": "eliminated", "weights": blocks is not None,
+            "unknowns": None, "prime": None, "stacked": None,
         }
-        if stacked is not None:
-            return lower
-        return commutant(mats, self.dim, field=self.shape.field,
-                         size_cap=self.dim)
+        if self.certified:
+            d = self.dim
+            unknowns = None if blocks is None else {
+                a * d + b for block in blocks for a in block for b in block}
+            order = sorted(self.xi, key=lambda pair: sum(
+                a != b for a, b in zip(*pair)) > 1)
+            chev = self.chevalley
+            prime, stacked = nullity_reaches(
+                chev + [self.xi[p] for p in order], d, self.group.dimension,
+                self.shape.field, unknowns)
+            solve.update(prime=prime, unknowns=d * d if unknowns is None
+                         else len(unknowns))
+            if stacked is not None:
+                solve.update(method="certified", stacked={
+                    "chevalley": min(stacked, len(chev)),
+                    "basis": max(stacked - len(chev), 0)})
+                return self.group
+        return commutant(list(self.xi.values()), self.dim,
+                         field=self.shape.field, size_cap=self.dim)
 
 
 def degree(shape: Shape, l: int) -> Degree:

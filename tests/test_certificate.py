@@ -1,12 +1,16 @@
-"""The modular certificate of the classical commutants against elimination.
+"""The certified classical commutants against elimination.
 
-``schur_core.Degree`` returns the lower-bound span when the commutation
-gate passes and a nullity count modulo a prime meets its dimension;
-otherwise it eliminates.  The oracle here is ``linalg.commutant``
-elimination on the same generators, over the rationals and three prime
-fields, on a ladder that reaches degrees l >= p.  Mutants check that a
-failed gate, a missed count and a non-integer entry all end in
-elimination, with the same canonical span.
+``schur_core.Degree`` reads C(Pi_l) off the signed orbits of the simple
+transpositions and certifies C(Pi_l) = S(m|n,l) when every basis matrix
+is one of those orbits; it then returns Pi_l for C(S(m|n,l)) when a
+nullity count modulo a prime, on the Chevalley elements inside the
+weight blocks, meets its dimension; otherwise it eliminates.  The
+oracle here is ``linalg.commutant`` elimination on the same generators,
+over the rationals and three prime fields, on a ladder that reaches
+degrees l >= p.  Mutants check that a flipped basis entry, a broken
+weight idempotent, a Chevalley miss, a missed count and a non-integer
+entry each end at the span elimination gives, with ``solves`` naming
+the path that ran.
 """
 
 from fractions import Fraction
@@ -55,20 +59,29 @@ def test_certified_spans_match_elimination(field):
     ladder = LADDER + ([(1, 1, 5)] if field == PrimeField(5) else [])
     for m, n, l in ladder:
         deg = schur_core.degree(Shape(m, n, 1, 0, field), l)
-        assert deg.gate
+        assert deg.certified and deg.weight_blocks is not None
         assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
         prime = field.p if isinstance(field, PrimeField) else CERTIFICATE_PRIME
-        for solve in deg.solves.values():
-            assert solve["prime"] == prime
-            if field == QQ:
-                assert solve["method"] == "certified"
+        orbits, conflicts = deg.orbits
+        assert deg.solves["commutant_pi"] == {
+            "method": "certified", "orbits": len(orbits),
+            "conflicts": conflicts}
+        solve = deg.solves["commutant_schur"]
+        assert solve["prime"] == prime and solve["weights"]
+        assert solve["unknowns"] == sum(
+            len(block) ** 2 for block in deg.weight_blocks)
+        # the Chevalley elements meet dim Pi_l on the whole ladder, in
+        # characteristic 3 and 5 at degrees l >= p too
+        assert solve["method"] == "certified"
+        assert solve["stacked"]["basis"] == 0
 
 
-def test_xi_sign_flip_fails_gate_and_eliminates(monkeypatch):
-    shape = Shape(1, 1, 3)
+def flipped_entry(shape, l, pick):
+    """``xi_matrix`` with one entry negated: the first entry of the first
+    degree-l basis matrix with more than one entry that ``pick`` accepts."""
     real = schur_core.xi_matrix
-    pair = next(p for p in schur_core.schur_basis(shape, 3)
-                if len(real(p, shape).entries) > 1)
+    pair = next(p for p in schur_core.schur_basis(shape, l)
+                if len(real(p, shape).entries) > 1 and pick(p))
     kt = next(iter(real(pair, shape).entries))
 
     def mutant(p, sh):
@@ -78,16 +91,113 @@ def test_xi_sign_flip_fails_gate_and_eliminates(monkeypatch):
         entries = dict(mat.entries)
         entries[kt] = sh.field.neg(entries[kt])
         return ExactMatrix(sh.field, mat.nrows, mat.ncols, entries)
+    return pair, mutant
+
+
+def test_xi_sign_flip_fails_gate_and_eliminates(monkeypatch):
+    """A flipped entry of an off-diagonal basis matrix fails the orbit
+    check: C(Pi_l) is the span of the signed orbits, no count runs for
+    C(S(m|n,l)), and both are the spans elimination gives."""
+    shape = Shape(1, 1, 3)
+    _pair, mutant = flipped_entry(shape, 3, lambda p: p[0] != p[1])
+    monkeypatch.setattr(schur_core, "xi_matrix", mutant)
+    deg = schur_core.degree(shape, 3)
+    assert not deg.certified and deg.weight_blocks is not None
+    assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
+    assert deg.commutant_pi != deg.schur
+    orbits, conflicts = deg.orbits
+    assert deg.solves == {
+        "commutant_pi": {"method": "signed_orbits", "orbits": len(orbits),
+                         "conflicts": conflicts},
+        "commutant_schur": {"method": "eliminated", "weights": True,
+                            "unknowns": None, "prime": None,
+                            "stacked": None},
+    }
+
+
+def test_repeated_basis_matrix_fails_the_orbit_check(monkeypatch):
+    """Two labels with one matrix: as many matrices as orbits, each one
+    whole orbit, yet an orbit is left uncovered."""
+    shape = Shape(1, 1, 2)
+    real = schur_core.xi_matrix
+    first, second = schur_core.schur_basis(shape, 2)[:2]
+    monkeypatch.setattr(schur_core, "xi_matrix", lambda p, sh: real(
+        first if p == second else p, sh))
+    deg = schur_core.degree(shape, 2)
+    assert len(deg.orbits[0]) == len(deg.xi) and not deg.certified
+    assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
+    assert deg.commutant_pi != deg.schur
+    assert deg.solves["commutant_pi"]["method"] == "signed_orbits"
+
+
+def test_dropped_weight_entry_refuses_the_restriction(monkeypatch):
+    """A diagonal basis matrix with an entry dropped is no longer a
+    weight idempotent: the restriction is refused, the orbit check fails
+    as well, and both commutants are the spans elimination gives."""
+    shape = Shape(2, 1, 3)
+    real = schur_core.xi_matrix
+    pair = next(p for p in schur_core.schur_basis(shape, 3)
+                if p[0] == p[1] and len(real(p, shape).entries) > 1)
+
+    def mutant(p, sh):
+        mat = real(p, sh)
+        if p != pair:
+            return mat
+        entries = dict(mat.entries)
+        entries.pop(min(entries))
+        return ExactMatrix(sh.field, mat.nrows, mat.ncols, entries)
 
     monkeypatch.setattr(schur_core, "xi_matrix", mutant)
     deg = schur_core.degree(shape, 3)
-    assert not deg.gate
+    assert deg.weight_blocks is None and not deg.certified
     assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
-    assert deg.commutant_pi != deg.schur
-    assert deg.solves == {
-        name: {"method": "eliminated", "prime": None, "stacked": None}
-        for name in ("commutant_pi", "commutant_schur")
-    }
+    assert deg.solves["commutant_schur"] == {
+        "method": "eliminated", "weights": False, "unknowns": None,
+        "prime": None, "stacked": None}
+
+
+def test_negated_weight_idempotent_counts_on_every_unknown(monkeypatch):
+    """A diagonal basis matrix negated as a whole leaves S(m|n,l) and the
+    orbit check as they are but is no 0/1 idempotent: the count runs on
+    all d^2 unknowns and certifies the same span.  The four Chevalley
+    elements still meet dim Pi_l there, as they generate S(m|n,l)."""
+    shape = Shape(2, 1, 3)
+    certified = schur_core.degree(shape, 3).commutant_schur
+    levischur.clear_caches()
+    real = schur_core.xi_matrix
+    pair = next(p for p in schur_core.schur_basis(shape, 3) if p[0] == p[1])
+
+    def mutant(p, sh):
+        return real(p, sh).scale(-1) if p == pair else real(p, sh)
+
+    monkeypatch.setattr(schur_core, "xi_matrix", mutant)
+    deg = schur_core.degree(shape, 3)
+    assert deg.certified and deg.weight_blocks is None
+    assert deg.commutant_schur == certified == eliminated(deg)[1]
+    solve = deg.solves["commutant_schur"]
+    assert (solve["method"], solve["weights"], solve["unknowns"]) == (
+        "certified", False, 27 ** 2)
+    assert solve["stacked"] == {"chevalley": 4, "basis": 0}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_forced_chevalley_miss_takes_the_fallback(field, monkeypatch):
+    """With one Chevalley element only, the count misses on it and meets
+    dim Pi_l on the basis matrices stacked after it."""
+    shape = Shape(2, 1, 1, 0, field)
+    certified = [schur_core.degree(shape, l).commutant_schur
+                 for l in range(4)]
+    levischur.clear_caches()
+    real = schur_core.Degree.chevalley.func
+    monkeypatch.setattr(schur_core.Degree, "chevalley",
+                        property(lambda self: real(self)[:1]))
+    for l in range(4):
+        deg = schur_core.degree(shape, l)
+        assert deg.commutant_schur == certified[l] == eliminated(deg)[1]
+        solve = deg.solves["commutant_schur"]
+        assert solve["method"] == "certified"
+        assert solve["stacked"]["chevalley"] == min(l, 1)
+        assert (solve["stacked"]["basis"] > 0) == (l > 0)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
@@ -97,16 +207,21 @@ def test_forced_miss_eliminates_to_the_same_span(field, monkeypatch):
                  for d in (schur_core.degree(shape, l) for l in range(4))]
     levischur.clear_caches()
 
-    def missing(gens, d, target, fld):
+    def missing(gens, d, target, fld, unknowns=None):
         # one below the lower bound: the count can never reach it
-        return nullity_reaches(gens, d, target - 1, fld)
+        return nullity_reaches(gens, d, target - 1, fld, unknowns)
 
     monkeypatch.setattr(schur_core, "nullity_reaches", missing)
     for l in range(4):
         deg = schur_core.degree(shape, l)
         assert (deg.commutant_pi, deg.commutant_schur) == certified[l]
-        assert {s["method"] for s in deg.solves.values()} == {"eliminated"}
-        assert {s["stacked"] for s in deg.solves.values()} == {None}
+        assert deg.commutant_schur == eliminated(deg)[1]
+        # C(Pi_l) takes no count, so nothing misses there
+        assert deg.solves["commutant_pi"]["method"] == "certified"
+        solve = deg.solves["commutant_schur"]
+        assert (solve["method"], solve["stacked"]) == ("eliminated", None)
+        assert solve["unknowns"] == sum(
+            len(block) ** 2 for block in deg.weight_blocks)
 
 
 def test_count_reports_prime_and_generators_stacked():
@@ -116,9 +231,18 @@ def test_count_reports_prime_and_generators_stacked():
     p, stacked = nullity_reaches(mats, deg.dim, target, QQ)
     assert p == CERTIFICATE_PRIME and 0 < stacked <= len(mats)
     assert nullity_reaches(mats, deg.dim, target - 1, QQ) == (p, None)
-    # no generators: the count is d^2 at once
+    # no generators: the count is d^2 at once, or the unknowns left
     assert nullity_reaches([], 3, 9, QQ) == (p, 0)
     assert nullity_reaches([], 3, 8, QQ) == (p, None)
+    assert nullity_reaches([], 3, 2, QQ, {0, 4}) == (p, 0)
+    # inside the weight blocks the count meets dim Pi_4 on the Chevalley
+    # elements E_12 and E_21 alone
+    unknowns = {a * deg.dim + b for block in deg.weight_blocks
+                for a in block for b in block}
+    assert len(unknowns) == 70
+    assert nullity_reaches(deg.chevalley, deg.dim, target, QQ,
+                           unknowns) == (p, 2)
+    assert nullity_reaches(deg.chevalley, deg.dim, target, QQ) == (p, None)
 
 
 def test_non_integer_entry_never_takes_the_modular_path(monkeypatch):

@@ -1,0 +1,64 @@
+"""The characteristic-p ladder: ``verify`` over GF(3), GF(5) and GF(7)
+against its run over the rationals, at (1|1,4), (2|1,3) and (1|2,3),
+with (1|1,5) over GF(5), so that degrees l >= p are reached for p = 3
+and p = 5.
+
+The paper assumes char K != 2 only.  Every gate is exact on signed maps
+and the count over GF(p) is exact, so a passing GF(p) run establishes
+the double centralizer over the algebraic closure of GF(p).  Here every
+dimension and every verdict ``verify`` reports equals its value over the
+rationals, and each layer takes the same path: C(Pi_l) certified on the
+signed orbits, C(S(m|n,l)) on the Chevalley elements alone, inside the
+weight blocks.  Prime fields stay labelled informative.
+"""
+
+import pytest
+
+import levischur
+from levischur import cli
+
+LADDER = [(m, n, r, (3, 5, 7)) for m, n, r in ((1, 1, 4), (2, 1, 3),
+                                               (1, 2, 3))] + [
+    (1, 1, 5, (5,))]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fresh_caches():
+    levischur.clear_caches()
+    yield
+    levischur.clear_caches()
+
+
+def run(m, n, r, field):
+    report, status = cli.cmd_verify(cli.RunConfig(
+        m=m, n=n, r=r, vparity="both", field=field))
+    timing = report.pop("timing")
+    labels = (report.pop("field"), report.pop("field_authoritative"))
+    layers = [
+        ({k: e[k] for k in ("vparity", "layer", "block_size", "dim_D",
+                            "dim_commutant_D", "dim_commutant_levi")},
+         e["solves"])
+        for e in timing["layers"]
+    ]
+    return status, report, layers, labels
+
+
+@pytest.mark.parametrize("m, n, r, primes", LADDER, ids=str)
+def test_prime_fields_report_the_rational_dimensions(m, n, r, primes):
+    status, report, layers, labels = run(m, n, r, "q")
+    assert status == cli.EXIT_OK and labels == ("q", True)
+    dims = [dims for dims, _solves in layers]
+    for p in primes:
+        status_p, report_p, layers_p, labels_p = run(m, n, r, f"p:{p}")
+        assert labels_p == (f"p:{p}", False)
+        assert (status_p, report_p) == (status, report)
+        assert [d for d, _solves in layers_p] == dims
+        for (_dims, solves), (_dims_p, solves_p) in zip(layers, layers_p):
+            assert solves_p["commutant_D"] == solves["commutant_D"]
+            assert solves_p["commutant_D"]["method"] == "certified"
+            levi, levi_p = solves["commutant_levi"], solves_p["commutant_levi"]
+            assert levi_p["prime"] == p
+            assert levi_p["method"] == "certified" and levi_p["weights"]
+            assert levi_p["unknowns"] == levi["unknowns"]
+            assert levi_p["stacked"] == levi["stacked"]
+            assert levi_p["stacked"]["basis"] == 0

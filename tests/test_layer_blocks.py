@@ -252,12 +252,13 @@ def refuse_elimination(*args, **kwargs):
 def test_both_parities_solve_each_degree_once(monkeypatch):
     """The classical data is keyed on (m, n, l, field): ``verify
     --vparity both`` certifies the two commutants of each degree once,
-    with no elimination, and ``dims`` certifies none."""
+    with no elimination and one count, for C(S(m|n,l)), and ``dims``
+    certifies none."""
     counted = []
 
-    def recording(gens, d, target, field):
+    def recording(gens, d, target, field, unknowns=None):
         counted.append(d)
-        return linalg.nullity_reaches(gens, d, target, field)
+        return linalg.nullity_reaches(gens, d, target, field, unknowns)
 
     monkeypatch.setattr(schur_core, "nullity_reaches", recording)
     monkeypatch.setattr(schur_core, "commutant", refuse_elimination)
@@ -266,7 +267,7 @@ def test_both_parities_solve_each_degree_once(monkeypatch):
     assert status == cli.EXIT_OK and counted == []
     _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3))
     assert status == cli.EXIT_OK
-    assert sorted(counted) == sorted(2 * [3 ** l for l in range(4)])
+    assert sorted(counted) == [3 ** l for l in range(4)]
     assert schur_core._degree.cache_info().misses == 4
     for l in range(4):
         assert (schur_core.degree(Shape(2, 1, 3, 0), l)
@@ -580,9 +581,9 @@ def test_run_path_never_closes_d(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("algebra_closure on the run path")
 
-    def recording(gens, d, target, field):
+    def recording(gens, d, target, field, unknowns=None):
         sizes.append(d)
-        return linalg.nullity_reaches(gens, d, target, field)
+        return linalg.nullity_reaches(gens, d, target, field, unknowns)
 
     for module in (levischur, linalg, hecke, duality, enh, cli, schur_core):
         monkeypatch.setattr(module, "algebra_closure", refuse, raising=False)
@@ -595,7 +596,7 @@ def test_run_path_never_closes_d(monkeypatch):
             _report, status = command(cli.RunConfig(m=m, n=n, r=r,
                                                     vparity=vparity))
             assert status == cli.EXIT_OK
-        assert len(sizes) == 2 * (r + 1) and max(sizes) == (m + n) ** r
+        assert len(sizes) == r + 1 and max(sizes) == (m + n) ** r
         sizes.clear()
         levischur.clear_caches()
 
@@ -655,13 +656,22 @@ def test_layer_telemetry_under_timing():
         assert e["dim_commutant_levi"] == e["dim_D"]
         assert e["seconds"] >= 0
         assert sorted(e["solves"]) == ["commutant_D", "commutant_levi"]
-        for solve in e["solves"].values():
-            assert solve["method"] == "certified"
-            assert solve["prime"] == linalg.CERTIFICATE_PRIME
-            assert solve["stacked"] >= 0
-    # C(Pi_l) stacks the l-1 simple transpositions, at most
-    assert [e["solves"]["commutant_D"]["stacked"] for e in layers[:3]] == [
-        0, 0, 1]
+        solve = e["solves"]["commutant_D"]
+        assert (solve["method"], solve["orbits"]) == (
+            "certified", e["dim_commutant_D"])
+        solve = e["solves"]["commutant_levi"]
+        assert (solve["method"], solve["weights"]) == ("certified", True)
+        assert solve["prime"] == linalg.CERTIFICATE_PRIME
+    # the signed orbits of the word pairs ((1,1), (2,2)) and ((2,2), (1,1))
+    # are inconsistent: the odd letter pair (1, 2) repeats in them
+    assert [e["solves"]["commutant_D"]["conflicts"] for e in layers[:3]] == [
+        0, 0, 2]
+    # the weight blocks of (1|1,l) hold l+1 contents, with (l choose k)
+    # words each, and the count stacks E_12, then E_21
+    assert [e["solves"]["commutant_levi"]["unknowns"] for e in layers[:3]] == [
+        1, 2, 6]
+    assert [e["solves"]["commutant_levi"]["stacked"] for e in layers[:3]] == [
+        {"chevalley": k, "basis": 0} for k in (0, 1, 2)]
     # over a prime field the count runs modulo its own prime, and the
     # rest of the JSON does not see any of it
     report3, _status = cli.cmd_verify(cli.RunConfig(
