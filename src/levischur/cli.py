@@ -25,14 +25,15 @@ stdout with sorted keys.  Wall-clock measurements live under a "timing"
 key, so reports can be compared byte for byte after dropping it; for
 ``verify`` and ``report`` it also holds ``layers``, the size,
 dimensions and seconds of every layer of the duality check, and how
-each of its two commutants was obtained (``schur_core.Degree.solves``):
-``commutant_D`` gives the signed orbits counted and whether the basis
-matrices matched them, ``commutant_levi`` whether the weight blocks
-restricted the count, its unknowns and prime, and how many Chevalley
-elements and basis matrices it stacked.  ``dims``
-reads dim D from the factored layers, so it fails with a
-``d_certificate`` check when the certificate of D does at any
-requested parity.  Runs over a prime field are labelled informative;
+the verdict on each of its two commutants was reached
+(``schur_core.Degree.solves``): ``method`` is ``certified`` or names
+the step that failed; ``commutant_D`` gives the signed orbits counted,
+``commutant_levi`` whether the weight blocks passed, the count's
+unknowns and prime, and how many Chevalley elements and basis matrices
+it stacked.  A commutant dimension that no verdict fixes is null.
+``dims`` reads dim D from the factored layers, so it fails with a
+``d_certificate`` check when the certificate of D does at any requested
+parity.  Runs over a prime field are labelled informative;
 the rationals are authoritative.
 """
 
@@ -195,7 +196,7 @@ def _layer_timing(shape: Shape, size_cap: int) -> list[dict]:
             "layer": x.layer,
             "block_size": x.block_size,
             "dim_D": x.dim_D,
-            "dim_commutant_D": x.commutant_pi.dimension,
+            "dim_commutant_D": x.dim_commutant_pi,
             "dim_commutant_levi": x.dim_commutant_levi,
             "seconds": round(x.seconds, 6),
             "solves": {"commutant_D": x.solves["commutant_pi"],

@@ -14,12 +14,13 @@ layer projector lies in the Levi span).  Under them D_l = M_k (x) Pi_l and
 L_l = I_k (x) S(m|n,l), k = C(r,l), Pi_l the image of KS_l, so every
 layer reads ``schur_core.degree(shape, l)``: C(D_l) = I_k (x) C(Pi_l)
 and C(L_l) = M_k (x) C(S(m|n,l)), the classical commutants that
-``schur_core.Degree`` certifies.  If a gate fails, every check read
-from the layers fails.
+``schur_core.Degree`` decides in its verdicts ``certified`` and
+``converse``.  If a gate or a verdict fails, every check read from it
+fails.
 
 The first direction holds at every degree; the second is asserted when
-r <= m+n and otherwise only reported (containment of D in the commutant
-is always checked).
+r <= m+n and otherwise only reported (containment of D in the commutant,
+which the first direction gives, is always checked).
 """
 
 from __future__ import annotations
@@ -33,35 +34,34 @@ from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke, schur_core
 from .combinatorics import Shape
-from .linalg import DEFAULT_SIZE_CAP, AlgebraSpan, Echelon, check_size_cap
+from .linalg import DEFAULT_SIZE_CAP, Echelon, check_size_cap
 
 
 @dataclass(frozen=True)
 class LayerFactor:
-    """Layer l of both algebras, read from ``schur_core.degree``: spans
-    of matrices on the (m+n)^l words of V^{(x)l}."""
+    """Layer l of both algebras, read from ``schur_core.degree``: D_l =
+    M_k (x) Pi_l and L_l = I_k (x) S(m|n,l) on k copies of the (m+n)^l
+    words of V^{(x)l}, with the verdicts on their classical commutants."""
 
     layer: int
     supports: int           # k = C(r, l), the number of supports
-    pi: AlgebraSpan         # Pi_l, so D_l = M_k (x) Pi_l
-    levi: AlgebraSpan       # S(m|n,l), so L_l = I_k (x) S(m|n,l)
-    commutant_pi: AlgebraSpan
-    commutant_levi: AlgebraSpan
+    block_size: int         # k (m+n)^l
+    dim_pi: int
+    dim_commutant_pi: int   # the consistent signed orbits, on every run
+    certified: bool         # C(Pi_l) = S(m|n,l)
+    converse: bool          # C(S(m|n,l)) = Pi_l
     seconds: float = field(compare=False, default=0.0)
-    # how each commutant was obtained: ``schur_core.Degree.solves``
+    # how each verdict was reached: ``schur_core.Degree.solves``
     solves: dict = field(compare=False, default_factory=dict)
 
     @property
-    def block_size(self) -> int:
-        return self.supports * self.pi.ambient_dim
-
-    @property
     def dim_D(self) -> int:
-        return self.supports ** 2 * self.pi.dimension
+        return self.supports ** 2 * self.dim_pi
 
     @property
-    def dim_commutant_levi(self) -> int:
-        return self.supports ** 2 * self.commutant_levi.dimension
+    def dim_commutant_levi(self) -> int | None:
+        """k^2 dim Pi_l under ``converse``; None when no verdict fixes it."""
+        return self.dim_D if self.converse else None
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,15 @@ def _layer_factors(shape: Shape) -> LayerFactors:
     layers = []
     for l in range(shape.r + 1):
         t0 = time.perf_counter()
-        deg = schur_core.degree(shape, l)
-        commutant_pi, commutant_levi = deg.commutant_pi, deg.commutant_schur
+        k, deg = math.comb(shape.r, l), schur_core.degree(shape, l)
         layers.append(LayerFactor(
             layer=l,
-            supports=math.comb(shape.r, l),
-            pi=deg.group,
-            levi=deg.schur,
-            commutant_pi=commutant_pi,
-            commutant_levi=commutant_levi,
+            supports=k,
+            block_size=k * deg.dim,
+            dim_pi=deg.group.dimension,
+            dim_commutant_pi=len(deg.orbits[0]),
+            certified=deg.certified,
+            converse=deg.converse,
             seconds=time.perf_counter() - t0,
             solves=dict(deg.solves),
         ))
@@ -150,16 +150,16 @@ def verify_first(
     fac = layer_factors(shape, size_cap)
     return FirstDualityResult(
         dim_levi=enh.levi_span(shape).dimension,
-        dim_commutant_D=sum(x.commutant_pi.dimension for x in fac.layers),
+        dim_commutant_D=sum(x.dim_commutant_pi for x in fac.layers),
         holds=fac.failed_gate is None
-        and all(x.commutant_pi == x.levi for x in fac.layers),
+        and all(x.certified for x in fac.layers),
     )
 
 
 @dataclass(frozen=True)
 class SecondDualityResult:
     dim_D: int
-    dim_commutant_levi: int
+    dim_commutant_levi: int | None
     containment_holds: bool
     spans_equal: bool
     gated: bool
@@ -175,26 +175,27 @@ def verify_second(
 ) -> SecondDualityResult:
     """Commutant of the Levi span against the generator image.
 
-    Containment of the image in the commutant is unconditional.  Span
-    equality is asserted only for r <= m+n and otherwise only reported.
+    Containment of the image in the commutant is unconditional: it
+    follows from the first direction.  Span equality, the classical
+    converse on every layer, is asserted only for r <= m+n and otherwise
+    only reported.
     """
     fac = layer_factors(shape, size_cap)
     ok = fac.failed_gate is None
+    dim_D = sum(x.dim_D for x in fac.layers)
+    converse = all(x.converse for x in fac.layers)
     return SecondDualityResult(
-        dim_D=sum(x.dim_D for x in fac.layers),
-        dim_commutant_levi=sum(x.dim_commutant_levi for x in fac.layers),
-        containment_holds=ok and all(
-            x.commutant_levi.contains(m)
-            for x in fac.layers for m in x.pi.basis
-        ),
-        spans_equal=ok and all(x.commutant_levi == x.pi for x in fac.layers),
+        dim_D=dim_D,
+        dim_commutant_levi=dim_D if converse else None,
+        containment_holds=ok and all(x.certified for x in fac.layers),
+        spans_equal=ok and converse,
         gated=shape.r <= shape.m + shape.n,
     )
 
 
 @dataclass(frozen=True)
 class LayerEndoReport:
-    per_layer_dims: tuple[int, ...]
+    per_layer_dims: tuple[int | None, ...]
     per_layer_equal: tuple[bool, ...]
     sum_matches_commutant: bool
 
@@ -208,8 +209,9 @@ def verify_layer_endos(
 ) -> LayerEndoReport:
     """Per-layer commutants against the layer algebras.
 
-    For each layer the commutant of the Levi action, k^2 times that of
-    S(m|n,l), is compared with D_l = M_k (x) Pi_l.  ``sum_matches_commutant``
+    For each layer the commutant of the Levi action, M_k (x) C(S(m|n,l)),
+    is D_l = M_k (x) Pi_l when the classical converse holds; its
+    dimension is None otherwise.  ``sum_matches_commutant``
     reports the gates, under which their direct sum is the whole
     commutant.
     """
@@ -217,9 +219,7 @@ def verify_layer_endos(
     ok = fac.failed_gate is None
     return LayerEndoReport(
         per_layer_dims=tuple(x.dim_commutant_levi for x in fac.layers),
-        per_layer_equal=tuple(
-            ok and x.commutant_levi == x.pi for x in fac.layers
-        ),
+        per_layer_equal=tuple(ok and x.converse for x in fac.layers),
         sum_matches_commutant=ok,
     )
 
@@ -261,13 +261,13 @@ class DualityReport:
     dim_levi: int
     dim_D: int
     dim_commutant_D: int
-    dim_commutant_levi: int
+    dim_commutant_levi: int | None
     first_isomorphism_holds: bool
     second_isomorphism_holds: bool
     second_containment_holds: bool
     r_le_mplusn: bool
     per_layer_orbits: tuple[int, ...]
-    per_layer_endo_dims: tuple[int, ...]
+    per_layer_endo_dims: tuple[int | None, ...]
     per_layer_endo_equal: tuple[bool, ...]
     failed_gate: str | None
     faithful_layers: tuple[bool, ...]

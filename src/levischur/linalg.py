@@ -194,11 +194,17 @@ QQ = RationalField()
 
 
 def parse_field(spec: str):
-    """Parse a field flag: ``"q"`` or ``"p:<odd prime>"``."""
+    """Parse a field flag: ``"q"`` or ``"p:<odd prime>"``, the prime in
+    ASCII decimal digits with no sign, space or leading zero, so that
+    each field has one spelling."""
     if spec == "q":
         return QQ
-    if spec.startswith("p:"):
-        return PrimeField(int(spec[2:]))
+    digits = spec[2:]
+    if (spec.startswith("p:") and digits.isascii() and digits.isdigit()
+            and not digits.startswith("0")):
+        # more than ten digits is past 2**31, and int() refuses 4300
+        return PrimeField(int(digits) if len(digits) <= 10
+                          else MAX_FIELD_ORDER)
     raise ValueError(f"unknown field spec {spec!r}")
 
 

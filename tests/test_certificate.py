@@ -1,16 +1,17 @@
-"""The certified classical commutants against elimination.
+"""The two verdicts on the classical commutants against elimination.
 
 ``schur_core.Degree`` reads C(Pi_l) off the signed orbits of the simple
-transpositions and certifies C(Pi_l) = S(m|n,l) when every basis matrix
-is one of those orbits; it then returns Pi_l for C(S(m|n,l)) when a
-nullity count modulo a prime, on the Chevalley elements inside the
-weight blocks, meets its dimension; otherwise it eliminates.  The
+transpositions, and ``certified`` decides C(Pi_l) = S(m|n,l) by checking
+that every basis matrix is one of those orbits; ``converse`` decides
+C(S(m|n,l)) = Pi_l by a nullity count modulo a prime, on the Chevalley
+elements and then the basis matrices, inside the weight blocks.  The
 oracle here is ``linalg.commutant`` elimination on the same generators,
 over the rationals and three prime fields, on a ladder that reaches
-degrees l >= p.  Mutants check that a flipped basis entry, a broken
-weight idempotent, a Chevalley miss, a missed count and a non-integer
-entry each end at the span elimination gives, with ``solves`` naming
-the path that ran.
+degrees l >= p.  Mutants check that a flipped basis entry, a repeated
+basis matrix, a broken weight idempotent and a missed count each fail
+their verdict, with ``solves`` naming the step that failed, and make
+``verify`` exit 1; a Chevalley miss is made up by the basis matrices
+stacked after them.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import levischur
-from levischur import hecke, linalg, schur_core
+from levischur import cli, hecke, linalg, schur_core
 from levischur import enhanced_core as enh
 from levischur.combinatorics import Shape, adjacent_transposition
 from levischur.linalg import (
@@ -54,13 +55,28 @@ def eliminated(deg):
                       size_cap=deg.dim))
 
 
+def verify_fails(shape):
+    """``verify`` at ``shape``, even parity: it exits 1, and the layers'
+    ``solves`` are returned under the keys of ``Degree.solves``."""
+    report, status = cli.cmd_verify(cli.RunConfig(
+        m=shape.m, n=shape.n, r=shape.r, vparity="even",
+        field=shape.field.name))
+    assert status == cli.EXIT_CHECK_FAILED
+    return [{"commutant_pi": e["solves"]["commutant_D"],
+             "commutant_schur": e["solves"]["commutant_levi"]}
+            for e in report["timing"]["layers"]]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_certified_spans_match_elimination(field):
     ladder = LADDER + ([(1, 1, 5)] if field == PrimeField(5) else [])
     for m, n, l in ladder:
         deg = schur_core.degree(Shape(m, n, 1, 0, field), l)
-        assert deg.certified and deg.weight_blocks is not None
-        assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
+        comm_pi, comm_schur = eliminated(deg)
+        assert deg.certified == (comm_pi == deg.schur)
+        assert deg.converse == (comm_schur == deg.group)
+        assert deg.certified and deg.converse
+        assert len(deg.orbits[0]) == comm_pi.dimension
         prime = field.p if isinstance(field, PrimeField) else CERTIFICATE_PRIME
         orbits, conflicts = deg.orbits
         assert deg.solves["commutant_pi"] == {
@@ -94,25 +110,29 @@ def flipped_entry(shape, l, pick):
     return pair, mutant
 
 
-def test_xi_sign_flip_fails_gate_and_eliminates(monkeypatch):
+ORBITS_FAILED = {"method": "orbits_failed", "weights": True,
+                 "unknowns": None, "prime": None, "stacked": None}
+
+
+def test_xi_sign_flip_fails_both_verdicts(monkeypatch):
     """A flipped entry of an off-diagonal basis matrix fails the orbit
-    check: C(Pi_l) is the span of the signed orbits, no count runs for
-    C(S(m|n,l)), and both are the spans elimination gives."""
+    check, which elimination confirms; no count runs for C(S(m|n,l)),
+    whose lower bound is gone."""
     shape = Shape(1, 1, 3)
     _pair, mutant = flipped_entry(shape, 3, lambda p: p[0] != p[1])
     monkeypatch.setattr(schur_core, "xi_matrix", mutant)
     deg = schur_core.degree(shape, 3)
-    assert not deg.certified and deg.weight_blocks is not None
-    assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
-    assert deg.commutant_pi != deg.schur
+    assert deg.weight_blocks is not None
+    assert not deg.certified and not deg.converse
+    assert eliminated(deg)[0] != deg.schur
     orbits, conflicts = deg.orbits
     assert deg.solves == {
-        "commutant_pi": {"method": "signed_orbits", "orbits": len(orbits),
+        "commutant_pi": {"method": "orbits_failed", "orbits": len(orbits),
                          "conflicts": conflicts},
-        "commutant_schur": {"method": "eliminated", "weights": True,
-                            "unknowns": None, "prime": None,
-                            "stacked": None},
+        "commutant_schur": ORBITS_FAILED,
     }
+    levischur.clear_caches()
+    assert verify_fails(shape)[3] == deg.solves
 
 
 def test_repeated_basis_matrix_fails_the_orbit_check(monkeypatch):
@@ -124,16 +144,19 @@ def test_repeated_basis_matrix_fails_the_orbit_check(monkeypatch):
     monkeypatch.setattr(schur_core, "xi_matrix", lambda p, sh: real(
         first if p == second else p, sh))
     deg = schur_core.degree(shape, 2)
-    assert len(deg.orbits[0]) == len(deg.xi) and not deg.certified
-    assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
-    assert deg.commutant_pi != deg.schur
-    assert deg.solves["commutant_pi"]["method"] == "signed_orbits"
+    assert len(deg.orbits[0]) == len(deg.xi)
+    assert not deg.certified and not deg.converse
+    assert eliminated(deg)[0] != deg.schur
+    assert deg.solves["commutant_pi"]["method"] == "orbits_failed"
+    assert deg.solves["commutant_schur"] == ORBITS_FAILED
+    levischur.clear_caches()
+    assert verify_fails(shape)[2] == deg.solves
 
 
 def test_dropped_weight_entry_refuses_the_restriction(monkeypatch):
     """A diagonal basis matrix with an entry dropped is no longer a
-    weight idempotent: the restriction is refused, the orbit check fails
-    as well, and both commutants are the spans elimination gives."""
+    weight idempotent, nor one whole orbit: both verdicts fail, and
+    ``solves`` names the orbit check and the refused weight blocks."""
     shape = Shape(2, 1, 3)
     real = schur_core.xi_matrix
     pair = next(p for p in schur_core.schur_basis(shape, 3)
@@ -149,21 +172,20 @@ def test_dropped_weight_entry_refuses_the_restriction(monkeypatch):
 
     monkeypatch.setattr(schur_core, "xi_matrix", mutant)
     deg = schur_core.degree(shape, 3)
-    assert deg.weight_blocks is None and not deg.certified
-    assert (deg.commutant_pi, deg.commutant_schur) == eliminated(deg)
-    assert deg.solves["commutant_schur"] == {
-        "method": "eliminated", "weights": False, "unknowns": None,
-        "prime": None, "stacked": None}
-
-
-def test_negated_weight_idempotent_counts_on_every_unknown(monkeypatch):
-    """A diagonal basis matrix negated as a whole leaves S(m|n,l) and the
-    orbit check as they are but is no 0/1 idempotent: the count runs on
-    all d^2 unknowns and certifies the same span.  The four Chevalley
-    elements still meet dim Pi_l there, as they generate S(m|n,l)."""
-    shape = Shape(2, 1, 3)
-    certified = schur_core.degree(shape, 3).commutant_schur
+    assert deg.weight_blocks is None
+    assert not deg.certified and not deg.converse
+    assert eliminated(deg)[0] != deg.schur
+    assert deg.solves["commutant_schur"] == dict(ORBITS_FAILED,
+                                                 weights=False)
     levischur.clear_caches()
+    assert verify_fails(shape)[3] == deg.solves
+
+
+def test_negated_weight_idempotent_fails_the_converse(monkeypatch):
+    """A diagonal basis matrix negated as a whole leaves S(m|n,l) and the
+    orbit check as they are but is no 0/1 idempotent: the weight blocks
+    are refused, and with them the converse, on no count at all."""
+    shape = Shape(2, 1, 3)
     real = schur_core.xi_matrix
     pair = next(p for p in schur_core.schur_basis(shape, 3) if p[0] == p[1])
 
@@ -173,27 +195,28 @@ def test_negated_weight_idempotent_counts_on_every_unknown(monkeypatch):
     monkeypatch.setattr(schur_core, "xi_matrix", mutant)
     deg = schur_core.degree(shape, 3)
     assert deg.certified and deg.weight_blocks is None
-    assert deg.commutant_schur == certified == eliminated(deg)[1]
-    solve = deg.solves["commutant_schur"]
-    assert (solve["method"], solve["weights"], solve["unknowns"]) == (
-        "certified", False, 27 ** 2)
-    assert solve["stacked"] == {"chevalley": 4, "basis": 0}
+    assert not deg.converse
+    assert deg.solves["commutant_pi"]["method"] == "certified"
+    assert deg.solves["commutant_schur"] == {
+        "method": "weights_failed", "weights": False, "unknowns": None,
+        "prime": None, "stacked": None}
+    levischur.clear_caches()
+    assert verify_fails(shape)[3] == deg.solves
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_forced_chevalley_miss_takes_the_fallback(field, monkeypatch):
     """With one Chevalley element only, the count misses on it and meets
-    dim Pi_l on the basis matrices stacked after it."""
+    dim Pi_l on the basis matrices stacked after it: still one path, and
+    the verdict elimination gives."""
     shape = Shape(2, 1, 1, 0, field)
-    certified = [schur_core.degree(shape, l).commutant_schur
-                 for l in range(4)]
-    levischur.clear_caches()
     real = schur_core.Degree.chevalley.func
     monkeypatch.setattr(schur_core.Degree, "chevalley",
                         property(lambda self: real(self)[:1]))
     for l in range(4):
         deg = schur_core.degree(shape, l)
-        assert deg.commutant_schur == certified[l] == eliminated(deg)[1]
+        assert deg.converse
+        assert eliminated(deg)[1] == deg.group
         solve = deg.solves["commutant_schur"]
         assert solve["method"] == "certified"
         assert solve["stacked"]["chevalley"] == min(l, 1)
@@ -201,27 +224,45 @@ def test_forced_chevalley_miss_takes_the_fallback(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
-def test_forced_miss_eliminates_to_the_same_span(field, monkeypatch):
-    shape = Shape(2, 1, 1, 0, field)
-    certified = [(d.commutant_pi, d.commutant_schur)
-                 for d in (schur_core.degree(shape, l) for l in range(4))]
-    levischur.clear_caches()
+def test_forced_count_miss_fails_the_converse(field, monkeypatch):
+    shape = Shape(2, 1, 3, 0, field)
 
     def missing(gens, d, target, fld, unknowns=None):
         # one below the lower bound: the count can never reach it
         return nullity_reaches(gens, d, target - 1, fld, unknowns)
 
     monkeypatch.setattr(schur_core, "nullity_reaches", missing)
+    prime = field.p if isinstance(field, PrimeField) else CERTIFICATE_PRIME
     for l in range(4):
         deg = schur_core.degree(shape, l)
-        assert (deg.commutant_pi, deg.commutant_schur) == certified[l]
-        assert deg.commutant_schur == eliminated(deg)[1]
         # C(Pi_l) takes no count, so nothing misses there
+        assert deg.certified and not deg.converse
         assert deg.solves["commutant_pi"]["method"] == "certified"
-        solve = deg.solves["commutant_schur"]
-        assert (solve["method"], solve["stacked"]) == ("eliminated", None)
-        assert solve["unknowns"] == sum(
-            len(block) ** 2 for block in deg.weight_blocks)
+        assert deg.solves["commutant_schur"] == {
+            "method": "count_failed", "weights": True, "prime": prime,
+            "unknowns": sum(len(block) ** 2 for block in deg.weight_blocks),
+            "stacked": None}
+    levischur.clear_caches()
+    assert {s["commutant_schur"]["method"]
+            for s in verify_fails(shape)} == {"count_failed"}
+
+
+def test_run_path_eliminates_no_commutant(monkeypatch):
+    """``verify``, ``dims`` and ``report`` pass over the ladder with
+    ``linalg.commutant`` refusing to run: the verdicts alone decide."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("commutant eliminated on the run path")
+
+    for module in (levischur, linalg, schur_core, cli):
+        monkeypatch.setattr(module, "commutant", refuse, raising=False)
+    for m, n, r in [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 0, 4),
+                    (3, 0, 3)]:
+        for field in ("q", "p:3", "p:5"):
+            for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_report):
+                _report, status = command(cli.RunConfig(
+                    m=m, n=n, r=r, vparity="both", field=field))
+                assert status == cli.EXIT_OK
+            levischur.clear_caches()
 
 
 def test_count_reports_prime_and_generators_stacked():

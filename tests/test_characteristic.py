@@ -9,7 +9,8 @@ the double centralizer over the algebraic closure of GF(p).  Here every
 dimension and every verdict ``verify`` reports equals its value over the
 rationals, and each layer takes the same path: C(Pi_l) certified on the
 signed orbits, C(S(m|n,l)) on the Chevalley elements alone, inside the
-weight blocks.  Prime fields stay labelled informative.
+weight blocks.  (2|0,5) over GF(3) is the exception, and has a test of
+its own.  Prime fields stay labelled informative.
 """
 
 import pytest
@@ -62,3 +63,26 @@ def test_prime_fields_report_the_rational_dimensions(m, n, r, primes):
             assert levi_p["unknowns"] == levi["unknowns"]
             assert levi_p["stacked"] == levi["stacked"]
             assert levi_p["stacked"]["basis"] == 0
+
+
+def test_divided_powers_stand_in_at_2_0_5_over_gf3():
+    """(2|0,5) over GF(3) is the one shape under the size cap whose
+    Chevalley count misses: at layer 5 >= p the divided powers E^{(k)}
+    are not among the two Chevalley elements, and the count meets
+    dim Pi_5 on 18 basis matrices stacked after them.  Layers 1 to 4
+    take the Chevalley elements alone, and every dimension is the
+    rationals'."""
+    status, report, layers, _labels = run(2, 0, 5, "q")
+    status_p, report_p, layers_p, _labels_p = run(2, 0, 5, "p:3")
+    assert status == status_p == cli.EXIT_OK
+    assert report_p["dims"]["d_algebra"] == 1118
+    assert report_p["dims"]["per_layer_endos"] == [1, 25, 200, 500, 350, 42]
+    assert report_p == report
+    assert [d for d, _solves in layers_p] == [d for d, _solves in layers]
+    for dims, solves in layers_p:
+        stacked = solves["commutant_levi"]["stacked"]
+        assert solves["commutant_levi"]["method"] == "certified"
+        if dims["layer"] == 5:
+            assert stacked == {"chevalley": 2, "basis": 18}
+        else:
+            assert stacked["basis"] == 0

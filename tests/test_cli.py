@@ -263,6 +263,32 @@ def test_prime_field_validation(capsys):
     assert status == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("spec", [
+    "p:x", "p:", "p:+7", "p: 7", "p:7 ", "p:07", "p:0", "p:-7", "p:7.0",
+    "p:\u0667", "P:7", "Q", "p7",
+])
+def test_field_spec_has_one_spelling(capsys, spec):
+    """Only ``q`` and ``p:`` followed by ASCII digits with no sign, space
+    or leading zero are accepted, so one field has one spelling in the
+    report; everything else exits 2 without Python's parser text."""
+    status, out, err = run_main(
+        capsys,
+        ["verify", "--m", "1", "--n", "1", "--r", "2", "--field", spec],
+    )
+    assert status == EXIT_BAD_CONFIG and not out
+    assert err == f"error: unknown field spec {spec!r}\n"
+
+
+def test_field_order_beyond_int_parsing_is_refused(capsys):
+    status, _, err = run_main(
+        capsys,
+        ["dims", "--m", "1", "--n", "1", "--r", "2", "--field",
+         "p:" + "1" * 5000],
+    )
+    assert status == EXIT_BAD_CONFIG
+    assert err == "error: field order must be below 2**31\n"
+
+
 def test_size_cap_refuses_huge_degree_at_once(capsys):
     """The guard stops multiplying once past the cap, so a degree whose
     ambient dimension has far more than 4300 digits is refused with one

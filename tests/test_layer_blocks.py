@@ -193,29 +193,30 @@ def test_blocks_match_full_space_commutants(shape):
     dalg = coxeter_closure(shape)
     levi = enh.levi_span(shape)
     gens = [xi_gen(g, shape) for g in hecke.coxeter_generators(shape)]
+    degs = [schur_core.degree(shape, x.layer) for x in fac.layers]
 
-    def whole(attr, diagonal):
+    def whole(spans, diagonal):
         return span_of([
-            m for x in fac.layers
-            for m in transported(getattr(x, attr), x.layer, shape, diagonal)
+            m for x, span in zip(fac.layers, spans)
+            for m in transported(span, x.layer, shape, diagonal)
         ], d=d, field=f)
 
-    assert whole("pi", False) == dalg == hecke.d_algebra(shape)
-    assert whole("levi", True) == levi
-    assert whole("commutant_pi", True) == commutant(gens, d, field=f)
-    assert whole("commutant_levi", False) == commutant(
-        levi.basis, d, field=f
-    )
+    # under the verdicts C(Pi_l) = S(m|n,l) and C(S(m|n,l)) = Pi_l
+    assert all(x.certified and x.converse for x in fac.layers)
+    pis = whole([deg.group for deg in degs], False)
+    assert pis == dalg == hecke.d_algebra(shape)
+    assert pis == commutant(levi.basis, d, field=f)
+    assert whole([deg.schur for deg in degs], True) == levi == commutant(
+        gens, d, field=f)
     for x, (d_l, levi_l, comm_d, comm_levi) in zip(
         fac.layers, full_blocks(shape, dalg)
     ):
         assert x.block_size == d_l.ambient_dim
         assert x.dim_D == d_l.dimension
-        assert x.commutant_pi.dimension == comm_d.dimension
+        assert x.dim_commutant_pi == comm_d.dimension
         assert x.dim_commutant_levi == comm_levi.dimension
-        assert x.commutant_pi == x.levi
-        assert comm_d == levi_l
-        assert (x.commutant_levi == x.pi) == (comm_levi == d_l)
+        assert x.certified == (comm_d == levi_l)
+        assert x.converse == (comm_levi == d_l)
         assert all(comm_levi.contains(m) for m in d_l.basis)
 
 
@@ -239,10 +240,12 @@ def test_degree_data_matches_cut_blocks(shape):
                                shape), lead) for i in range(1, l)]
         assert deg.schur == span_of(levi, d=size, field=f)
         assert deg.group == span_of(pis, d=size, field=f)
-        assert deg.commutant_pi == commutant(simple, size, field=f,
-                                             size_cap=size)
-        assert deg.commutant_schur == commutant(levi, size, field=f,
-                                                size_cap=size)
+        comm_pi = commutant(simple, size, field=f, size_cap=size)
+        assert len(deg.orbits[0]) == comm_pi.dimension
+        assert deg.certified == (comm_pi == deg.schur)
+        assert deg.converse == (commutant(levi, size, field=f,
+                                          size_cap=size) == deg.group)
+        assert deg.certified and deg.converse
 
 
 def refuse_elimination(*args, **kwargs):
@@ -261,7 +264,7 @@ def test_both_parities_solve_each_degree_once(monkeypatch):
         return linalg.nullity_reaches(gens, d, target, field, unknowns)
 
     monkeypatch.setattr(schur_core, "nullity_reaches", recording)
-    monkeypatch.setattr(schur_core, "commutant", refuse_elimination)
+    monkeypatch.setattr(linalg, "commutant", refuse_elimination)
     # ``dims`` reads only the group spans
     _report, status = cli.cmd_dims(cli.RunConfig(m=2, n=1, r=3))
     assert status == cli.EXIT_OK and counted == []
