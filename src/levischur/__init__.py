@@ -1,6 +1,7 @@
 """
 Exact-arithmetic Schur superalgebras on the enhanced tensor superspace,
-with double-centralizer verification by explicit commutant computation.
+with the double centralizer certified layer by layer: exact gates on
+signed maps, and the two classical commutants decided per degree.
 
 The natural entry points:
 

@@ -6,17 +6,17 @@ faithfulness of the layer actions.
 Layer l of the space is the sum over the C(r,l) supports S of copies
 of V^{(x)l}, and each layer of the double centralizer is classical
 Sergeev duality moved along them.  ``layer_factors`` reads it so, once
-per shape, under three exact gates: G1 and G2 of
+per shape, under three exact gates on that frame: G1 and G2 of
 ``hecke.d_certificate`` (the products B_S L_w A_T of its factors span
-D, and the B_S A_T are matrix units), and G3 here (every Levi basis
-matrix is its ``xi_matrix`` moved to each support by the B_S, and every
-layer projector lies in the Levi span).  Under them D_l = M_k (x) Pi_l and
-L_l = I_k (x) S(m|n,l), k = C(r,l), Pi_l the image of KS_l, so every
-layer reads ``schur_core.degree(shape, l)``: C(D_l) = I_k (x) C(Pi_l)
-and C(L_l) = M_k (x) C(S(m|n,l)), the classical commutants that
-``schur_core.Degree`` decides in its verdicts ``certified`` and
-``converse``.  If a gate or a verdict fails, every check read from it
-fails.
+D, and the B_S A_T are matrix units), and G3 ``_levi_transport`` (the
+Levi placement on each support S is B_S, and the weight blocks hold).
+Under them D_l = M_k (x) Pi_l and L_l = I_k (x) S(m|n,l), k = C(r,l),
+Pi_l the image of KS_l, so every layer reads ``schur_core.degree(shape,
+l)``: C(D_l) = I_k (x) C(Pi_l) and C(L_l) = M_k (x) C(S(m|n,l)), the
+classical commutants that ``schur_core.Degree`` decides in its verdicts
+``certified`` and ``converse``.  The Levi rank and the faithful layer
+actions are read from the same gates and verdicts.  If a gate or a
+verdict fails, every check read from it fails.
 
 The first direction holds at every degree; the second is asserted when
 r <= m+n and otherwise only reported (containment of D in the commutant,
@@ -25,6 +25,7 @@ which the first direction gives, is always checked).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke, schur_core
 from .combinatorics import Shape
-from .linalg import DEFAULT_SIZE_CAP, Echelon, check_size_cap
+from .linalg import DEFAULT_SIZE_CAP, check_size_cap
 
 
 @dataclass(frozen=True)
@@ -71,34 +72,37 @@ class LayerFactors:
 
 
 def _levi_transport(shape: Shape) -> bool:
-    """G3: every Levi basis matrix is the sum over the supports S of its
-    ``xi_matrix`` moved to S by the matrix units B_S = X_{S,lead,id} of
-    ``hecke.d_factors``, and every layer projector lies in the Levi
-    span."""
+    """G3: on the leading words, the matrix unit B_S = X_{S,lead,id} of
+    ``hecke.d_factors`` is the placement of ``enh.rho_levi`` on S
+    (``enh._placements``), B_S(lead[k]) = (pos_S[k], (-1)^tw_S[k]), for
+    every support S; and ``Degree.weight_blocks`` holds at every degree.
+    O(dim_enhanced) lookups; no Levi matrix is built.
+
+    Why it suffices, under G1 and G2.  (1) ``rho_levi(b)`` puts entry
+    (k, t) of xi = ``xi_matrix(b.pair)`` at (pos_S[k], pos_S[t]) times
+    (-1)^(tw_S[k] + tw_S[t]) on every S, and A_S inverts B_S (G1(b), G2),
+    so it is the sum of the B_S xi A_S: L_l = I_k (x) S(m|n,l).  (2) The
+    diagonal xi((w, w)) are 0/1 idempotents summing to 1 on V^{(x)l},
+    so by (1) and G1(b) the diagonal Levi elements of layer l sum to the
+    B_S A_S, to P_l.  (3) So no nonzero layer-l vector is killed by every
+    degree-l element.  (4) Under ``Degree.certified`` each xi is one
+    whole signed orbit, on distinct orbits, so the xi of a degree lie on
+    disjoint positions; the B_S keep the supports apart and the layers
+    lie on disjoint words, so the Levi basis is independent, of rank
+    ``enh.levi_dimension``.
+    """
     fac = hecke.d_factors(shape)
-    f = shape.field
-    # per layer: the leading words and the B_S, fetched once
-    layers = [
-        (enh.support_positions(shape, comb.identity_perm(l)),
-         [B for S, (_A, B) in fac.items() if len(S) == l])
-        for l in range(shape.r + 1)
-    ]
-    for b in enh.levi_basis(shape):
-        pos, units = layers[b.layer]
-        xi = schur_core.degree(shape, b.layer).xi[b.pair]
-        moved = {}
-        for unit in units:
-            # under G2, B_S is defined on every leading word
-            for (k, t), v in xi.entries.items():
-                (p, s), (p2, s2) = unit[pos[k]], unit[pos[t]]
-                moved[(p, p2)] = v if s == s2 else f.neg(v)
-        if moved != enh.rho_levi(b, shape).entries:
+    for l in range(shape.r + 1):
+        lead = enh.support_positions(shape, comb.identity_perm(l))
+        supports = itertools.combinations(range(shape.r), l)
+        for S, (pos, tw) in zip(supports, enh._placements(l, shape)):
+            B = fac[S][1]
+            if any(B.get(p) != (q, -1 if t else 1)
+                   for p, q, t in zip(lead, pos, tw)):
+                return False
+        if schur_core.degree(shape, l).weight_blocks is None:
             return False
-    levi = enh.levi_span(shape)
-    return all(
-        levi.contains(hecke.layer_projector(l, shape))
-        for l in range(shape.r + 1)
-    )
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +138,7 @@ def layer_factors(
 
 @dataclass(frozen=True)
 class FirstDualityResult:
-    dim_levi: int
+    dim_levi: int | None
     dim_commutant_D: int
     holds: bool
 
@@ -145,14 +149,15 @@ def verify_first(
     """Commutant of the generator image equals the Levi span.
 
     This direction has no degree restriction and must hold at every
-    shape.
+    shape.  The gates and ``certified`` also fix dim_levi, (4) of
+    ``_levi_transport``; it is None when they fail.
     """
     fac = layer_factors(shape, size_cap)
+    holds = fac.failed_gate is None and all(x.certified for x in fac.layers)
     return FirstDualityResult(
-        dim_levi=enh.levi_span(shape).dimension,
+        dim_levi=enh.levi_dimension(shape) if holds else None,
         dim_commutant_D=sum(x.dim_commutant_pi for x in fac.layers),
-        holds=fac.failed_gate is None
-        and all(x.certified for x in fac.layers),
+        holds=holds,
     )
 
 
@@ -227,25 +232,12 @@ def verify_layer_endos(
 def verify_faithful_layer_action(
     shape: Shape, l: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> bool:
-    """No nonzero layer-l vector is killed by every degree-l element.
-
-    Stacks the layer-restricted columns of every degree-l basis matrix
-    and checks the kernel is trivial.
+    """No nonzero layer-l vector is killed by every degree-l element:
+    they span P_l, (2) and (3) of ``_levi_transport``, under the gates.
     """
     if not 1 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range 1..{shape.r}")
-    check_size_cap(shape.dim_enhanced, size_cap)
-    index = {p: k for k, p in enumerate(enh.layer_positions(shape, l))}
-    ech = Echelon(shape.field)
-    for pair in comb.orbit_reps(shape, l):
-        mat = enh.rho_levi(enh.LeviBasisElement(pair, l), shape)
-        rows: dict[int, dict] = {}
-        for (r, c), v in mat.entries.items():
-            if c in index:
-                rows.setdefault(r, {})[index[c]] = v
-        for row in rows.values():
-            ech.add(row)
-    return ech.rank == len(index)
+    return layer_factors(shape, size_cap).failed_gate is None
 
 
 @dataclass(frozen=True)
@@ -258,7 +250,7 @@ class DualityReport:
     vparity: int
     field_name: str
     dim_ambient: int
-    dim_levi: int
+    dim_levi: int | None
     dim_D: int
     dim_commutant_D: int
     dim_commutant_levi: int | None
@@ -303,7 +295,6 @@ def run_duality(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> DualityReport
         verify_faithful_layer_action(shape, l, size_cap)
         for l in range(1, shape.r + 1)
     )
-    rank_ok = enh.levi_span(shape).dimension == enh.levi_dimension(shape)
     return DualityReport(
         m=shape.m,
         n=shape.n,
@@ -326,6 +317,7 @@ def run_duality(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> DualityReport
         per_layer_endo_equal=layers.per_layer_equal,
         failed_gate=layer_factors(shape, size_cap).failed_gate,
         faithful_layers=faithful,
-        levi_rank_matches_basis=rank_ok,
+        # (4) of ``_levi_transport``: the rank is fixed with dim_levi
+        levi_rank_matches_basis=first.dim_levi is not None,
         seconds=time.perf_counter() - t0,
     )

@@ -378,8 +378,9 @@ def classical_duality(
 
     The commutant of the signed symmetric group action always equals
     the span of the basis matrices; the converse (the commutant of that
-    span is the image of the group algebra, of dimension r!) is gated on r <= m+n and merely reported otherwise.  A
-    dimension that no verdict fixes is None.
+    span is the image of the group algebra, of dimension r!) is gated
+    on r <= m+n and merely reported otherwise.  A dimension that no
+    verdict fixes is None.
     """
     check_size_cap(shape.dim_natural, size_cap)
     deg = degree(shape, shape.r)

@@ -249,12 +249,17 @@ def test_forced_count_miss_fails_the_converse(field, monkeypatch):
 
 def test_run_path_eliminates_no_commutant(monkeypatch):
     """``verify``, ``dims`` and ``report`` pass over the ladder with
-    ``linalg.commutant`` refusing to run: the verdicts alone decide."""
+    ``linalg.commutant`` and ``enh.levi_span`` refusing to run: the
+    verdicts alone decide."""
     def refuse(*args, **kwargs):
         raise AssertionError("commutant eliminated on the run path")
 
+    def refuse_levi_span(*args, **kwargs):
+        raise AssertionError("Levi span built on the run path")
+
     for module in (levischur, linalg, schur_core, cli):
         monkeypatch.setattr(module, "commutant", refuse, raising=False)
+    monkeypatch.setattr(enh, "levi_span", refuse_levi_span)
     for m, n, r in [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 0, 4),
                     (3, 0, 3)]:
         for field in ("q", "p:3", "p:5"):

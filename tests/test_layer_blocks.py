@@ -6,7 +6,10 @@ The brute-force constructions below are the oracle for
 the closure of D (right products with the Coxeter generators, and the
 two-sided closure over every generator), commutants on the whole
 enhanced space, the full layer blocks of C(r,l)(m+n)^l words, and the
-layer algebras closed from their own generators.
+layer algebras closed from their own generators.  The Levi side is
+checked on its frame; the whole-space passes it replaced (every Levi
+basis matrix moved by the B_S, the rank of the Levi span, and the
+echelon of the layer-restricted columns) are kept here as its oracles.
 """
 
 import itertools
@@ -45,6 +48,7 @@ SHAPES = [
     for field in (QQ, PrimeField(3))
 ]
 DEEP = [Shape(1, 1, 4, vp) for vp in (0, 1)]
+DEEP_GF3 = [Shape(1, 1, 4, vp, PrimeField(3)) for vp in (0, 1)]
 
 
 def shape_id(sh):
@@ -348,6 +352,7 @@ def test_twist_mutants_fail_transport_and_cross_parity(name, monkeypatch):
     ))
     shape = Shape(1, 1, 3, 1)
     assert duality.layer_factors(shape).failed_gate == "levi_transport"
+    assert not transport_oracle(shape)
     assert_all_block_checks_fail(shape)
     check = cli._cross_parity_check(cli.RunConfig(m=1, n=1, r=3))
     assert check["name"] == "cross_parity_conjugation"
@@ -380,18 +385,6 @@ def test_family_words_evaluate_to_members(shape):
                    field=shape.field) == hecke.d_algebra(shape)
 
 
-def drop_layer_zero(span, shape):
-    """The span without its layer-0 part, so it misses the unit P_0."""
-    keep = set(enh.layer_positions(shape, 0))
-    mats = [
-        m for m in span.basis
-        if not any(r in keep for r, _c in m.entries)
-    ]
-    out = span_of(mats, d=shape.dim_enhanced, field=shape.field)
-    assert not out.contains(layer_projector(0, shape))
-    return out
-
-
 def assert_all_block_checks_fail(shape):
     assert duality.layer_factors(shape).failed_gate is not None
     rep = duality.run_duality(shape)
@@ -403,12 +396,108 @@ def assert_all_block_checks_fail(shape):
     assert not rep.all_gated_hold
 
 
+def drop_diagonal_entry(monkeypatch):
+    """Serve the weight idempotent xi(((1, 2), (1, 2))) without one of its
+    two entries: the diagonal basis matrices of degree 2 no longer sum to
+    1, and the Levi span misses the unit P_2."""
+    real = schur_core.xi_matrix
+    diagonal = ((1, 2), (1, 2))
+
+    def mutant(pair, sh):
+        mat = real(pair, sh)
+        if pair != diagonal:
+            return mat
+        entries = dict(mat.entries)
+        del entries[max(entries)]
+        return ExactMatrix(sh.field, mat.nrows, mat.ncols, entries)
+
+    monkeypatch.setattr(schur_core, "xi_matrix", mutant)
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_levi_span_missing_a_unit_fails_gate(shape, monkeypatch):
-    broken = drop_layer_zero(enh.levi_span(shape), shape)
-    monkeypatch.setattr(enh, "levi_span", lambda sh: broken)
+    drop_diagonal_entry(monkeypatch)
+    assert schur_core.degree(shape, 2).weight_blocks is None
+    assert not enh.levi_span(shape).contains(layer_projector(2, shape))
     assert_all_block_checks_fail(shape)
     assert duality.layer_factors(shape).failed_gate == "levi_transport"
+    rep = duality.run_duality(shape)
+    assert not any(rep.faithful_layers)
+    assert not rep.levi_rank_matches_basis and rep.dim_levi is None
+
+
+@pytest.mark.parametrize("shape", SHAPES[::2], ids=shape_id)
+def test_flipped_leading_word_of_a_unit_fails(shape, monkeypatch):
+    """B_S with the sign of one leading word flipped no longer matches
+    the placement of the Levi matrices on S: G3 fails on its own, and G1
+    or G2 fails before it."""
+    S = tuple(range(shape.r - 2, shape.r))
+    lead = enh.support_positions(shape, (0, 1))
+
+    def flip(fac, sh):
+        A, B = fac[S]
+        q, s = B[lead[1]]
+        fac[S] = (A, {**B, lead[1]: (q, -s)})
+
+    patch_family(monkeypatch, flip)
+    assert not duality._levi_transport(shape)
+    assert hecke.d_certificate(shape) in ("certificate", "matrix_units")
+    assert_all_block_checks_fail(shape)
+
+
+def transport_oracle(shape):
+    """Every Levi basis matrix is its ``xi_matrix`` moved to each support
+    by the B_S, built entry by entry, and every P_l lies in the Levi
+    span."""
+    fac = hecke.d_factors(shape)
+    f = shape.field
+    for b in enh.levi_basis(shape):
+        pos = enh.support_positions(shape, identity_perm(b.layer))
+        xi = schur_core.degree(shape, b.layer).xi[b.pair]
+        moved = {}
+        for S, (_A, B) in fac.items():
+            if len(S) != b.layer:
+                continue
+            for (k, t), v in xi.entries.items():
+                (p, s), (p2, s2) = B[pos[k]], B[pos[t]]
+                moved[(p, p2)] = v if s == s2 else f.neg(v)
+        if moved != enh.rho_levi(b, shape).entries:
+            return False
+    levi = enh.levi_span(shape)
+    return all(levi.contains(layer_projector(l, shape))
+               for l in range(shape.r + 1))
+
+
+def faithful_oracle(shape, l):
+    """The layer-restricted columns of every degree-l basis matrix have
+    a trivial common kernel."""
+    index = {p: k for k, p in enumerate(enh.layer_positions(shape, l))}
+    ech = Echelon(shape.field)
+    for b in enh.levi_basis(shape):
+        if b.layer != l:
+            continue
+        rows = {}
+        for (r, c), v in enh.rho_levi(b, shape).entries.items():
+            if c in index:
+                rows.setdefault(r, {})[index[c]] = v
+        for row in rows.values():
+            ech.add(row)
+    return ech.rank == len(index)
+
+
+@pytest.mark.parametrize("shape", SHAPES + DEEP + DEEP_GF3, ids=shape_id)
+def test_levi_verdicts_match_whole_space_oracles(shape):
+    """G3, ``faithfulness_rank`` and ``faithful_layer_action``, read on
+    the frame, against the whole-space passes they replaced."""
+    rep = duality.run_duality(shape)
+    assert transport_oracle(shape)
+    assert duality._levi_transport(shape) and rep.failed_gate is None
+    rank = enh.levi_span(shape).dimension
+    assert rank == enh.levi_dimension(shape) == rep.dim_levi
+    assert rep.levi_rank_matches_basis
+    assert rep.faithful_layers == tuple(
+        faithful_oracle(shape, l) for l in range(1, shape.r + 1))
+    assert all(rep.faithful_layers)
 
 
 def patch_family(monkeypatch, edit):
@@ -447,13 +536,14 @@ def test_flipped_member_fails_certificate_or_units(monkeypatch):
 
 
 def test_gate_failure_exits_1(monkeypatch, capsys):
-    shape = Shape(1, 1, 2, 0)
-    broken = drop_layer_zero(enh.levi_span(shape), shape)
-    monkeypatch.setattr(enh, "levi_span", lambda sh: broken)
+    drop_diagonal_entry(monkeypatch)
     argv = ["verify", "--m", "1", "--n", "1", "--r", "2",
             "--vparity", "even"]
     assert cli.main(argv) == cli.EXIT_CHECK_FAILED
-    assert "FAIL layer_decomposition" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    for name in ("layer_decomposition", "faithful_layer_action",
+                 "faithfulness_rank"):
+        assert f"FAIL {name}" in out
 
 
 def test_closure_adds_generators_the_coxeter_set_misses(
@@ -576,13 +666,16 @@ def test_named_mutant_fails_certificate(monkeypatch):
 
 
 def test_run_path_never_closes_d(monkeypatch):
-    """``verify`` and ``dims`` close nothing and eliminate no commutant
-    over the rationals: each is certified by a count on at most (m+n)^r
-    words, also at (1|1,5) and (2|1,4)."""
+    """``verify`` and ``dims`` close nothing, build no Levi span and
+    eliminate no commutant over the rationals: each is certified by a
+    count on at most (m+n)^r words, also at (1|1,5) and (2|1,4)."""
     sizes = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("algebra_closure on the run path")
+
+    def refuse_levi_span(*args, **kwargs):
+        raise AssertionError("Levi span built on the run path")
 
     def recording(gens, d, target, field, unknowns=None):
         sizes.append(d)
@@ -592,6 +685,7 @@ def test_run_path_never_closes_d(monkeypatch):
         monkeypatch.setattr(module, "algebra_closure", refuse, raising=False)
         monkeypatch.setattr(module, "commutant", refuse_elimination,
                             raising=False)
+    monkeypatch.setattr(enh, "levi_span", refuse_levi_span)
     monkeypatch.setattr(schur_core, "nullity_reaches", recording)
     for m, n, r, vparity in [(1, 1, 4, "both"), (2, 1, 3, "both"),
                              (1, 1, 5, "even"), (2, 1, 4, "even")]:
