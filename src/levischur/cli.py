@@ -12,11 +12,13 @@ Subcommands:
 
 The ``relations`` check reads ``hecke.relation_failures``, the cached
 verdict on ``hecke.certified_instances`` that gate G1 reads too, and
-``commutation`` tests the Levi basis against the Coxeter generators
-only; their ``instances`` and ``pairs`` are the counts the certificate
+``commutation`` reads the first direction, ``duality.verify_first``;
+their ``instances`` and ``pairs`` are the counts the certificate
 covers: every relation instance, and the Levi basis against every
 ``hecke_generators`` member.  ``commutation`` passes only when the
-relations do in the same run.
+relations do in the same run.  ``cross_parity_conjugation`` compares
+the two parities' Levi placements on the frame; no command builds a
+whole-space Levi matrix.
 
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 invalid
 configuration, 3 size cap exceeded; the cap applies to every command
@@ -43,13 +45,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
-from . import hecke, schur_core
+from . import hecke
 from .combinatorics import Shape
-from .duality import layer_factors, run_duality
+from .duality import layer_factors, run_duality, verify_first
 from .linalg import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,
@@ -63,8 +65,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_SIZE_CAP = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     m: int
     n: int
     r: int
@@ -124,22 +125,21 @@ def _relation_checks(shape: Shape) -> list[dict]:
     return checks
 
 
-def _commutation_check(shape: Shape, relations_hold: bool) -> dict:
-    """The Levi basis against the Coxeter generators.  When the relation
-    certificate holds, every ``hecke_generators`` member is a product of
-    them (3.3), so ``pairs`` counts the Levi basis against all of those;
-    ``failed`` counts the failing Coxeter pairs."""
-    tests = [schur_core.commutation_test(hecke._gen_map(g, shape))
-             for g in hecke.coxeter_generators(shape)]
-    basis = enh.levi_basis(shape)
-    bad = sum(not test(enh.rho_levi(b, shape))
-              for b in basis for test in tests)
-    details = {"pairs": len(basis) * hecke.generator_count(shape.r),
-               "failed": bad}
+def _commutation_check(shape: Shape, relations_hold: bool,
+                       size_cap: int) -> dict:
+    """The Levi basis against every ``hecke_generators`` member, read from
+    the first direction: under its gates and ``Degree.certified`` the
+    Levi span is C(D), so it commutes with all of D.  ``pairs`` counts
+    the pairs that verdict covers; ``failed`` is 0 under it, and None
+    when no verdict fixes it."""
+    holds = verify_first(shape, size_cap).holds
+    details = {"pairs": enh.levi_dimension(shape)
+               * hecke.generator_count(shape.r),
+               "failed": 0 if holds else None}
     if not relations_hold:
         details["relations_certified"] = False
-    return _check("commutation", shape.vparity,
-                  bad == 0 and relations_hold, True, **details)
+    return _check("commutation", shape.vparity, holds and relations_hold,
+                  True, **details)
 
 
 def _duality_checks(shape: Shape, size_cap: int) -> tuple[list[dict], dict]:
@@ -207,18 +207,26 @@ def _layer_timing(shape: Shape, size_cap: int) -> list[dict]:
 
 
 def _cross_parity_check(cfg: RunConfig) -> dict:
-    """The two Levi representations are conjugate by a diagonal sign
-    matrix (the swap generators are genuinely different operators across
-    parities, so no global conjugation exists; see enhanced_core)."""
+    """The two Levi representations are conjugate by the diagonal sign
+    matrix ``enh.parity_flip_conjugator`` F (the swap generators are
+    genuinely different operators across parities, so no global
+    conjugation exists; see enhanced_core).
+
+    Read on the frame: ``rho_levi(b)`` puts entry (k, t) of
+    ``xi_matrix(b.pair)`` at (pos_S[k], pos_S[t]) times
+    (-1)^(tw_S[k] + tw_S[t]) on every support S, from ``enh._placements``,
+    and xi does not read the parity.  So F rho_0(b) F = rho_1(b) for
+    every b when, on every support, the positions of the two parities
+    agree and their twists differ at each word by F's exponent there.
+    O(dim_enhanced); no Levi matrix is built."""
     sh0, sh1 = cfg.shapes()
-    # the conjugator is diagonal +-1: entry (a, b) flips when its signs do
-    flip = {a: v for (a, _), v in
-            enh.parity_flip_conjugator(sh0).entries.items()}
+    flip = enh.flip_exponents(sh0)
     ok = all(
-        enh.rho_levi(b1, sh1).entries == {
-            (a, b): v if flip[a] == flip[b] else sh0.field.neg(v)
-            for (a, b), v in enh.rho_levi(b0, sh0).entries.items()}
-        for b0, b1 in zip(enh.levi_basis(sh0), enh.levi_basis(sh1)))
+        pos0 == pos1
+        and all(a ^ b == flip[p] for p, a, b in zip(pos0, tw0, tw1))
+        for l in range(cfg.r + 1)
+        for (pos0, tw0), (pos1, tw1) in zip(enh._placements(l, sh0),
+                                            enh._placements(l, sh1)))
     return _check("cross_parity_conjugation", -1, ok, True)
 
 
@@ -249,7 +257,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     for shape in cfg.shapes():
         relations = _relation_checks(shape)
         checks.extend(relations)
-        checks.append(_commutation_check(shape, relations[0]["passed"]))
+        checks.append(_commutation_check(shape, relations[0]["passed"],
+                                         cfg.size_cap))
         dchecks, dims = _duality_checks(shape, cfg.size_cap)
         checks.extend(dchecks)
         layers.extend(_layer_timing(shape, cfg.size_cap))

@@ -32,8 +32,8 @@ and its least element lists them sorted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .linalg import QQ
 
@@ -43,29 +43,34 @@ Permutation = tuple[int, ...]
 DoubleIndex = tuple[MultiIndex, MultiIndex]
 
 
-@dataclass(frozen=True)
-class Shape:
+class _ShapeFields(NamedTuple):
+    m: int
+    n: int
+    r: int
+    vparity: int
+    field: object
+
+
+class Shape(_ShapeFields):
     """Ambient parameters: m even letters, n odd letters, tensor degree r.
 
     ``vparity`` is the parity of the extra enhanced vector and ``field``
     the exact coefficient field (rationals by default).
     """
 
-    m: int
-    n: int
-    r: int
-    vparity: int = 0
-    field: object = QQ
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, n: int, r: int, vparity: int = 0,
+                field: object = QQ):
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be >= 0")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be >= 1")
-        if self.vparity not in (0, 1):
+        if vparity not in (0, 1):
             raise ValueError("vparity must be 0 or 1")
+        return super().__new__(cls, m, n, r, vparity, field)
 
     @property
     def dim_natural(self) -> int:

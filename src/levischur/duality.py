@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
@@ -38,8 +38,7 @@ from .combinatorics import Shape
 from .linalg import DEFAULT_SIZE_CAP, check_size_cap
 
 
-@dataclass(frozen=True)
-class LayerFactor:
+class LayerFactor(NamedTuple):
     """Layer l of both algebras, read from ``schur_core.degree``: D_l =
     M_k (x) Pi_l and L_l = I_k (x) S(m|n,l) on k copies of the (m+n)^l
     words of V^{(x)l}, with the verdicts on their classical commutants."""
@@ -51,9 +50,19 @@ class LayerFactor:
     dim_commutant_pi: int   # the consistent signed orbits, on every run
     certified: bool         # C(Pi_l) = S(m|n,l)
     converse: bool          # C(S(m|n,l)) = Pi_l
-    seconds: float = field(compare=False, default=0.0)
+    # ``seconds`` and ``solves`` are left out of equality
+    seconds: float
     # how each verdict was reached: ``schur_core.Degree.solves``
-    solves: dict = field(compare=False, default_factory=dict)
+    solves: dict
+
+    def __eq__(self, other):
+        return isinstance(other, LayerFactor) and self[:-2] == other[:-2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-2])
 
     @property
     def dim_D(self) -> int:
@@ -65,8 +74,7 @@ class LayerFactor:
         return self.dim_D if self.converse else None
 
 
-@dataclass(frozen=True)
-class LayerFactors:
+class LayerFactors(NamedTuple):
     layers: tuple[LayerFactor, ...]
     failed_gate: str | None     # the first of G1-G3 that fails, or None
 
@@ -136,8 +144,7 @@ def layer_factors(
     return _layer_factors(shape)
 
 
-@dataclass(frozen=True)
-class FirstDualityResult:
+class FirstDualityResult(NamedTuple):
     dim_levi: int | None
     dim_commutant_D: int
     holds: bool
@@ -161,8 +168,7 @@ def verify_first(
     )
 
 
-@dataclass(frozen=True)
-class SecondDualityResult:
+class SecondDualityResult(NamedTuple):
     dim_D: int
     dim_commutant_levi: int | None
     containment_holds: bool
@@ -198,8 +204,7 @@ def verify_second(
     )
 
 
-@dataclass(frozen=True)
-class LayerEndoReport:
+class LayerEndoReport(NamedTuple):
     per_layer_dims: tuple[int | None, ...]
     per_layer_equal: tuple[bool, ...]
     sum_matches_commutant: bool
@@ -240,8 +245,7 @@ def verify_faithful_layer_action(
     return layer_factors(shape, size_cap).failed_gate is None
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Everything the theorem-level verification produces for a shape."""
 
     m: int
@@ -264,7 +268,17 @@ class DualityReport:
     failed_gate: str | None
     faithful_layers: tuple[bool, ...]
     levi_rank_matches_basis: bool
-    seconds: float = field(compare=False, default=0.0)
+    # left out of equality
+    seconds: float = 0.0
+
+    def __eq__(self, other):
+        return isinstance(other, DualityReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     @property
     def layer_sum_matches(self) -> bool:

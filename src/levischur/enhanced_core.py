@@ -20,8 +20,8 @@ see ``parity_flip_conjugator``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import schur_core
@@ -125,17 +125,21 @@ def support_positions(shape: Shape, support: Support) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LeviBasisElement:
-    """Either the bottom projector (layer 0, empty pair) or an orbit
-    representative of degree ``layer``."""
-
+class _LeviFields(NamedTuple):
     pair: DoubleIndex
     layer: int
 
-    def __post_init__(self):
-        if self.layer != len(self.pair[0]) or self.layer != len(self.pair[1]):
+
+class LeviBasisElement(_LeviFields):
+    """Either the bottom projector (layer 0, empty pair) or an orbit
+    representative of degree ``layer``."""
+
+    __slots__ = ()
+
+    def __new__(cls, pair: DoubleIndex, layer: int):
+        if layer != len(pair[0]) or layer != len(pair[1]):
             raise ValueError("layer must equal the pair degree")
+        return super().__new__(cls, pair, layer)
 
 
 BOTTOM = LeviBasisElement(((), ()), 0)
@@ -231,30 +235,34 @@ def levi_dimension(shape: Shape) -> int:
     )
 
 
-def parity_flip_conjugator(shape: Shape) -> ExactMatrix:
-    """Diagonal sign matrix relating the two enhanced-vector parities.
-
-    The entry at a word is -1 raised to the number of inversions between
-    enhanced slots and later odd natural letters.  Conjugating any Levi
-    basis matrix built with vparity 1 by this matrix yields its vparity
-    0 counterpart; the same holds for the layer permutation generators
-    (which live on leading supports where the count vanishes), but not
-    for the signed swaps, whose action on two adjacent enhanced slots
-    genuinely changes sign with the parity.  The matrix is its own
-    inverse.
-    """
-    d = shape.dim_enhanced
+def flip_exponents(shape: Shape) -> tuple[int, ...]:
+    """Per enhanced word, in ``enhanced_basis`` order, the number of
+    inversions between enhanced slots and later odd natural letters
+    (the letters above ``m+1``), mod 2."""
     enh = enhanced_letter(shape)
-    entries = {}
-    for pos, word in enumerate(enhanced_basis(shape)):
-        count = 0
-        enh_seen = 0
+    out = []
+    for word in enhanced_basis(shape):
+        count = enh_seen = 0
         for letter in word:
             if letter == enh:
                 enh_seen += 1
-            else:
-                nat = letter_to_natural(letter, shape)
-                if comb.parity_of_index(nat, shape):
-                    count += enh_seen
-        entries[(pos, pos)] = -1 if count % 2 else 1
-    return ExactMatrix(shape.field, d, d, entries)
+            elif letter > enh:
+                count += enh_seen
+        out.append(count & 1)
+    return tuple(out)
+
+
+def parity_flip_conjugator(shape: Shape) -> ExactMatrix:
+    """Diagonal sign matrix relating the two enhanced-vector parities.
+
+    The entry at a word is -1 raised to its ``flip_exponents``.
+    Conjugating any Levi basis matrix built with vparity 1 by this
+    matrix yields its vparity 0 counterpart; the same holds for the
+    layer permutation generators (which live on leading supports where
+    the count vanishes), but not for the signed swaps, whose action on
+    two adjacent enhanced slots genuinely changes sign with the parity.
+    The matrix is its own inverse.
+    """
+    d = shape.dim_enhanced
+    return ExactMatrix(shape.field, d, d, {
+        (p, p): -1 if e else 1 for p, e in enumerate(flip_exponents(shape))})

@@ -71,9 +71,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
@@ -88,31 +87,39 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class SwapGen:
-    """Adjacent signed swap of tensor slots i, i+1 (1-based)."""
-
+class _SwapFields(NamedTuple):
     i: int
 
-    def __post_init__(self):
-        if self.i < 1:
+
+class SwapGen(_SwapFields):
+    """Adjacent signed swap of tensor slots i, i+1 (1-based)."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int):
+        if i < 1:
             raise ValueError("swap index must be >= 1")
+        return super().__new__(cls, i)
 
 
-@dataclass(frozen=True)
-class LayerGen:
-    """Permutation of the layer-l leading-support block, zero elsewhere."""
-
+class _LayerFields(NamedTuple):
     l: int
     sigma: Permutation
 
-    def __post_init__(self):
-        if self.l < 0:
+
+class LayerGen(_LayerFields):
+    """Permutation of the layer-l leading-support block, zero elsewhere."""
+
+    __slots__ = ()
+
+    def __new__(cls, l: int, sigma: Permutation):
+        if l < 0:
             raise ValueError("layer must be >= 0")
-        if len(self.sigma) != self.l:
+        if len(sigma) != l:
             raise ValueError("permutation degree must equal the layer")
-        if sorted(self.sigma) != list(range(self.l)):
+        if sorted(sigma) != list(range(l)):
             raise ValueError("sigma must be a permutation of 0..l-1")
+        return super().__new__(cls, l, sigma)
 
 
 HeckeGenerator = Union[SwapGen, LayerGen]
@@ -134,7 +141,9 @@ def _validate_gen(g: HeckeGenerator, shape: Shape) -> None:
 SignedMap = dict[int, tuple[int, int]]
 
 
-@lru_cache(maxsize=None)
+# typed: a generator equals the plain tuple of its fields, which
+# ``_validate_gen`` refuses
+@lru_cache(maxsize=None, typed=True)
 def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
     _validate_gen(g, shape)
     out: SignedMap = {}
@@ -185,7 +194,7 @@ def eval_word(word: Sequence[HeckeGenerator], shape: Shape) -> ExactMatrix:
                                     shape.dim_enhanced, shape.field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def xi_gen(g: HeckeGenerator, shape: Shape) -> ExactMatrix:
     """Matrix of a single generator on the enhanced basis."""
     return eval_word((g,), shape)
@@ -194,25 +203,32 @@ def xi_gen(g: HeckeGenerator, shape: Shape) -> ExactMatrix:
 RELATION_IDS = ("3.1a", "3.1b", "3.2", "3.3", "3.4", "3.5", "3.6")
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class _RelationFields(NamedTuple):
+    rel: str
+    i: int | None
+    j: int | None
+    l: int | None
+    k: int | None
+    sigma: Permutation | None
+    mu: Permutation | None
+
+
+class RelationInstance(_RelationFields):
     """One defining relation with concrete parameters.
 
     Parameter usage: 3.1a needs i; 3.1b and 3.2 need i, j; 3.3 needs l,
     sigma, mu; 3.4 and 3.5 need i, l, sigma; 3.6 needs l, k, sigma, mu.
     """
 
-    rel: str
-    i: int | None = None
-    j: int | None = None
-    l: int | None = None
-    k: int | None = None
-    sigma: Permutation | None = None
-    mu: Permutation | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rel not in RELATION_IDS:
-            raise ValueError(f"unknown relation {self.rel!r}")
+    def __new__(cls, rel: str, i: int | None = None, j: int | None = None,
+                l: int | None = None, k: int | None = None,
+                sigma: Permutation | None = None,
+                mu: Permutation | None = None):
+        if rel not in RELATION_IDS:
+            raise ValueError(f"unknown relation {rel!r}")
+        return super().__new__(cls, rel, i, j, l, k, sigma, mu)
 
 
 def relation_sides(

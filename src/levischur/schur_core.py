@@ -22,8 +22,8 @@ the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from .combinatorics import (
@@ -360,8 +360,7 @@ def degree(shape: Shape, l: int) -> Degree:
 _degree = lru_cache(maxsize=None)(Degree)
 
 
-@dataclass(frozen=True)
-class ClassicalDualityReport:
+class ClassicalDualityReport(NamedTuple):
     dim_commutant_of_symmetric_group: int
     dim_schur: int | None
     spans_equal: bool

@@ -100,6 +100,11 @@ def test_generator_validation():
         xi_gen(SwapGen(2), SH0)  # r = 2 has only swap 1
     with pytest.raises(ValueError):
         xi_gen(LayerGen(3, (0, 1, 2)), SH0)
+    # a generator equals the plain tuple of its fields, which is refused
+    # also once the generator's matrix is cached
+    xi_gen(SwapGen(1), SH0)
+    with pytest.raises(ValueError):
+        xi_gen((1,), SH0)
 
 
 def test_bottom_generator_is_bottom_projector():

@@ -15,6 +15,7 @@ echelon of the layer-restricted columns) are kept here as its oracles.
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from levischur.combinatorics import (
 )
 from levischur.hecke import LayerGen, SwapGen, layer_projector, xi_gen
 from levischur.linalg import (
+    DEFAULT_SIZE_CAP,
     AlgebraSpan,
     Echelon,
     ExactMatrix,
@@ -49,6 +51,7 @@ SHAPES = [
 ]
 DEEP = [Shape(1, 1, 4, vp) for vp in (0, 1)]
 DEEP_GF3 = [Shape(1, 1, 4, vp, PrimeField(3)) for vp in (0, 1)]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def shape_id(sh):
@@ -298,6 +301,8 @@ def xi_sign_mutants(shape):
 
 
 def test_every_xi_sign_mutant_fails_verify(monkeypatch):
+    """Each mutant fails ``verify``, and its ``commutation`` check with
+    the whole-space oracle of that check."""
     real = schur_core.xi_matrix
     mutants = xi_sign_mutants(MUTANT_SHAPE)
     assert len(mutants) == 54
@@ -314,10 +319,13 @@ def test_every_xi_sign_mutant_fails_verify(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(schur_core, "xi_matrix", mutant)
             levischur.clear_caches()
-            _report, status = cli.cmd_verify(cli.RunConfig(
+            report, status = cli.cmd_verify(cli.RunConfig(
                 m=1, n=1, r=3, vparity="even"
             ))
-            if status != cli.EXIT_CHECK_FAILED:
+            [comm] = [c for c in report["checks"]
+                      if c["name"] == "commutation"]
+            if (status != cli.EXIT_CHECK_FAILED or comm["passed"]
+                    or commutation_oracle(MUTANT_SHAPE, True)["passed"]):
                 survivors.append((pair, kt))
         levischur.clear_caches()
     assert not survivors
@@ -354,9 +362,16 @@ def test_twist_mutants_fail_transport_and_cross_parity(name, monkeypatch):
     assert duality.layer_factors(shape).failed_gate == "levi_transport"
     assert not transport_oracle(shape)
     assert_all_block_checks_fail(shape)
-    check = cli._cross_parity_check(cli.RunConfig(m=1, n=1, r=3))
+    # with G3 failed the first direction fixes nothing; the whole-space
+    # oracle misses the "after" twist, whose Levi matrices still commute
+    # with D
+    check = cli._commutation_check(shape, True, DEFAULT_SIZE_CAP)
+    assert check["passed"] is False and check["details"]["failed"] is None
+    assert commutation_oracle(shape, True)["passed"] is (name == "after")
+    cfg = cli.RunConfig(m=1, n=1, r=3)
+    check = cli._cross_parity_check(cfg)
     assert check["name"] == "cross_parity_conjugation"
-    assert check["passed"] is False
+    assert check["passed"] is cross_parity_oracle(cfg)["passed"] is False
 
 
 @pytest.mark.parametrize("shape", SHAPES[::2] + DEEP, ids=shape_id)
@@ -498,6 +513,95 @@ def test_levi_verdicts_match_whole_space_oracles(shape):
     assert rep.faithful_layers == tuple(
         faithful_oracle(shape, l) for l in range(1, shape.r + 1))
     assert all(rep.faithful_layers)
+
+
+def commutation_oracle(shape, relations_hold):
+    """The ``commutation`` check entry by entry: every whole-space Levi
+    basis matrix against every Coxeter generator; ``failed`` counts the
+    pairs that do not commute."""
+    tests = [schur_core.commutation_test(hecke._gen_map(g, shape))
+             for g in hecke.coxeter_generators(shape)]
+    basis = enh.levi_basis(shape)
+    bad = sum(not test(enh.rho_levi(b, shape))
+              for b in basis for test in tests)
+    details = {"pairs": len(basis) * hecke.generator_count(shape.r),
+               "failed": bad}
+    if not relations_hold:
+        details["relations_certified"] = False
+    return cli._check("commutation", shape.vparity,
+                      bad == 0 and relations_hold, True, **details)
+
+
+def cross_parity_oracle(cfg):
+    """The ``cross_parity_conjugation`` check entry by entry: every
+    vparity 1 Levi basis matrix is its vparity 0 counterpart conjugated
+    by ``enh.parity_flip_conjugator``."""
+    sh0, sh1 = cfg.shapes()
+    # the conjugator is diagonal +-1: entry (a, b) flips when its signs do
+    flip = {a: v for (a, _), v in
+            enh.parity_flip_conjugator(sh0).entries.items()}
+    ok = all(
+        enh.rho_levi(b1, sh1).entries == {
+            (a, b): v if flip[a] == flip[b] else sh0.field.neg(v)
+            for (a, b), v in enh.rho_levi(b0, sh0).entries.items()}
+        for b0, b1 in zip(enh.levi_basis(sh0), enh.levi_basis(sh1)))
+    return cli._check("cross_parity_conjugation", -1, ok, True)
+
+
+def both_parities(shape):
+    return cli.RunConfig(m=shape.m, n=shape.n, r=shape.r,
+                         field=shape.field.name)
+
+
+@pytest.mark.parametrize("shape", SHAPES + DEEP + DEEP_GF3, ids=shape_id)
+def test_commutation_and_cross_parity_match_oracles(shape):
+    """``commutation``, read from the first direction, and
+    ``cross_parity_conjugation``, read on the frame, against the
+    whole-space checks they replaced."""
+    assert cli._commutation_check(shape, True, DEFAULT_SIZE_CAP) == (
+        commutation_oracle(shape, True))
+    check = cli._cross_parity_check(both_parities(shape))
+    assert check == cross_parity_oracle(both_parities(shape))
+    assert check["passed"] is True
+
+
+def test_run_path_builds_no_levi_matrix(monkeypatch):
+    """``verify --vparity both`` passes with ``enh.rho_levi`` and
+    ``enh.parity_flip_conjugator`` refusing to run; its two checks are
+    those of the whole-space oracles, and its report is the golden one
+    where there is one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Levi matrix built on the run path")
+
+    for m, n, r in [(2, 1, 3), (1, 2, 3), (1, 1, 4)]:
+        cfg = cli.RunConfig(m=m, n=n, r=r, vparity="both")
+        with monkeypatch.context() as mp:
+            mp.setattr(enh, "rho_levi", refuse)
+            mp.setattr(enh, "parity_flip_conjugator", refuse)
+            report, status = cli.cmd_verify(cfg)
+        assert status == cli.EXIT_OK
+        names = ("commutation", "cross_parity_conjugation")
+        oracles = [commutation_oracle(sh, True) for sh in cfg.shapes()]
+        oracles.append(cross_parity_oracle(cfg))
+        assert [c for c in report["checks"] if c["name"] in names] == oracles
+        golden = GOLDEN / f"verify_{m}_{n}_{r}.json"
+        if golden.exists():
+            del report["timing"]
+            assert json.dumps(report, sort_keys=True, indent=2) + "\n" == (
+                golden.read_text())
+        levischur.clear_caches()
+
+
+def test_failed_relations_fail_commutation_and_its_oracle(monkeypatch):
+    """With every relation refused, the first direction fixes nothing:
+    ``failed`` is None, where the oracle counts no failing pair."""
+    monkeypatch.setattr(hecke, "check_relation", lambda inst, sh: False)
+    shape = Shape(1, 1, 2)
+    assert hecke.relation_failures(shape)
+    check = cli._commutation_check(shape, False, DEFAULT_SIZE_CAP)
+    oracle = commutation_oracle(shape, False)
+    assert check["passed"] is oracle["passed"] is False
+    assert check["details"] == dict(oracle["details"], failed=None)
 
 
 def patch_family(monkeypatch, edit):
