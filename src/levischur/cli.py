@@ -23,7 +23,9 @@ whole-space Levi matrix.
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 invalid
 configuration, 3 size cap exceeded; the cap applies to every command
 but ``orbits``, whose work is proportional to its output.  JSON goes to
-stdout with sorted keys.  Wall-clock measurements live under a "timing"
+stdout with sorted keys, as ``json.dumps(report, sort_keys=True,
+indent=2)`` would print it, and every report, JSON or text, reaches
+stdout in one write.  Wall-clock measurements live under a "timing"
 key, so reports can be compared byte for byte after dropping it; for
 ``verify`` and ``report`` it also holds ``layers``, the size,
 dimensions and seconds of every layer of the duality check, and how
@@ -42,9 +44,10 @@ the rationals are authoritative.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import combinatorics as comb
@@ -296,7 +299,7 @@ def cmd_orbits(cfg: RunConfig) -> tuple[dict, int]:
     layers = {}
     for l in range(shape.r + 1):
         layers[str(l)] = [
-            {"row": list(row), "col": list(col)}
+            {"row": row, "col": col}
             for row, col in comb.orbit_reps(shape, l)
         ]
     report["orbits"] = layers
@@ -331,29 +334,61 @@ _COMMANDS = {
 }
 
 
-def _emit_text(report: dict, out) -> None:
+_scalar = JSONEncoder().encode
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, built by joins.
+
+    ``pad`` is the newline and indentation that precede ``obj``'s
+    closing bracket.  Dict keys are strings, as in every report.  An
+    ``int`` (not a ``bool``) is ``str(x)``; every other scalar goes
+    through the stdlib encoder, so floats, ``true``/``false``, ``null``
+    and string escapes are the stdlib's own.  Tuples encode as lists.
+    """
+    if type(obj) is int:
+        return str(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([
+            encode_basestring_ascii(k) + ": " + _json(obj[k], inner)
+            for k in sorted(obj)]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + sep.join([
+            str(x) if type(x) is int else _json(x, inner)
+            for x in obj]) + pad + "]"
+    return _scalar(obj)
+
+
+def _text(report: dict) -> str:
+    """The text output: a header, the dims, the orbit representatives,
+    one line per check and the verdict."""
     shape = report["shape"]
-    print(
+    lines = [
         f"shape ({shape['m']}|{shape['n']},{shape['r']}) "
-        f"field={report['field']} vparity={report['vparity']}",
-        file=out,
-    )
+        f"field={report['field']} vparity={report['vparity']}"
+    ]
     if "dims" in report and report["dims"]:
         for key in sorted(report["dims"]):
-            print(f"  dim {key} = {report['dims'][key]}", file=out)
+            lines.append(f"  dim {key} = {report['dims'][key]}")
     if "orbits" in report:
         for l in sorted(report["orbits"], key=int):
             reps = report["orbits"][l]
-            print(f"  layer {l}: {len(reps)} representatives", file=out)
-            for rep in reps:
-                print(f"    {tuple(rep['row'])} | {tuple(rep['col'])}",
-                      file=out)
+            lines.append(f"  layer {l}: {len(reps)} representatives")
+            lines.extend([f"    {rep['row']} | {rep['col']}"
+                          for rep in reps])
     for c in report.get("checks", []):
         status = "PASS" if c["passed"] else "FAIL"
         gate = "" if c["gated"] else " (observed, not gated)"
         vp = "" if c["vparity"] < 0 else f" [vparity {c['vparity']}]"
-        print(f"  {status} {c['name']}{vp}{gate}", file=out)
-    print(f"overall: {'PASS' if report['pass'] else 'FAIL'}", file=out)
+        lines.append(f"  {status} {c['name']}{vp}{gate}")
+    lines.append(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,11 +438,8 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    if cfg.output == "json":
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        print()
-    else:
-        _emit_text(report, sys.stdout)
+    text = _json(report) if cfg.output == "json" else _text(report)
+    sys.stdout.write(text + "\n")
     return status
 
 

@@ -133,12 +133,11 @@ def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
         raise ValueError(f"pair {pair} is not strict")
     l = len(pair[0])
     d = (shape.m + shape.n) ** l
-    odd = {x: comb.parity_of_index(x, shape)
-           for x in range(1, shape.m + shape.n + 1)}
+    m = shape.m
     entries = {}
     for (k, t), sgn in comb.orbit_signs(pair, shape).items():
-        et = tuple(odd[x] for x in t)
-        ekt = tuple(odd[a] ^ odd[b] for a, b in zip(k, t))
+        et = tuple(x > m for x in t)
+        ekt = tuple((a > m) != (b > m) for a, b in zip(k, t))
         entries[(word_position(k, shape), word_position(t, shape))] = (
             sgn * alpha(ekt, et))
     return ExactMatrix(shape.field, d, d, entries)

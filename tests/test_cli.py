@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from levischur.cli import (
     EXIT_OK,
     EXIT_SIZE_CAP,
     RunConfig,
+    _json,
     cmd_dims,
     cmd_orbits,
     cmd_relations,
@@ -134,6 +136,100 @@ def test_json_matches_golden_report(capsys, name):
     assert got == (GOLDEN / f"{name}.json").read_text()
 
 
+def stdlib_json(out: str) -> str:
+    """What ``json.dumps(sort_keys=True, indent=2)`` prints for ``out``."""
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+BYTE_RUNS = [
+    ["verify", "--m", "1", "--n", "1", "--r", "2"],
+    ["verify", "--m", "2", "--n", "1", "--r", "2", "--vparity", "odd"],
+    ["dims", "--m", "1", "--n", "1", "--r", "3"],
+    ["orbits", "--m", "1", "--n", "1", "--r", "3"],
+    ["relations", "--m", "1", "--n", "0", "--r", "3"],
+    ["report", "--m", "1", "--n", "1", "--r", "2", "--vparity", "even"],
+]
+
+
+@pytest.mark.parametrize("field", ["q", "p:32003"])
+@pytest.mark.parametrize("argv", BYTE_RUNS, ids=lambda a: "-".join(a[::2]))
+def test_json_output_is_stdlib_bytes(capsys, argv, field):
+    """Every report prints as ``json.dumps(..., sort_keys=True,
+    indent=2)`` would, ``timing`` floats included."""
+    status, out, _ = run_main(
+        capsys, argv + ["--field", field, "--output", "json"])
+    assert status == EXIT_OK
+    assert out == stdlib_json(out)
+
+
+JSON_EDGE_CASES = [
+    {}, [], None, True, False, 0, -7, 10**30, 0.1, 1e-07, 2.5e+16, -0.0,
+    float("inf"), "", "plain",
+    {"a": {}, "b": [], "c": [{}, []], "d": {"e": {"f": []}}},
+    [True, False, 1, -1, 0, -(2**70), None],
+    [1e-07, 0.1, 2.5e+16, 1.0, -3.25, 1e300],
+    ["caf\u00e9 \u2603 \U0001f600", "quote \" and \\ backslash",
+     "\n\t\r\x00\x1f\x7f"],
+    {"\u00e9": 1, "z": 2, "A": 3, "\"": 4, "\n": [None]},
+    (1, (2, 3), ()),
+    {"row": (1, 2), "col": (2, 1)},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=repr)
+def test_json_encoder_matches_stdlib(obj):
+    assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A random JSON value with string keys, nested ``depth`` deep."""
+    kind = rng.randrange(7 if depth else 4)
+    if kind == 0:
+        return rng.randint(-10**20, 10**20)
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-12, 12)
+    if kind == 3:
+        return "".join(rng.choice("ab\"\\\n\u00e9\u2603 ")
+                       for _ in range(rng.randrange(5)))
+    if kind in (4, 5):
+        return {f"k{rng.randrange(9)}": _random_value(rng, depth - 1)
+                for _ in range(rng.randrange(4))}
+    return [_random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+
+
+def test_json_encoder_matches_stdlib_on_random_values():
+    rng = random.Random(20221)
+    for _ in range(300):
+        obj = _random_value(rng, 4)
+        assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+class CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_main_writes_each_report_once(monkeypatch, output):
+    stub = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stub)
+    status = main(["orbits", "--m", "1", "--n", "1", "--r", "2",
+                   "--output", output])
+    assert status == EXIT_OK
+    [text] = stub.writes
+    if output == "json":
+        assert text == stdlib_json(text)
+    else:
+        assert text.endswith("overall: PASS\n")
+        assert "  layer 2: 8 representatives\n" in text
+
+
 def test_text_and_json_agree(capsys):
     cfg = RunConfig(m=1, n=1, r=2, vparity="even")
     report, status = cmd_verify(cfg)
@@ -185,6 +281,17 @@ def test_gated_failure_exit_1(fresh_caches, monkeypatch):
     assert comm["passed"] is False
     assert comm["details"] == {"pairs": 13 * 5, "failed": None,
                                "relations_certified": False}
+
+
+def test_failing_json_output_is_stdlib_bytes(fresh_caches, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(hecke, "check_relation", lambda inst, shape: False)
+    status, out, _ = run_main(
+        capsys,
+        ["verify", "--m", "1", "--n", "1", "--r", "2", "--output", "json"])
+    assert status == EXIT_CHECK_FAILED
+    assert json.loads(out)["pass"] is False
+    assert out == stdlib_json(out)
 
 
 def test_dims_certifies_every_requested_parity(fresh_caches, monkeypatch,
