@@ -101,9 +101,10 @@ def _levi_transport(shape: Shape) -> bool:
     """
     fac = hecke.d_factors(shape)
     for l in range(shape.r + 1):
-        lead = enh.support_positions(shape, comb.identity_perm(l))
+        places = enh._placements(l, shape)
+        lead = places[0][0]
         supports = itertools.combinations(range(shape.r), l)
-        for S, (pos, tw) in zip(supports, enh._placements(l, shape)):
+        for S, (pos, tw) in zip(supports, places):
             B = fac[S][1]
             if any(B.get(p) != (q, -1 if t else 1)
                    for p, q, t in zip(lead, pos, tw)):

@@ -183,20 +183,20 @@ def _placements(l: int, shape: Shape) -> tuple:
 def rho_levi(b: LeviBasisElement, shape: Shape) -> ExactMatrix:
     """Matrix of a Levi basis element on the enhanced tensor space.
 
-    ``xi_matrix(b.pair)`` placed on every support of size ``b.layer``,
+    ``xi_entries(b.pair)`` placed on every support of size ``b.layer``,
     the entry at cores (k, t) times tw(k) tw(t); other layers are
     annihilated.  This is the reordering sign alpha(eps_k + eps_t, eps_t)
     over parity vectors of full length r, enhanced slots contributing
     ``vparity``: its pairs (enhanced slot, later natural slot) give the
     twists.
     """
-    f = shape.field
     xi = schur_core.degree(shape, b.layer).xi[b.pair]
     entries = {}
     for pos, tw in _placements(b.layer, shape):
-        for (k, t), v in xi.entries.items():
-            entries[(pos[k], pos[t])] = v if tw[k] == tw[t] else f.neg(v)
-    return ExactMatrix(f, shape.dim_enhanced, shape.dim_enhanced, entries)
+        for (k, t), v in xi.items():
+            entries[(pos[k], pos[t])] = v if tw[k] == tw[t] else -v
+    return ExactMatrix(shape.field, shape.dim_enhanced, shape.dim_enhanced,
+                       entries)
 
 
 def rho_bottom(shape: Shape) -> ExactMatrix:

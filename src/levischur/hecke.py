@@ -8,10 +8,10 @@ space:
   * ``SwapGen(i)`` for 1 <= i <= r-1: the signed swap of tensor slots i
     and i+1 (slots 1-based), with sign given by the product of the slot
     parities.
-  * ``LayerGen(l, sigma)`` for 0 <= l <= r and sigma of degree l:
-    ``schur_core.signed_action(sigma)`` on the cores of the words with
-    leading support {1..l}; it kills every word whose support is not
-    exactly the leading one.
+  * ``LayerGen(l, sigma)`` for 0 <= l <= r and sigma of degree l: the
+    signed action of sigma, ``schur_core.degree(shape, l).actions``, on
+    the cores of the words with leading support {1..l}, relabelled on
+    each call; it kills every word whose support is not the leading one.
 
 Every generator sends a basis word to plus or minus one basis word or
 to zero, so it and every word in the generators is a signed partial
@@ -61,8 +61,8 @@ every member of D factors as B_S L_w A_T.  ``d_certificate`` checks on
 these O(sum_l C(r,l) (|cox| + C(r,l))) maps and the relation verdict
 that the products span D (gate G1) and that the B_S A_T are matrix
 units (gate G2).  Then layer l of D is M_{C(r,l)} (x) Pi_l, with Pi_l
-the span of the ``LayerGen(l, w)`` on V^{(x)l}:
-``schur_core.degree(shape, l).group``.  ``d_algebra`` and
+the span of the ``LayerGen(l, w)`` on V^{(x)l}: ``schur_core.degree(shape,
+l).group``, ranked from the same table of actions.  ``d_algebra`` and
 ``d_layer_algebra`` build the spans of the sum_l C(r,l)^2 l! products
 on the whole space; no verification reads them.
 """
@@ -141,22 +141,25 @@ def _validate_gen(g: HeckeGenerator, shape: Shape) -> None:
 SignedMap = dict[int, tuple[int, int]]
 
 
-# typed: a generator equals the plain tuple of its fields, which
-# ``_validate_gen`` refuses
-@lru_cache(maxsize=None, typed=True)
 def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
+    """A layer generator's map is built on each call: its degree's
+    ``actions`` entry, moved to the leading support's positions."""
     _validate_gen(g, shape)
-    out: SignedMap = {}
     if isinstance(g, SwapGen):
-        w = comb.adjacent_transposition(shape.r, g.i)
-        for pos, word in enumerate(enh.enhanced_basis(shape)):
-            eps = enh.enh_parity_vector(word, shape)
-            tgt = comb.act(word, w)
-            out[pos] = (enh.enh_position(tgt, shape), gamma(eps, w))
-    else:
-        lead = enh.support_positions(shape, comb.identity_perm(g.l))
-        for p, (q, s) in schur_core.signed_action(g.sigma, shape).items():
-            out[lead[p]] = (lead[q], s)
+        return _swap_map(g.i, shape)
+    lead = enh._placements(g.l, shape)[0][0]
+    return {lead[p]: (lead[q], s) for p, (q, s)
+            in schur_core.degree(shape, g.l).actions[g.sigma].items()}
+
+
+@lru_cache(maxsize=None)
+def _swap_map(i: int, shape: Shape) -> SignedMap:
+    w = comb.adjacent_transposition(shape.r, i)
+    out: SignedMap = {}
+    for pos, word in enumerate(enh.enhanced_basis(shape)):
+        eps = enh.enh_parity_vector(word, shape)
+        tgt = comb.act(word, w)
+        out[pos] = (enh.enh_position(tgt, shape), gamma(eps, w))
     return out
 
 
@@ -173,7 +176,7 @@ def _then(a: SignedMap, b: SignedMap) -> SignedMap:
 def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
     """Compose the generator maps; the leftmost generator acts first.
 
-    A one-letter word returns the cached generator map itself, so
+    A one-letter swap word returns the cached swap map itself, so
     callers must not mutate the result.
     """
     if not word:
@@ -482,14 +485,6 @@ def d_factors(shape: Shape) -> dict[enh.Support, tuple[SignedMap, ...]]:
     }
 
 
-@lru_cache(maxsize=None)
-def _preimages(g: HeckeGenerator, shape: Shape) -> dict:
-    out: dict[int, list] = {}
-    for p, (q, s) in _gen_map(g, shape).items():
-        out.setdefault(q, []).append((p, s))
-    return out
-
-
 def _key(x: SignedMap, sign: int = 1) -> frozenset:
     return frozenset((p, (q, sign * s)) for p, (q, s) in x.items())
 
@@ -543,14 +538,18 @@ def d_certificate(shape: Shape) -> str | None:
         return {p: (q2, s * s2) for q, (q2, s2) in x.items()
                 for p, s in pre.get(q, ())}
 
-    pres = [_preimages(g, shape) for g in allowed]
+    # per Coxeter generator: each word's preimages, with their signs
+    pres = [{} for _ in allowed]
+    for g, pre in zip(allowed, pres):
+        for p, (q, s) in _gen_map(g, shape).items():
+            pre.setdefault(q, []).append((p, s))
     g1 = (
         all(set(word) <= allowed for T in fac for word in factor_words(T))
         and all(LayerGen(l, s) in allowed for l, _, L in layers for s in L)
         and all(
-            _then(A, B)
-            == {p: (p, 1) for p in enh.support_positions(shape, T)}
-            for T, (A, B) in fac.items()
+            _then(*fac[T]) == {p: (p, 1) for p in pos}
+            for l, supports, _ in layers
+            for T, (pos, _tw) in zip(supports, enh._placements(l, shape))
         )
         and not relation_failures(shape)
         and all(known(times_gen(A, pre))

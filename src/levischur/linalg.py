@@ -1,8 +1,7 @@
 """
 Exact sparse linear algebra over the rationals or an odd prime field.
 
-Everything downstream (representation matrices, commutants, algebra
-closures) is built on three pieces:
+Three pieces:
 
   * a tiny field abstraction (``QQ`` and ``PrimeField(p)``),
   * ``ExactMatrix``, a sparse coordinate matrix with exact entries,
@@ -11,11 +10,12 @@ closures) is built on three pieces:
 The echelon form is canonical (monic pivots, pivot columns eliminated
 everywhere, rows ordered by pivot column), so two subspaces are equal
 iff their canonical bases are identical.  ``AlgebraSpan`` wraps an
-echelon of flattened d x d matrices and supports membership, equality,
-commutant and closure computations.
+echelon of flattened d x d matrices.
 
-``commutant`` eliminates; ``nullity_reaches`` only bounds a commutant's
-dimension from above by a count modulo a prime.
+The commands rank and count on plain entry dicts, (row, col) -> value:
+``nullity_reaches`` bounds a commutant's dimension from above by a
+count modulo a prime.  ``ExactMatrix``, ``span_of``, ``commutant``
+(which eliminates) and ``algebra_closure`` serve the tests and demos.
 
 Over the rationals a value is an ``int`` when it is a whole number and
 a ``Fraction`` otherwise, never a float; most entries met in practice
@@ -538,34 +538,29 @@ def span_of(mats: Sequence[ExactMatrix], *, d=None, field=None) -> AlgebraSpan:
     return AlgebraSpan(field, d, ech)
 
 
-def _commutation_rows(g: ExactMatrix, d: int, unknowns=None):
-    """Nonzero rows of the linear system X @ g - g @ X = 0.
+def _commutation_rows(g: dict, d: int, field, unknowns=None):
+    """Nonzero rows of the linear system X @ g - g @ X = 0, for a matrix g
+    given by its entries, a dict (row, col) -> value.
 
     The unknown X is flattened row-major; the equation indexed by
     (a, b) reads  sum_k X[a,k] g[k,b] - g[a,k] X[k,b] = 0, and equations
     come in order of (a, b).  With ``unknowns``, a set of flattened
     positions, every other entry of X is held at zero.
     """
-    f = g.field
-    zero, add, sub = f.zero, f.add, f.sub
-    cols: dict[int, list] = {}
-    for (r, c), v in g.entries.items():
-        cols.setdefault(c, []).append((r, v))
+    zero, add, sub = field.zero, field.add, field.sub
     eqs: dict[int, dict] = {}
-    for k, row in g._row_adj().items():     # X[a,k] g[k,b]
+    for (k, b), v in g.items():             # X[a,k] g[k,b]
         for a in range(d):
             x = a * d + k
             if unknowns is None or x in unknowns:
-                for b, v in row:
-                    eq = eqs.setdefault(a * d + b, {})
-                    eq[x] = add(eq.get(x, zero), v)
-    for k, col in cols.items():             # -g[a,k] X[k,b]
+                eq = eqs.setdefault(a * d + b, {})
+                eq[x] = add(eq.get(x, zero), v)
+    for (a, k), v in g.items():             # -g[a,k] X[k,b]
         for b in range(d):
             x = k * d + b
             if unknowns is None or x in unknowns:
-                for a, v in col:
-                    eq = eqs.setdefault(a * d + b, {})
-                    eq[x] = sub(eq.get(x, zero), v)
+                eq = eqs.setdefault(a * d + b, {})
+                eq[x] = sub(eq.get(x, zero), v)
     for key in sorted(eqs):
         eq = {c: v for c, v in eqs[key].items() if v != zero}
         if eq:
@@ -610,7 +605,7 @@ def commutant(
             extract()
             if all(x.commutes_with(g) for x in null_mats):
                 continue
-        for row in _commutation_rows(g, d):
+        for row in _commutation_rows(g.entries, d, field):
             ech.add(row)
     out = Echelon(field)
     for vec in ech.null_space(d * d):
@@ -630,12 +625,13 @@ def _certificate_field(field) -> PrimeField:
 
 
 def nullity_reaches(
-    gens: Sequence[ExactMatrix], d: int, target: int, field, unknowns=None
+    gens: Sequence[dict], d: int, target: int, field, unknowns=None
 ) -> tuple[int, int | None]:
     """Stack the rows of X -> XG - GX over GF(p), p the field's own prime
     or ``CERTIFICATE_PRIME`` over the rationals, until the nullity
-    reaches ``target``.  Returns p and the generators stacked, or p and
-    None when it never equals ``target`` or an entry is not an integer.
+    reaches ``target``.  Each G is given by its entries, a dict (row,
+    col) -> int.  Returns p and the generators stacked, or p and None
+    when it never equals ``target`` or an entry is not an integer.
     The nullity bounds the commutant from above (rank mod p is at most
     the rational rank), so meeting a proven lower bound fixes it.  With
     ``unknowns``, a set of flattened positions a*d + b, every other entry
@@ -643,7 +639,7 @@ def nullity_reaches(
     vanish off those positions.
     """
     gf = _certificate_field(field)
-    if any(v.__class__ is not int for g in gens for v in g.entries.values()):
+    if any(v.__class__ is not int for g in gens for v in g.values()):
         return gf.p, None
     ech = Echelon(gf)
     nullity, stacked = d * d if unknowns is None else len(unknowns), 0
@@ -651,8 +647,7 @@ def nullity_reaches(
         if nullity <= target:
             break
         stacked += 1
-        for row in _commutation_rows(ExactMatrix(gf, d, d, g.entries), d,
-                                     unknowns):
+        for row in _commutation_rows(g, d, gf, unknowns):
             nullity -= ech.add(row)
             if nullity <= target:
                 break

@@ -5,15 +5,19 @@ classical Schur-Sergeev duality, built and certified here alone: per
 degree l in ``degree(shape, l)``, cached per (m, n, l, field), which
 the enhanced modules move to the supports.
 
-Each piece is read off its structure.  The basis matrices come from the
-paper's formula, the transport signs carried along each orbit once.
-C(Pi_l) is the span of the signed orbits of the simple transpositions
-on the matrix positions, with no field arithmetic; checking that every
-basis matrix is one of those orbits is the first direction.  The
-converse, C(S(m|n,l)) = Pi_l, is a count inside the weight blocks that
-the diagonal basis matrices cut out, on the Chevalley elements
-E_{a,a+-1} and then the basis matrices.  Each direction is one verdict
-on one path: a failed check fails, and nothing is eliminated instead.
+Each piece is read off its structure, as signed maps and dicts of +-1
+ints; no command builds an ``ExactMatrix``.  ``Degree.actions``, the
+signed S_l action, is built once per degree and read by the group span,
+the signed orbits and ``hecke``'s layer generators.  The basis matrices
+come from the paper's formula, the transport signs carried along each
+orbit once.  C(Pi_l) is the span of the signed orbits of the simple
+transpositions on the matrix positions, with no field arithmetic;
+checking that every basis matrix is one of those orbits is the first
+direction.  The converse, C(S(m|n,l)) = Pi_l, is a count inside the
+weight blocks that the diagonal basis matrices cut out, on the
+Chevalley elements E_{a,a+-1} and then the basis matrices.  Each
+direction is one verdict on one path: a failed check fails, and nothing
+is eliminated instead.
 
 The tensor basis of degree l is indexed by words over 1..m+n in
 lexicographic order, fixing row/column numbering for every matrix in
@@ -38,6 +42,7 @@ from .combinatorics import (
 from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
+    Echelon,
     ExactMatrix,
     check_size_cap,
     nullity_reaches,
@@ -121,8 +126,9 @@ def normalize_pair(pair: DoubleIndex, shape: Shape) -> tuple[DoubleIndex, int]:
     return rep, comb.sigma_sign(rep, pair, shape)
 
 
-def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
-    """Matrix of the basis element labelled by a strict pair.
+def xi_entries(pair: DoubleIndex, shape: Shape) -> dict:
+    """The basis element labelled by a strict pair, as its entries: a
+    dict (row, col) -> +-1 int over the degree-l words.
 
     Basis word t is sent to the sum of sigma(pair; k, t) *
     alpha(eps_k + eps_t, eps_t) * (word k) over all orbit elements
@@ -131,8 +137,6 @@ def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
     """
     if not comb.is_strict(pair, shape):
         raise ValueError(f"pair {pair} is not strict")
-    l = len(pair[0])
-    d = (shape.m + shape.n) ** l
     m = shape.m
     entries = {}
     for (k, t), sgn in comb.orbit_signs(pair, shape).items():
@@ -140,7 +144,13 @@ def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
         ekt = tuple((a > m) != (b > m) for a, b in zip(k, t))
         entries[(word_position(k, shape), word_position(t, shape))] = (
             sgn * alpha(ekt, et))
-    return ExactMatrix(shape.field, d, d, entries)
+    return entries
+
+
+def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
+    """``xi_entries`` as a matrix over the shape's field."""
+    d = (shape.m + shape.n) ** len(pair[0])
+    return ExactMatrix(shape.field, d, d, xi_entries(pair, shape))
 
 
 def structure_constants(
@@ -230,7 +240,7 @@ class Degree:
     C(S(m|n,l)) = Pi_l.  Both hold in every characteristic but 2
     (Brundan-Kujawa), so a failed verdict is a defect, and final: no
     commutant is eliminated.  ``solves`` records each verdict, and the
-    step that failed.
+    step that failed.  Matrices are dicts of +-1 ints by (row, col).
     """
 
     def __init__(self, shape: Shape, l: int):
@@ -238,29 +248,38 @@ class Degree:
         self.solves: dict[str, dict] = {}
 
     @cached_property
-    def xi(self) -> dict[DoubleIndex, ExactMatrix]:
-        """``xi_matrix`` of every basis label, in ``schur_basis`` order."""
-        return {p: xi_matrix(p, self.shape)
+    def actions(self) -> dict[Permutation, dict]:
+        """``signed_action`` of every permutation of degree l."""
+        return {w: signed_action(w, self.shape) for w in comb.perms(self.l)}
+
+    @cached_property
+    def xi(self) -> dict[DoubleIndex, dict]:
+        """``xi_entries`` of every basis label, in ``schur_basis`` order."""
+        return {p: xi_entries(p, self.shape)
                 for p in schur_basis(self.shape, self.l)}
 
     @cached_property
     def schur(self) -> AlgebraSpan:
-        """S(m|n,l), the span of the basis matrices."""
-        return span_of(list(self.xi.values()), d=self.dim,
-                       field=self.shape.field)
+        """S(m|n,l), the span of the basis matrices; no command reads it."""
+        d, f = self.dim, self.shape.field
+        return span_of([ExactMatrix(f, d, d, x) for x in self.xi.values()],
+                       d=d, field=f)
 
     @cached_property
     def group(self) -> AlgebraSpan:
-        """The image of KS_l, the span of every ``pi_matrix``."""
-        return span_of([pi_matrix(w, self.shape, self.l)
-                        for w in comb.perms(self.l)],
-                       d=self.dim, field=self.shape.field)
+        """The image of KS_l, the span of the matrices of ``actions``,
+        ranked as flattened rows: p -> (q, s) is the entry s at (q, p)."""
+        d, f = self.dim, self.shape.field
+        ech = Echelon(f)
+        for m in self.actions.values():
+            ech.add({q * d + p: f.coerce(s) for p, (q, s) in m.items()})
+        return AlgebraSpan(f, d, ech)
 
     @cached_property
     def orbits(self) -> tuple[list[dict], int]:
         """``signed_orbits`` of the l-1 simple transpositions."""
         return signed_orbits([
-            signed_action(comb.adjacent_transposition(self.l, i), self.shape)
+            self.actions[comb.adjacent_transposition(self.l, i)]
             for i in range(1, self.l)], self.dim)
 
     @cached_property
@@ -270,13 +289,13 @@ class Degree:
         as many as there are: they span C(Pi_l)."""
         orbits, conflicts = self.orbits
         by_root = {next(iter(orbit)): orbit for orbit in orbits}
-        neg = self.shape.field.neg
-        flats = [x.flatten() for x in self.xi.values()]
+        d = self.dim
+        flats = [{k * d + t: v for (k, t), v in x.items()}
+                 for x in self.xi.values()]
         roots = [min(flat, default=None) for flat in flats]
         ok = len(orbits) == len(set(roots)) == len(flats) and all(
             root in by_root and flat == {
-                y: flat[root] if s > 0 else neg(flat[root])
-                for y, s in by_root[root].items()}
+                y: s * flat[root] for y, s in by_root[root].items()}
             for root, flat in zip(roots, flats))
         self.solves["commutant_pi"] = {
             "method": "certified" if ok else "orbits_failed",
@@ -291,30 +310,30 @@ class Degree:
         otherwise.  They are then the weight idempotents e, orthogonal
         with sum 1, so any X commuting with S(m|n,l) is the sum of the
         e X e: it vanishes off the blocks."""
-        one, blocks = self.shape.field.one, []
+        blocks = []
         for (row, col), x in self.xi.items():
             if row != col:
                 continue
-            if any(a != b or v != one for (a, b), v in x.entries.items()):
+            if any(a != b or v != 1 for (a, b), v in x.items()):
                 return None
-            blocks.append([a for a, _b in x.entries])
+            blocks.append([a for a, _b in x])
         if sorted(a for block in blocks for a in block) != list(
                 range(self.dim)):
             return None
         return blocks
 
     @cached_property
-    def chevalley(self) -> list[ExactMatrix]:
+    def chevalley(self) -> list[dict]:
         """E_{a,a+-1}: the sum of the basis matrices whose row and column
         words differ in exactly one slot, with letters a and a+-1 there.
         Over the rationals they generate S(m|n,l), the image of
-        U(gl(m|n)) (Sergeev; Berele-Regev)."""
-        sums: dict[tuple[int, int], ExactMatrix] = {}
+        U(gl(m|n)) (Sergeev; Berele-Regev).  Distinct basis labels have
+        disjoint orbits, so each sum is a union of entries."""
+        sums: dict[tuple[int, int], dict] = {}
         for (row, col), x in self.xi.items():
             diff = [(a, b) for a, b in zip(row, col) if a != b]
             if len(diff) == 1 and abs(diff[0][0] - diff[0][1]) == 1:
-                ab = diff[0]
-                sums[ab] = sums[ab] + x if ab in sums else x
+                sums.setdefault(diff[0], {}).update(x)
         return [sums[ab] for ab in sorted(sums)]
 
     @cached_property

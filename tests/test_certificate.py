@@ -50,9 +50,9 @@ def eliminated(deg):
     simple = [schur_core.pi_matrix(adjacent_transposition(deg.l, i),
                                    deg.shape, deg.l)
               for i in range(1, deg.l)]
+    basis = [ExactMatrix(f, deg.dim, deg.dim, x) for x in deg.xi.values()]
     return (commutant(simple, deg.dim, field=f, size_cap=deg.dim),
-            commutant(list(deg.xi.values()), deg.dim, field=f,
-                      size_cap=deg.dim))
+            commutant(basis, deg.dim, field=f, size_cap=deg.dim))
 
 
 def verify_fails(shape):
@@ -93,20 +93,18 @@ def test_certified_spans_match_elimination(field):
 
 
 def flipped_entry(shape, l, pick):
-    """``xi_matrix`` with one entry negated: the first entry of the first
+    """``xi_entries`` with one entry negated: the first entry of the first
     degree-l basis matrix with more than one entry that ``pick`` accepts."""
-    real = schur_core.xi_matrix
+    real = schur_core.xi_entries
     pair = next(p for p in schur_core.schur_basis(shape, l)
-                if len(real(p, shape).entries) > 1 and pick(p))
-    kt = next(iter(real(pair, shape).entries))
+                if len(real(p, shape)) > 1 and pick(p))
+    kt = next(iter(real(pair, shape)))
 
     def mutant(p, sh):
-        mat = real(p, sh)
+        entries = real(p, sh)
         if p != pair:
-            return mat
-        entries = dict(mat.entries)
-        entries[kt] = sh.field.neg(entries[kt])
-        return ExactMatrix(sh.field, mat.nrows, mat.ncols, entries)
+            return entries
+        return {**entries, kt: -entries[kt]}
     return pair, mutant
 
 
@@ -120,7 +118,7 @@ def test_xi_sign_flip_fails_both_verdicts(monkeypatch):
     whose lower bound is gone."""
     shape = Shape(1, 1, 3)
     _pair, mutant = flipped_entry(shape, 3, lambda p: p[0] != p[1])
-    monkeypatch.setattr(schur_core, "xi_matrix", mutant)
+    monkeypatch.setattr(schur_core, "xi_entries", mutant)
     deg = schur_core.degree(shape, 3)
     assert deg.weight_blocks is not None
     assert not deg.certified and not deg.converse
@@ -139,9 +137,9 @@ def test_repeated_basis_matrix_fails_the_orbit_check(monkeypatch):
     """Two labels with one matrix: as many matrices as orbits, each one
     whole orbit, yet an orbit is left uncovered."""
     shape = Shape(1, 1, 2)
-    real = schur_core.xi_matrix
+    real = schur_core.xi_entries
     first, second = schur_core.schur_basis(shape, 2)[:2]
-    monkeypatch.setattr(schur_core, "xi_matrix", lambda p, sh: real(
+    monkeypatch.setattr(schur_core, "xi_entries", lambda p, sh: real(
         first if p == second else p, sh))
     deg = schur_core.degree(shape, 2)
     assert len(deg.orbits[0]) == len(deg.xi)
@@ -158,19 +156,18 @@ def test_dropped_weight_entry_refuses_the_restriction(monkeypatch):
     weight idempotent, nor one whole orbit: both verdicts fail, and
     ``solves`` names the orbit check and the refused weight blocks."""
     shape = Shape(2, 1, 3)
-    real = schur_core.xi_matrix
+    real = schur_core.xi_entries
     pair = next(p for p in schur_core.schur_basis(shape, 3)
-                if p[0] == p[1] and len(real(p, shape).entries) > 1)
+                if p[0] == p[1] and len(real(p, shape)) > 1)
 
     def mutant(p, sh):
-        mat = real(p, sh)
+        entries = real(p, sh)
         if p != pair:
-            return mat
-        entries = dict(mat.entries)
+            return entries
         entries.pop(min(entries))
-        return ExactMatrix(sh.field, mat.nrows, mat.ncols, entries)
+        return entries
 
-    monkeypatch.setattr(schur_core, "xi_matrix", mutant)
+    monkeypatch.setattr(schur_core, "xi_entries", mutant)
     deg = schur_core.degree(shape, 3)
     assert deg.weight_blocks is None
     assert not deg.certified and not deg.converse
@@ -186,13 +183,16 @@ def test_negated_weight_idempotent_fails_the_converse(monkeypatch):
     orbit check as they are but is no 0/1 idempotent: the weight blocks
     are refused, and with them the converse, on no count at all."""
     shape = Shape(2, 1, 3)
-    real = schur_core.xi_matrix
+    real = schur_core.xi_entries
     pair = next(p for p in schur_core.schur_basis(shape, 3) if p[0] == p[1])
 
     def mutant(p, sh):
-        return real(p, sh).scale(-1) if p == pair else real(p, sh)
+        entries = real(p, sh)
+        if p != pair:
+            return entries
+        return {kt: -v for kt, v in entries.items()}
 
-    monkeypatch.setattr(schur_core, "xi_matrix", mutant)
+    monkeypatch.setattr(schur_core, "xi_entries", mutant)
     deg = schur_core.degree(shape, 3)
     assert deg.certified and deg.weight_blocks is None
     assert not deg.converse
@@ -248,26 +248,55 @@ def test_forced_count_miss_fails_the_converse(field, monkeypatch):
 
 
 def test_run_path_eliminates_no_commutant(monkeypatch):
-    """``verify``, ``dims`` and ``report`` pass over the ladder with
-    ``linalg.commutant`` and ``enh.levi_span`` refusing to run: the
-    verdicts alone decide."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("commutant eliminated on the run path")
-
-    def refuse_levi_span(*args, **kwargs):
-        raise AssertionError("Levi span built on the run path")
+    """``verify``, ``dims``, ``report`` and ``relations`` pass over the
+    ladder with ``linalg.commutant``, ``enh.levi_span``,
+    ``linalg.span_of``, ``schur_core.pi_matrix`` and the ``ExactMatrix``
+    constructor refusing to run: the verdicts alone decide, on signed
+    maps and entry dicts."""
+    def refusing(what):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{what} on the run path")
+        return refuse
 
     for module in (levischur, linalg, schur_core, cli):
-        monkeypatch.setattr(module, "commutant", refuse, raising=False)
-    monkeypatch.setattr(enh, "levi_span", refuse_levi_span)
+        monkeypatch.setattr(module, "commutant",
+                            refusing("commutant eliminated"), raising=False)
+    for module in (levischur, linalg, schur_core, enh, hecke):
+        monkeypatch.setattr(module, "span_of", refusing("span_of"),
+                            raising=False)
+    monkeypatch.setattr(enh, "levi_span", refusing("Levi span built"))
+    monkeypatch.setattr(schur_core, "pi_matrix", refusing("pi_matrix"))
+    monkeypatch.setattr(ExactMatrix, "__init__", refusing("ExactMatrix"))
     for m, n, r in [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 0, 4),
                     (3, 0, 3)]:
         for field in ("q", "p:3", "p:5"):
-            for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_report):
+            for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_report,
+                            cli.cmd_relations):
                 _report, status = command(cli.RunConfig(
                     m=m, n=n, r=r, vparity="both", field=field))
                 assert status == cli.EXIT_OK
             levischur.clear_caches()
+
+
+def test_each_degree_builds_its_signed_action_once(monkeypatch):
+    """``verify --vparity both`` at (1|0,5) calls ``signed_action`` once
+    per permutation of each degree, sum_l l! = 154 times, for both
+    parities and every reader of the action; the generator-map cache
+    then holds the swap maps alone."""
+    calls = []
+    real = schur_core.signed_action
+
+    def counting(w, shape):
+        calls.append(w)
+        return real(w, shape)
+
+    monkeypatch.setattr(schur_core, "signed_action", counting)
+    r = 5
+    _report, status = cli.cmd_verify(cli.RunConfig(m=1, n=0, r=r,
+                                                   vparity="both"))
+    assert status == cli.EXIT_OK
+    assert len(calls) == len(set(calls)) == 154
+    assert hecke._swap_map.cache_info().currsize <= 2 * (r - 1)
 
 
 def test_count_reports_prime_and_generators_stacked():
@@ -292,7 +321,7 @@ def test_count_reports_prime_and_generators_stacked():
 
 
 def test_non_integer_entry_never_takes_the_modular_path(monkeypatch):
-    half = ExactMatrix(QQ, 2, 2, {(0, 1): Fraction(1, 2)})
+    half = {(0, 1): Fraction(1, 2)}
     # a target the count meets before stacking anything still fails
     assert nullity_reaches([half], 2, 4, QQ) == (CERTIFICATE_PRIME, None)
 

@@ -19,7 +19,7 @@ from levischur.enhanced_core import (
     rho_levi,
 )
 from levischur import clear_caches
-from levischur import cli, hecke
+from levischur import cli, hecke, schur_core
 from levischur.hecke import (
     LayerGen,
     RelationInstance,
@@ -297,7 +297,9 @@ def test_dims_then_relations_check_each_certified_instance_once(
 @pytest.mark.parametrize("vp", [0, 1])
 def test_sign_mutants_fail_certified_set_iff_full_set(vp):
     """Flip the sign of one entry of one generator map at a time: the
-    certified instances fail exactly when the full enumeration does."""
+    certified instances fail exactly when the full enumeration does.  A
+    swap's map is cached; a layer generator's is built on each call from
+    its degree's ``actions`` entry, which is flipped instead."""
     shape = Shape(1, 1, 3, vp)
 
     def holds(instances):
@@ -306,7 +308,8 @@ def test_sign_mutants_fail_certified_set_iff_full_set(vp):
     caught = mutants = 0
     try:
         for g in hecke_generators(shape):
-            gmap = _gen_map(g, shape)
+            gmap = (_gen_map(g, shape) if isinstance(g, SwapGen) else
+                    schur_core.degree(shape, g.l).actions[g.sigma])
             for p, (q, s) in list(gmap.items()):
                 gmap[p] = (q, -s)
                 full = holds(relation_instances(shape))

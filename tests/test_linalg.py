@@ -44,7 +44,7 @@ def naive_commutant(gens, d, field):
     """Oracle: stack every commutation equation, then extract."""
     ech = Echelon(field)
     for g in gens:
-        for row in _commutation_rows(g, d):
+        for row in _commutation_rows(g.entries, d, field):
             ech.add(row)
     out = Echelon(field)
     for vec in ech.null_space(d * d):

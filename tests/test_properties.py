@@ -109,10 +109,11 @@ def int_matrices(draw, d=3):
 @given(gens=int_matrices())
 def test_count_never_certifies_below_the_rational_commutant(gens):
     dim = commutant(gens, 3, field=QQ).dimension
-    assert nullity_reaches(gens, 3, dim - 1, QQ)[1] is None
+    entries = [g.entries for g in gens]
+    assert nullity_reaches(entries, 3, dim - 1, QQ)[1] is None
     # each commutation row has norm at most sqrt(72), so by Hadamard every
     # minor is below 2^31 - 1 in size: the rank mod p is the rational rank
-    assert nullity_reaches(gens, 3, dim, QQ)[1] is not None
+    assert nullity_reaches(entries, 3, dim, QQ)[1] is not None
 
 
 parity_words = st.integers(0, 5).flatmap(
@@ -159,10 +160,10 @@ def rows_by_definition(g, d, unknowns):
 @given(gens=int_matrices(), unknowns=st.sets(st.integers(0, 8)))
 def test_commutation_rows_hold_the_other_unknowns_at_zero(gens, unknowns):
     for g in gens:
-        assert list(_commutation_rows(g, 3, unknowns)) == rows_by_definition(
-            g, 3, unknowns)
-        assert list(_commutation_rows(g, 3)) == rows_by_definition(
-            g, 3, range(9))
+        rows = _commutation_rows(g.entries, 3, QQ, unknowns)
+        assert list(rows) == rows_by_definition(g, 3, unknowns)
+        assert list(_commutation_rows(g.entries, 3, QQ)) == (
+            rows_by_definition(g, 3, range(9)))
 
 
 shapes = st.tuples(st.integers(1, 2), st.integers(0, 2)).map(
