@@ -11,7 +11,8 @@ Subcommands:
   report     verify plus dims plus relations in one JSON document
 
 The ``relations`` check reads ``hecke.relation_failures``, the cached
-verdict on ``hecke.certified_instances`` that gate G1 reads too, and
+verdict on ``hecke.certified_instances`` and ``Degree.acts`` (relation
+3.3 on each degree's table) that gate G1 reads too, and
 ``commutation`` reads the first direction, ``duality.verify_first``;
 their ``instances`` and ``pairs`` are the counts the certificate
 covers: every relation instance, and the Levi basis against every
@@ -46,9 +47,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import namedtuple
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
@@ -68,15 +69,13 @@ EXIT_BAD_CONFIG = 2
 EXIT_SIZE_CAP = 3
 
 
-class RunConfig(NamedTuple):
-    m: int
-    n: int
-    r: int
-    vparity: str = "both"          # even | odd | both
-    field: str = "q"               # q | p:<odd prime>
-    command: str = "verify"
-    output: str = "text"           # text | json
-    size_cap: int = DEFAULT_SIZE_CAP
+class RunConfig(namedtuple(
+        "RunConfig", "m n r vparity field command output size_cap",
+        defaults=("both", "q", "verify", "text", DEFAULT_SIZE_CAP))):
+    """``vparity`` is even, odd or both; ``field`` q or p:<odd prime>;
+    ``output`` text or json."""
+
+    __slots__ = ()
 
     def shapes(self) -> list[Shape]:
         field = parse_field(self.field)

@@ -32,8 +32,8 @@ and its least element lists them sorted.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .linalg import QQ
 
@@ -43,15 +43,7 @@ Permutation = tuple[int, ...]
 DoubleIndex = tuple[MultiIndex, MultiIndex]
 
 
-class _ShapeFields(NamedTuple):
-    m: int
-    n: int
-    r: int
-    vparity: int
-    field: object
-
-
-class Shape(_ShapeFields):
+class Shape(namedtuple("Shape", "m n r vparity field")):
     """Ambient parameters: m even letters, n odd letters, tensor degree r.
 
     ``vparity`` is the parity of the extra enhanced vector and ``field``

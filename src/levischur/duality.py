@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
@@ -38,22 +38,21 @@ from .combinatorics import Shape
 from .linalg import DEFAULT_SIZE_CAP, check_size_cap
 
 
-class LayerFactor(NamedTuple):
+class LayerFactor(namedtuple("LayerFactor", (
+        "layer supports block_size dim_pi dim_commutant_pi certified"
+        " converse seconds solves"))):
     """Layer l of both algebras, read from ``schur_core.degree``: D_l =
     M_k (x) Pi_l and L_l = I_k (x) S(m|n,l) on k copies of the (m+n)^l
-    words of V^{(x)l}, with the verdicts on their classical commutants."""
+    words of V^{(x)l}, with the verdicts on their classical commutants.
 
-    layer: int
-    supports: int           # k = C(r, l), the number of supports
-    block_size: int         # k (m+n)^l
-    dim_pi: int
-    dim_commutant_pi: int   # the consistent signed orbits, on every run
-    certified: bool         # C(Pi_l) = S(m|n,l)
-    converse: bool          # C(S(m|n,l)) = Pi_l
-    # ``seconds`` and ``solves`` are left out of equality
-    seconds: float
-    # how each verdict was reached: ``schur_core.Degree.solves``
-    solves: dict
+    ``supports`` is k = C(r, l) and ``block_size`` k (m+n)^l;
+    ``dim_commutant_pi`` counts the consistent signed orbits, on every
+    run; ``certified`` is C(Pi_l) = S(m|n,l) and ``converse``
+    C(S(m|n,l)) = Pi_l.  ``seconds`` and ``solves``, how each verdict
+    was reached (``schur_core.Degree.solves``), are left out of
+    equality."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
         return isinstance(other, LayerFactor) and self[:-2] == other[:-2]
@@ -74,9 +73,8 @@ class LayerFactor(NamedTuple):
         return self.dim_D if self.converse else None
 
 
-class LayerFactors(NamedTuple):
-    layers: tuple[LayerFactor, ...]
-    failed_gate: str | None     # the first of G1-G3 that fails, or None
+# ``failed_gate`` is the first of G1-G3 that fails, or None
+LayerFactors = namedtuple("LayerFactors", "layers failed_gate")
 
 
 def _levi_transport(shape: Shape) -> bool:
@@ -145,10 +143,8 @@ def layer_factors(
     return _layer_factors(shape)
 
 
-class FirstDualityResult(NamedTuple):
-    dim_levi: int | None
-    dim_commutant_D: int
-    holds: bool
+FirstDualityResult = namedtuple("FirstDualityResult",
+                                "dim_levi dim_commutant_D holds")
 
 
 def verify_first(
@@ -169,12 +165,9 @@ def verify_first(
     )
 
 
-class SecondDualityResult(NamedTuple):
-    dim_D: int
-    dim_commutant_levi: int | None
-    containment_holds: bool
-    spans_equal: bool
-    gated: bool
+class SecondDualityResult(namedtuple("SecondDualityResult", (
+        "dim_D dim_commutant_levi containment_holds spans_equal gated"))):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -205,10 +198,9 @@ def verify_second(
     )
 
 
-class LayerEndoReport(NamedTuple):
-    per_layer_dims: tuple[int | None, ...]
-    per_layer_equal: tuple[bool, ...]
-    sum_matches_commutant: bool
+class LayerEndoReport(namedtuple("LayerEndoReport", (
+        "per_layer_dims per_layer_equal sum_matches_commutant"))):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -246,31 +238,17 @@ def verify_faithful_layer_action(
     return layer_factors(shape, size_cap).failed_gate is None
 
 
-class DualityReport(NamedTuple):
-    """Everything the theorem-level verification produces for a shape."""
+class DualityReport(namedtuple("DualityReport", (
+        "m n r vparity field_name dim_ambient dim_levi dim_D"
+        " dim_commutant_D dim_commutant_levi first_isomorphism_holds"
+        " second_isomorphism_holds second_containment_holds r_le_mplusn"
+        " per_layer_orbits per_layer_endo_dims per_layer_endo_equal"
+        " failed_gate faithful_layers levi_rank_matches_basis seconds"),
+        defaults=(0.0,))):
+    """Everything the theorem-level verification produces for a shape;
+    ``seconds`` is left out of equality."""
 
-    m: int
-    n: int
-    r: int
-    vparity: int
-    field_name: str
-    dim_ambient: int
-    dim_levi: int | None
-    dim_D: int
-    dim_commutant_D: int
-    dim_commutant_levi: int | None
-    first_isomorphism_holds: bool
-    second_isomorphism_holds: bool
-    second_containment_holds: bool
-    r_le_mplusn: bool
-    per_layer_orbits: tuple[int, ...]
-    per_layer_endo_dims: tuple[int | None, ...]
-    per_layer_endo_equal: tuple[bool, ...]
-    failed_gate: str | None
-    faithful_layers: tuple[bool, ...]
-    levi_rank_matches_basis: bool
-    # left out of equality
-    seconds: float = 0.0
+    __slots__ = ()
 
     def __eq__(self, other):
         return isinstance(other, DualityReport) and self[:-1] == other[:-1]

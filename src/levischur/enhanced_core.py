@@ -20,8 +20,8 @@ see ``parity_flip_conjugator``).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import schur_core
@@ -125,12 +125,7 @@ def support_positions(shape: Shape, support: Support) -> tuple[int, ...]:
     )
 
 
-class _LeviFields(NamedTuple):
-    pair: DoubleIndex
-    layer: int
-
-
-class LeviBasisElement(_LeviFields):
+class LeviBasisElement(namedtuple("LeviBasisElement", "pair layer")):
     """Either the bottom projector (layer 0, empty pair) or an orbit
     representative of degree ``layer``."""
 

@@ -29,17 +29,17 @@ right-module convention: the leftmost generator acts first.
 The defining relations carry the labels 3.1a through 3.6; see
 ``RELATION_IDS`` for the catalogue.  ``relation_instances`` enumerates
 all ``relation_count(r)`` instances, sum_l (l!)^2 of them from 3.3
-alone.  ``certified_instances`` is a subset whose truth implies every
-instance, since maps compose associatively.  In word order, with L for
-``LayerGen(l, -)`` and s for ``SwapGen(i)``:
+alone.  ``certified_instances`` is a subset of the other relations'
+instances whose truth, with 3.3 checked on each degree's table,
+implies every instance, since maps compose associatively.  In word
+order, with L for ``LayerGen(l, -)`` and s for ``SwapGen(i)``:
 
-  * 3.3 at (id, id), and L(sigma s) L(s) = L(sigma) for sigma != id, s
-    undoing its first descent: a spanning tree of the Cayley graph of
-    S_l.  By these and 3.4 at sigma = id, L(id) is idempotent, commutes
-    with s_i (i < l) and L(s_i) = L(id) s_i; by 3.1a-3.2 and the Coxeter
-    presentation (Bjorner-Brenti, GTM 231), w -> L(id) S_w, S_w the
-    swaps of a reduced word, is a homomorphism on S_l; and the tree
-    gives L(sigma) = L(id) S_sigma by induction on length;
+  * 3.3 by ``schur_core.Degree.acts``, once per degree: L(sigma) sends
+    lead[p] to s lead[q] when ``actions[sigma]`` sends p to (q, s), and
+    kills every other word, with the one-to-one lead =
+    ``enh._placements(l, shape)[0][0]``.  So L(sigma) L(mu) is the
+    relabelled composite of the table entries, and 3.3 holds on these
+    maps exactly when it holds on the table;
   * 3.4 at sigma = id, on both sides: s L(sigma) = s L(id) L(sigma) =
     L(s_i) L(sigma) = L(s_i sigma), and the same on the right;
   * 3.5 for sigma = id or simple: by 3.3 every L(sigma) is a product of
@@ -48,10 +48,11 @@ instance, since maps compose associatively.  In word order, with L for
     L(k, id) L(k, mu) = 0;
   * 3.1a, 3.1b and 3.2 in full.
 
-``relation_failures`` is the one cached verdict on them, read by the
-relation check, which reports ``relation_count(r)`` instances, and by
-gate G1.  The boundary case i = l of a swap against a layer generator
-is constrained by no relation; it is reported and never asserted.
+``relation_failures`` is the one cached verdict on them and on every
+``acts``, read by the relation check, which reports
+``relation_count(r)`` instances, and by gate G1.  The boundary case
+i = l of a swap against a layer generator is constrained by no
+relation; ``boundary_observations`` reports it, always False.
 
 The image D is never closed.  ``d_factors`` holds, per support T of
 size l, the signed maps of the two words of ``factor_words(T)``: A_T
@@ -71,8 +72,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
@@ -85,13 +87,10 @@ from .linalg import (
     check_size_cap,
     span_of,
 )
+from .schur_core import then
 
 
-class _SwapFields(NamedTuple):
-    i: int
-
-
-class SwapGen(_SwapFields):
+class SwapGen(namedtuple("SwapGen", "i")):
     """Adjacent signed swap of tensor slots i, i+1 (1-based)."""
 
     __slots__ = ()
@@ -102,12 +101,7 @@ class SwapGen(_SwapFields):
         return super().__new__(cls, i)
 
 
-class _LayerFields(NamedTuple):
-    l: int
-    sigma: Permutation
-
-
-class LayerGen(_LayerFields):
+class LayerGen(namedtuple("LayerGen", "l sigma")):
     """Permutation of the layer-l leading-support block, zero elsewhere."""
 
     __slots__ = ()
@@ -122,7 +116,7 @@ class LayerGen(_LayerFields):
         return super().__new__(cls, l, sigma)
 
 
-HeckeGenerator = Union[SwapGen, LayerGen]
+HeckeGenerator = SwapGen | LayerGen
 HeckeWord = tuple[HeckeGenerator, ...]
 
 
@@ -163,16 +157,6 @@ def _swap_map(i: int, shape: Shape) -> SignedMap:
     return out
 
 
-def _then(a: SignedMap, b: SignedMap) -> SignedMap:
-    """The map a followed by b: the matrix product b @ a."""
-    out = {}
-    for p, (q, s) in a.items():
-        img = b.get(q)
-        if img is not None:
-            out[p] = (img[0], s * img[1])
-    return out
-
-
 def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
     """Compose the generator maps; the leftmost generator acts first.
 
@@ -183,7 +167,7 @@ def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
         return {p: (p, 1) for p in range(shape.dim_enhanced)}
     out = _gen_map(word[0], shape)
     for g in word[1:]:
-        out = _then(out, _gen_map(g, shape))
+        out = then(out, _gen_map(g, shape))
     return out
 
 
@@ -206,17 +190,8 @@ def xi_gen(g: HeckeGenerator, shape: Shape) -> ExactMatrix:
 RELATION_IDS = ("3.1a", "3.1b", "3.2", "3.3", "3.4", "3.5", "3.6")
 
 
-class _RelationFields(NamedTuple):
-    rel: str
-    i: int | None
-    j: int | None
-    l: int | None
-    k: int | None
-    sigma: Permutation | None
-    mu: Permutation | None
-
-
-class RelationInstance(_RelationFields):
+class RelationInstance(
+        namedtuple("RelationInstance", "rel i j l k sigma mu")):
     """One defining relation with concrete parameters.
 
     Parameter usage: 3.1a needs i; 3.1b and 3.2 need i, j; 3.3 needs l,
@@ -352,20 +327,11 @@ def _id_and_simple(l: int) -> list[Permutation]:
 
 
 def certified_instances(shape: Shape) -> Iterator[RelationInstance]:
-    """The generating subset of ``relation_instances`` (see the module
-    docstring), true exactly when all of them are: sum_l l! instances of
-    3.3 instead of sum_l (l!)^2, one per ordered pair of layers of 3.6."""
+    """The generating subset of ``relation_instances`` beside 3.3 (see
+    the module docstring): no instance of 3.3, which ``Degree.acts``
+    checks on the table, and one per ordered pair of layers of 3.6."""
     r = shape.r
     yield from _swap_instances(r)
-    for l in range(r + 1):
-        one = comb.identity_perm(l)
-        yield RelationInstance("3.3", l=l, sigma=one, mu=one)
-        for sigma in comb.perms(l)[1:]:
-            first_descent = next(k for k in range(1, l)
-                                 if sigma[k - 1] > sigma[k])
-            s = comb.adjacent_transposition(l, first_descent)
-            yield RelationInstance("3.3", l=l, sigma=comb.compose(sigma, s),
-                                   mu=s)
     for l in range(r + 1):
         for i in range(1, l):
             yield RelationInstance("3.4", i=i, l=l,
@@ -385,9 +351,13 @@ def certified_instances(shape: Shape) -> Iterator[RelationInstance]:
 
 @lru_cache(maxsize=None)
 def relation_failures(shape: Shape) -> frozenset[str]:
-    """The families whose ``certified_instances`` fail, per shape."""
-    return frozenset(inst.rel for inst in certified_instances(shape)
-                     if not check_relation(inst, shape))
+    """The families whose ``certified_instances`` fail, and 3.3 when the
+    table of some degree l <= r fails ``Degree.acts``, per shape."""
+    failed = {inst.rel for inst in certified_instances(shape)
+              if not check_relation(inst, shape)}
+    if not all(schur_core.degree(shape, l).acts for l in range(shape.r + 1)):
+        failed.add("3.3")
+    return frozenset(failed)
 
 
 def relation_count(r: int) -> int:
@@ -411,6 +381,10 @@ def boundary_observations(shape: Shape) -> list[tuple[int, Permutation, bool]]:
 
     Returns (i, sigma, swap-commutes-with-layer-generator) triples; no
     relation governs these, so they are reported and never asserted.
+    Every one reads False: in word order, s_l L(l, sigma) is defined on
+    the words with support {1..l-1, l+1}, and L(l, sigma) s_l on the
+    leading words, {1..l}.  Since l < r and m >= 1, both domains are
+    non-empty, and they are disjoint, so the two maps never agree.
     """
     out = []
     for l in range(1, shape.r):
@@ -526,7 +500,7 @@ def d_certificate(shape: Shape) -> str | None:
         for l in range(shape.r + 1)
     ]
     index = {
-        _key(_then(fac[T][0], L[s]))
+        _key(then(fac[T][0], L[s]))
         for l, supports, L in layers for T in supports
         for s in _id_and_simple(l)
     }
@@ -547,7 +521,7 @@ def d_certificate(shape: Shape) -> str | None:
         all(set(word) <= allowed for T in fac for word in factor_words(T))
         and all(LayerGen(l, s) in allowed for l, _, L in layers for s in L)
         and all(
-            _then(*fac[T]) == {p: (p, 1) for p in pos}
+            then(*fac[T]) == {p: (p, 1) for p in pos}
             for l, supports, _ in layers
             for T, (pos, _tw) in zip(supports, enh._placements(l, shape))
         )
@@ -558,7 +532,7 @@ def d_certificate(shape: Shape) -> str | None:
     if not g1:
         return "certificate"
     units = all(
-        _then(fac[S][1], fac[T][0])
+        then(fac[S][1], fac[T][0])
         == (L[comb.identity_perm(l)] if S == T else {})
         for l, supports, L in layers for S in supports for T in supports
     )
@@ -584,8 +558,8 @@ def _d_span(shape: Shape) -> AlgebraSpan:
     for T, (A, _) in fac.items():
         l = len(T)
         for w in comb.perms(l):
-            head = _then(A, _gen_map(LayerGen(l, w), shape))
-            mats.extend(schur_core.signed_matrix(_then(head, B), d, f)
+            head = then(A, _gen_map(LayerGen(l, w), shape))
+            mats.extend(schur_core.signed_matrix(then(head, B), d, f)
                         for S, (_, B) in fac.items() if len(S) == l)
     return span_of(mats, d=d, field=f)
 

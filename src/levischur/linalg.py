@@ -26,9 +26,9 @@ immutable after construction; nothing here ever touches floating point.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 DEFAULT_SIZE_CAP = 256
 

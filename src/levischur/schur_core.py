@@ -7,11 +7,12 @@ the enhanced modules move to the supports.
 
 Each piece is read off its structure, as signed maps and dicts of +-1
 ints; no command builds an ``ExactMatrix``.  ``Degree.actions``, the
-signed S_l action, is built once per degree and read by the group span,
-the signed orbits and ``hecke``'s layer generators.  The basis matrices
-come from the paper's formula, the transport signs carried along each
-orbit once.  C(Pi_l) is the span of the signed orbits of the simple
-transpositions on the matrix positions, with no field arithmetic;
+signed S_l action, is built once per degree, checked by ``Degree.acts``
+(relation 3.3), and read by the group span, the signed orbits and
+``hecke``'s layer generators; ``then`` composes signed maps.  The basis
+matrices come from the paper's formula, the transport signs carried
+along each orbit once.  C(Pi_l) is the span of the signed orbits of the
+simple transpositions on the matrix positions, with no field arithmetic;
 checking that every basis matrix is one of those orbits is the first
 direction.  The converse, C(S(m|n,l)) = Pi_l, is a count inside the
 weight blocks that the diagonal basis matrices cut out, on the
@@ -26,8 +27,8 @@ the package.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from . import combinatorics as comb
 from .combinatorics import (
@@ -69,6 +70,16 @@ def signed_action(w: Permutation, shape: Shape) -> dict:
             gamma(comb.parity_vector(word, shape), w))
         for p, word in enumerate(natural_basis(shape, len(w)))
     }
+
+
+def then(a: dict, b: dict) -> dict:
+    """The signed map a followed by b: the matrix product b @ a."""
+    out = {}
+    for p, (q, s) in a.items():
+        img = b.get(q)
+        if img is not None:
+            out[p] = (img[0], s * img[1])
+    return out
 
 
 def pi_matrix(w: Permutation, shape: Shape, l: int) -> ExactMatrix:
@@ -234,9 +245,10 @@ class Degree:
     each piece built on first use: ``hecke.d_dimension`` reads only
     ``group`` and decides no commutant.
 
-    ``signed_orbits`` of the l-1 simple transpositions, which generate
-    S_l, is C(Pi_l) exactly, of dimension the number of consistent
-    orbits.  ``certified`` decides C(Pi_l) = S(m|n,l), and ``converse``
+    ``signed_orbits`` of the l-1 simple transpositions is C(Pi_l)
+    exactly, of dimension the number of consistent orbits, when the
+    table ``actions`` is an action of S_l, which ``acts`` checks.
+    ``certified`` decides C(Pi_l) = S(m|n,l), and ``converse``
     C(S(m|n,l)) = Pi_l.  Both hold in every characteristic but 2
     (Brundan-Kujawa), so a failed verdict is a defect, and final: no
     commutant is eliminated.  ``solves`` records each verdict, and the
@@ -251,6 +263,32 @@ class Degree:
     def actions(self) -> dict[Permutation, dict]:
         """``signed_action`` of every permutation of degree l."""
         return {w: signed_action(w, self.shape) for w in comb.perms(self.l)}
+
+    @cached_property
+    def acts(self) -> bool:
+        """Relation 3.3 on the table a = ``actions``: a(id) is idempotent,
+        the simple a(s_i) satisfy the Coxeter relations, which present S_l
+        (Bjorner-Brenti, GTM 231), and a(sigma s) then a(s) is a(sigma),
+        s undoing the first descent of sigma != id: by induction on length
+        on this spanning tree of the Cayley graph, a is an action of S_l.
+        The tree alone passes any a(s_1) at l = 2."""
+        a, l = self.actions, self.l
+        one = comb.identity_perm(l)
+        simple = [comb.adjacent_transposition(l, k) for k in range(1, l)]
+
+        def edge(sigma):
+            s = simple[next(k for k in range(l - 1)
+                            if sigma[k] > sigma[k + 1])]
+            return then(a[comb.compose(sigma, s)], a[s]) == a[sigma]
+
+        def coxeter(i, j):
+            y = a[one]
+            for _ in range(1 if i == j else 3 if j == i + 1 else 2):
+                y = then(then(y, a[simple[i]]), a[simple[j]])
+            return y == a[one]
+        return then(a[one], a[one]) == a[one] and all(
+            edge(sigma) for sigma in a if sigma != one) and all(
+            coxeter(i, j) for i in range(l - 1) for j in range(i, l - 1))
 
     @cached_property
     def xi(self) -> dict[DoubleIndex, dict]:
@@ -284,21 +322,23 @@ class Degree:
 
     @cached_property
     def certified(self) -> bool:
-        """Each basis matrix is one consistent signed orbit, all of it,
-        with the orbit's signs, and the matrices take distinct orbits,
-        as many as there are: they span C(Pi_l)."""
+        """``acts``, and each basis matrix is one consistent signed
+        orbit, all of it, with the orbit's signs, and the matrices take
+        distinct orbits, as many as there are: they span C(Pi_l)."""
         orbits, conflicts = self.orbits
         by_root = {next(iter(orbit)): orbit for orbit in orbits}
         d = self.dim
         flats = [{k * d + t: v for (k, t), v in x.items()}
                  for x in self.xi.values()]
         roots = [min(flat, default=None) for flat in flats]
-        ok = len(orbits) == len(set(roots)) == len(flats) and all(
+        ok = self.acts and len(orbits) == len(set(roots)) == len(flats)
+        ok = ok and all(
             root in by_root and flat == {
                 y: s * flat[root] for y, s in by_root[root].items()}
             for root, flat in zip(roots, flats))
         self.solves["commutant_pi"] = {
-            "method": "certified" if ok else "orbits_failed",
+            "method": "certified" if ok else
+            "orbits_failed" if self.acts else "action_failed",
             "orbits": len(orbits), "conflicts": conflicts,
         }
         return ok
@@ -371,20 +411,18 @@ class Degree:
 
 def degree(shape: Shape, l: int) -> Degree:
     """The degree-l data, one per (m, n, l, field): r and vparity do not
-    reach the natural tensor spaces, so the key fixes them."""
-    return _degree(Shape(shape.m, shape.n, 1, 0, shape.field), l)
+    reach the natural tensor spaces, so the key leaves them out."""
+    return _degree(shape.m, shape.n, shape.field, l)
 
 
-_degree = lru_cache(maxsize=None)(Degree)
+@lru_cache(maxsize=None)
+def _degree(m: int, n: int, field, l: int) -> Degree:
+    return Degree(Shape(m, n, 1, 0, field), l)
 
 
-class ClassicalDualityReport(NamedTuple):
-    dim_commutant_of_symmetric_group: int
-    dim_schur: int | None
-    spans_equal: bool
-    r_le_mplusn: bool
-    dim_commutant_of_schur: int | None
-    converse_spans_equal: bool
+ClassicalDualityReport = namedtuple("ClassicalDualityReport", (
+    "dim_commutant_of_symmetric_group dim_schur spans_equal r_le_mplusn"
+    " dim_commutant_of_schur converse_spans_equal"))
 
 
 def classical_duality(

@@ -79,6 +79,19 @@ def test_cold_import_loads_no_dataclasses():
     assert json.loads(out) == []
 
 
+def test_cold_import_loads_no_typing():
+    """``import levischur.cli`` loads no ``typing``: the records are
+    ``collections.namedtuple``s and the abstract types come from
+    ``collections.abc``.  ``-S`` keeps out the site hooks, which may
+    import ``typing`` themselves."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import levischur.cli, sys; sys.exit('typing' in sys.modules)"
+    assert subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).returncode == 0
+
+
 def test_invalid_config_exit_2(capsys):
     status, _, err = run_main(
         capsys, ["verify", "--m", "0", "--n", "1", "--r", "2"]

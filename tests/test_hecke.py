@@ -5,6 +5,7 @@ products of ``xi_gen`` matrices and compare ``ExactMatrix``es; they are
 the independent oracle for the signed-map path in ``hecke``.
 """
 
+import math
 import random
 
 import pytest
@@ -239,35 +240,43 @@ def test_certified_instances_are_distinct_members_of_the_full_set(shape):
     assert all(check_relation(inst, shape) for inst in full)
 
 
-def inversions(w):
-    return sum(a > b for k, a in enumerate(w) for b in w[k + 1:])
+def is_an_action(table):
+    """Oracle: every instance of relation 3.3 on a table of signed maps."""
+    return all(schur_core.then(table[s], table[t])
+               == table[comb.compose(s, t)] for s in table for t in table)
 
 
-def test_certified_3_3_is_a_cayley_spanning_tree():
-    """Beside (id, id), the certified 3.3 instances are the edges
-    (parent, s) -> compose(parent, s) of a spanning tree of the Cayley
-    graph of S_l on the simple transpositions: every sigma != id is a
-    child exactly once, of a parent with one inversion fewer."""
-    instances = [inst for inst in certified_instances(Shape(1, 0, 6))
-                 if inst.rel == "3.3"]
-    for l in range(7):
-        one = identity_perm(l)
-        simple = {comb.adjacent_transposition(l, i) for i in range(1, l)}
-        edges = [(inst.sigma, inst.mu) for inst in instances
-                 if inst.l == l and inst.mu != one]
-        assert [inst for inst in instances if inst.l == l][0] == (
-            RelationInstance("3.3", l=l, sigma=one, mu=one))
-        children = [comb.compose(parent, s) for parent, s in edges]
-        assert sorted(children) == sorted(set(perms(l)) - {one})
-        for (parent, s), child in zip(edges, children):
-            assert s in simple
-            assert inversions(parent) == inversions(child) - 1
+def test_acts_is_relation_3_3_on_flipped_tables():
+    """``Degree.acts`` checks relation 3.3 on the table itself: with the
+    sign of any one entry of any ``actions[sigma]`` flipped, l <= 3, at
+    (1|1,3), it agrees with the oracle.  Every flip breaks 3.3 but two:
+    a(s_1) at l = 2 on the words (1, 1) and (2, 2), which it fixes.  The
+    table is then still an action of S_2, and relation 3.4 fails (see
+    ``test_sign_mutants_fail_certified_set_iff_full_set``)."""
+    shape = Shape(1, 1, 3)
+    mutants, actions = 0, []
+    for l in range(4):
+        table = schur_core.degree(shape, l).actions
+        assert schur_core.degree(shape, l).acts and is_an_action(table)
+        for sigma, action in table.items():
+            for p, (q, s) in action.items():
+                deg = schur_core.Degree(shape, l)
+                deg.actions = {**table, sigma: {**action, p: (q, -s)}}
+                assert deg.acts == is_an_action(deg.actions), (l, sigma, p)
+                if deg.acts:
+                    actions.append((l, sigma, p))
+                mutants += 1
+    assert mutants == sum(math.factorial(l) * 2 ** l for l in range(4))
+    assert actions == [(2, (1, 0), 0), (2, (1, 0), 3)]
 
 
 def test_certified_totals():
-    # (r-1)^2 swap relations, sum_l l! of 3.3, then 3.4, 3.5 and 3.6
+    # (r-1)^2 swap relations, then 3.4, 3.5 and 3.6; no 3.3, which
+    # ``Degree.acts`` checks on the table
     assert [sum(1 for _ in certified_instances(Shape(1, 0, r)))
-            for r in (4, 7, 8)] == [76, 6068, 46446]
+            for r in (4, 7, 8)] == [42, 154, 212]
+    assert not any(inst.rel == "3.3"
+                   for inst in certified_instances(Shape(1, 1, 4)))
 
 
 def test_dims_then_relations_check_each_certified_instance_once(
@@ -294,27 +303,40 @@ def test_dims_then_relations_check_each_certified_instance_once(
     assert calls == list(certified_instances(shape))
 
 
+def patch_map(mp, g, flipped):
+    """Make ``flipped`` the map of swap ``g``, or the table entry of
+    layer generator ``g``, which ``clear_caches`` rebuilds."""
+    if isinstance(g, SwapGen):
+        real = hecke._swap_map
+        mp.setattr(hecke, "_swap_map",
+                   lambda i, sh: flipped if i == g.i else real(i, sh))
+    else:
+        real = schur_core.signed_action
+        mp.setattr(schur_core, "signed_action",
+                   lambda w, sh: flipped if w == g.sigma else real(w, sh))
+
+
 @pytest.mark.parametrize("vp", [0, 1])
-def test_sign_mutants_fail_certified_set_iff_full_set(vp):
+def test_sign_mutants_fail_certified_set_iff_full_set(vp, monkeypatch):
     """Flip the sign of one entry of one generator map at a time: the
-    certified instances fail exactly when the full enumeration does.  A
-    swap's map is cached; a layer generator's is built on each call from
-    its degree's ``actions`` entry, which is flipped instead."""
+    relation verdict, with caches cleared, fails exactly when the full
+    enumeration does.  A swap's map is flipped; a layer generator's is
+    built on each call from its degree's ``actions`` entry, which is
+    flipped instead."""
     shape = Shape(1, 1, 3, vp)
-
-    def holds(instances):
-        return all(check_relation(inst, shape) for inst in instances)
-
     caught = mutants = 0
     try:
         for g in hecke_generators(shape):
-            gmap = (_gen_map(g, shape) if isinstance(g, SwapGen) else
-                    schur_core.degree(shape, g.l).actions[g.sigma])
-            for p, (q, s) in list(gmap.items()):
-                gmap[p] = (q, -s)
-                full = holds(relation_instances(shape))
-                assert holds(certified_instances(shape)) == full, (g, p)
-                gmap[p] = (q, s)
+            gmap = (hecke._swap_map(g.i, shape) if isinstance(g, SwapGen)
+                    else schur_core.signed_action(g.sigma, shape))
+            for p, (q, s) in gmap.items():
+                with monkeypatch.context() as mp:
+                    patch_map(mp, g, {**gmap, p: (q, -s)})
+                    clear_caches()
+                    full = all(check_relation(inst, shape)
+                               for inst in relation_instances(shape))
+                    assert (not hecke.relation_failures(shape)) == full, (
+                        g, p)
                 mutants += 1
                 caught += not full
     finally:
@@ -327,6 +349,25 @@ def test_boundary_observations_are_reported_not_asserted():
     assert obs == [(1, (0,), False)]
     obs1 = boundary_observations(SH1)
     assert obs1 == [(1, (0,), False)]
+
+
+@pytest.mark.parametrize("shape", [
+    Shape(m, n, r, vp) for (m, n, r) in [(1, 0, 5), (2, 1, 3), (1, 1, 4)]
+    for vp in (0, 1)
+], ids=shape_id)
+def test_every_boundary_observation_reads_false(shape):
+    """In word order s_l L(l, sigma) is defined on the words with support
+    {1..l-1, l+1}, and L(l, sigma) s_l on the leading words: the two
+    domains are disjoint and non-empty, so no observation holds."""
+    obs = boundary_observations(shape)
+    assert [(i, sigma) for i, sigma, _ok in obs] == [
+        (l, sigma) for l in range(1, shape.r) for sigma in perms(l)]
+    assert not any(ok for _i, _sigma, ok in obs)
+    for l in range(1, shape.r):
+        for sigma in perms(l):
+            a = _word_map((SwapGen(l), LayerGen(l, sigma)), shape)
+            b = _word_map((LayerGen(l, sigma), SwapGen(l)), shape)
+            assert a and b and not set(a) & set(b)
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,33 @@ def flip_sign(monkeypatch, gen, pos):
     monkeypatch.setattr(hecke, "_gen_map", mutant)
 
 
+def flip_table_sign(monkeypatch, sigma, k):
+    """Flip the sign of entry k of ``signed_action(sigma)``, the table
+    entry of ``LayerGen(len(sigma), sigma)``, which ``clear_caches``
+    rebuilds."""
+    real = schur_core.signed_action
+
+    def mutant(w, shape):
+        m = real(w, shape)
+        if w == sigma:
+            q, s = m[k]
+            m[k] = (q, -s)
+        return m
+
+    monkeypatch.setattr(schur_core, "signed_action", mutant)
+
+
+def flip_generator_sign(monkeypatch, gen, pos, shape):
+    """``flip_sign``, but on the table for a layer generator whose sigma
+    is neither id nor simple: no command builds its map, and
+    ``Degree.acts`` reads its table entry."""
+    if isinstance(gen, SwapGen) or gen.sigma in hecke._id_and_simple(gen.l):
+        flip_sign(monkeypatch, gen, pos)
+    else:
+        lead = enh._placements(gen.l, shape)[0][0]
+        flip_table_sign(monkeypatch, gen.sigma, lead.index(pos))
+
+
 MUTANT_SHAPE = Shape(1, 1, 3)
 
 
@@ -727,7 +754,7 @@ def test_every_sign_mutant_fails_verify(gen, monkeypatch):
     survivors = []
     for p in live:
         with monkeypatch.context() as mp:
-            flip_sign(mp, gen, p)
+            flip_generator_sign(mp, gen, p, MUTANT_SHAPE)
             levischur.clear_caches()
             _report, status = cli.cmd_verify(cli.RunConfig(
                 m=1, n=1, r=3, vparity="even"
@@ -741,20 +768,89 @@ def test_every_sign_mutant_fails_verify(gen, monkeypatch):
 @pytest.mark.parametrize("vparity", (0, 1))
 def test_certificate_alone_fails_sign_mutants(vparity, monkeypatch):
     """``d_certificate`` by itself fails on every single-sign mutant of
-    the generator maps at (1|1,3).  Its check (c) reads the relation
-    verdict, which alone catches ``SwapGen(1)`` and ``SwapGen(2)`` on
-    the all-v word."""
+    the generator maps at (1|1,3), flipped on the table for the
+    ``LayerGen(3, sigma)`` whose sigma is neither id nor simple.  Its
+    check (c) reads the relation verdict, which alone catches
+    ``SwapGen(1)`` and ``SwapGen(2)`` on the all-v word, and the table
+    mutants through ``Degree.acts``."""
     shape = Shape(1, 1, 3, vparity)
     survivors = []
     for gen in hecke.hecke_generators(shape):
         for p in list(hecke._gen_map(gen, shape)):
             with monkeypatch.context() as mp:
-                flip_sign(mp, gen, p)
+                flip_generator_sign(mp, gen, p, shape)
                 levischur.clear_caches()
                 if hecke.d_certificate(shape) is None:
                     survivors.append((gen, p))
             levischur.clear_caches()
     assert survivors == []
+
+
+def test_table_mutant_fails_classical_duality(monkeypatch):
+    """One flipped sign in the table entry of a sigma that is neither id
+    nor simple leaves the signed orbits of the simple transpositions
+    alone, but not ``Degree.acts``: the classical first direction fails,
+    and so does ``verify``, with ``action_failed`` in its solves."""
+    levischur.clear_caches()
+    clean = schur_core.classical_duality(MUTANT_SHAPE)
+    assert clean.spans_equal
+    levischur.clear_caches()
+    try:
+        with monkeypatch.context() as mp:
+            flip_table_sign(mp, (2, 1, 0), 0)
+            report = schur_core.classical_duality(MUTANT_SHAPE)
+            verdict, status = cli.cmd_verify(cli.RunConfig(
+                m=1, n=1, r=3, vparity="even"))
+    finally:
+        levischur.clear_caches()
+    assert not report.spans_equal and report.dim_schur is None
+    assert (report.dim_commutant_of_symmetric_group
+            == clean.dim_commutant_of_symmetric_group)
+    assert status == cli.EXIT_CHECK_FAILED
+    assert [e["solves"]["commutant_D"]["method"]
+            for e in verdict["timing"]["layers"]] == [
+        "certified", "certified", "certified", "action_failed"]
+
+
+def test_run_path_checks_3_3_on_the_table_alone(monkeypatch):
+    """Outside ``boundary_observations`` no command builds an instance
+    of 3.3, nor the map of a ``LayerGen`` whose sigma is neither id nor
+    simple."""
+    built, seen, inside = [], [], []
+    real_map = hecke._gen_map
+    real_instance = hecke.RelationInstance
+    real_boundary = hecke.boundary_observations
+
+    def recording_map(g, shape):
+        if isinstance(g, LayerGen) and not inside:
+            seen.append(g)
+            if g.sigma not in hecke._id_and_simple(g.l):
+                built.append(g)
+        return real_map(g, shape)
+
+    def recording_instance(rel, **params):
+        if rel == "3.3":
+            built.append(rel)
+        return real_instance(rel, **params)
+
+    def boundary(shape):
+        inside.append(shape)
+        try:
+            return real_boundary(shape)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hecke, "_gen_map", recording_map)
+    monkeypatch.setattr(hecke, "RelationInstance", recording_instance)
+    monkeypatch.setattr(hecke, "boundary_observations", boundary)
+    levischur.clear_caches()
+    for m, n, r in [(1, 1, 3), (1, 0, 5), (2, 1, 3)]:
+        for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_relations,
+                        cli.cmd_report):
+            _report, status = command(cli.RunConfig(m=m, n=n, r=r))
+            assert status == cli.EXIT_OK
+    levischur.clear_caches()
+    assert seen and built == []
 
 
 def test_named_mutant_fails_certificate(monkeypatch):
