@@ -45,11 +45,11 @@ the rationals are authoritative.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
+from _json import encode_basestring_ascii
 from collections import namedtuple
-from json import JSONEncoder
-from json.encoder import encode_basestring_ascii
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
@@ -333,7 +333,33 @@ _COMMANDS = {
 }
 
 
-_scalar = JSONEncoder().encode
+_INF = float("inf")
+
+
+def _scalar(x) -> str:
+    """A JSON scalar as ``json.dumps`` spells it: strings through the C
+    escaper that ``json.encoder`` uses, ``float.__repr__`` for finite
+    floats, and ``NaN``, ``Infinity``, ``true``, ``false``, ``null``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF:
+            return "Infinity"
+        if x == -_INF:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(
+        f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -342,8 +368,9 @@ def _json(obj, pad: str = "\n") -> str:
     ``pad`` is the newline and indentation that precede ``obj``'s
     closing bracket.  Dict keys are strings, as in every report.  An
     ``int`` (not a ``bool``) is ``str(x)``; every other scalar goes
-    through the stdlib encoder, so floats, ``true``/``false``, ``null``
-    and string escapes are the stdlib's own.  Tuples encode as lists.
+    through ``_scalar``, which spells floats, ``true``/``false``,
+    ``null`` and string escapes as the stdlib does.  Tuples encode as
+    lists.
     """
     if type(obj) is int:
         return str(obj)
@@ -416,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command in this process and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = RunConfig(
@@ -442,5 +470,19 @@ def main(argv=None) -> int:
     return status
 
 
+def run() -> None:
+    """The process entry, for ``python -m levischur.cli`` and the
+    ``levischur`` script: ``main()``, then exit with its status.
+
+    ``gc.freeze()`` first moves every object the command built out of
+    the collector's reach, so the collections at interpreter shutdown
+    skip a heap about to be freed.  ``main`` never freezes: in a
+    long-lived process a frozen heap would keep later cyclic garbage
+    forever."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,12 +21,13 @@ and the transport sign carries basis labels along a diagonal symmetric
 group orbit of a strict double index.  Strictness is exactly the
 condition making that transport independent of the chosen permutation
 (covered by the test suite, not assumed).  ``orbit_signs`` walks a
-whole orbit once along simple transpositions; ``sigma_sign`` searches
-a permutation per element and serves as the tests' oracle.  Orbits come
-from sorting:
-the diagonal action permutes the letter pairs ``(row[k], col[k])``, so
-a strict orbit is a multiset of letter pairs with no odd pair repeated,
-and its least element lists them sorted.
+whole orbit once along simple transpositions, on tuples, and
+``sigma_sign`` searches a permutation per element; both serve as the
+tests' oracles for ``schur_core.xi_entries``, which walks the orbit on
+integer word tables.  Orbits come from sorting: the diagonal action
+permutes the letter pairs ``(row[k], col[k])``, so a strict orbit is a
+multiset of letter pairs with no odd pair repeated, and its least
+element lists them sorted.
 """
 
 from __future__ import annotations

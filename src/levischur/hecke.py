@@ -381,18 +381,26 @@ def boundary_observations(shape: Shape) -> list[tuple[int, Permutation, bool]]:
 
     Returns (i, sigma, swap-commutes-with-layer-generator) triples; no
     relation governs these, so they are reported and never asserted.
-    Every one reads False: in word order, s_l L(l, sigma) is defined on
-    the words with support {1..l-1, l+1}, and L(l, sigma) s_l on the
-    leading words, {1..l}.  Since l < r and m >= 1, both domains are
-    non-empty, and they are disjoint, so the two maps never agree.
+    Each is decided on the domains of the two maps first, which do not
+    depend on sigma: ``LayerGen(l, sigma)`` is defined on the leading
+    words, since ``actions[sigma]`` is defined on every word of degree
+    l, and the swap on every word.  So, in word order, s_l L(l, sigma)
+    is defined on the swap-preimage of the leading words and L(l,
+    sigma) s_l on the leading words; the maps are composed only where
+    these agree.  They never do: the first domain holds the words with
+    support {1..l-1, l+1}, the second those with support {1..l}, and
+    since l < r and m >= 1 both are non-empty, so every observation
+    reads False.
     """
     out = []
     for l in range(1, shape.r):
-        i = l
+        swap = _swap_map(l, shape)
+        lead = set(enh._placements(l, shape)[0][0])
+        agree = {p for p, (q, _s) in swap.items() if q in lead} == lead
         for sigma in comb.perms(l):
-            a = _word_map((SwapGen(i), LayerGen(l, sigma)), shape)
-            b = _word_map((LayerGen(l, sigma), SwapGen(i)), shape)
-            out.append((i, sigma, a == b))
+            out.append((l, sigma, agree and _word_map(
+                (SwapGen(l), LayerGen(l, sigma)), shape) == _word_map(
+                (LayerGen(l, sigma), SwapGen(l)), shape)))
     return out
 
 

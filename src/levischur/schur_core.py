@@ -11,14 +11,14 @@ signed S_l action, is built once per degree, checked by ``Degree.acts``
 (relation 3.3), and read by the group span, the signed orbits and
 ``hecke``'s layer generators; ``then`` composes signed maps.  The basis
 matrices come from the paper's formula, the transport signs carried
-along each orbit once.  C(Pi_l) is the span of the signed orbits of the
-simple transpositions on the matrix positions, with no field arithmetic;
-checking that every basis matrix is one of those orbits is the first
-direction.  The converse, C(S(m|n,l)) = Pi_l, is a count inside the
-weight blocks that the diagonal basis matrices cut out, on the
-Chevalley elements E_{a,a+-1} and then the basis matrices.  Each
-direction is one verdict on one path: a failed check fails, and nothing
-is eliminated instead.
+along each orbit once, on the integer word tables ``Degree.words``.
+C(Pi_l) is the span of the signed orbits of the simple transpositions
+on the matrix positions, with no field arithmetic; checking that every
+basis matrix is one of those orbits is the first direction.  The
+converse, C(S(m|n,l)) = Pi_l, is a count inside the weight blocks that
+the diagonal basis matrices cut out, on the Chevalley elements
+E_{a,a+-1} and then the basis matrices.  Each direction is one verdict
+on one path: a failed check fails, and nothing is eliminated instead.
 
 The tensor basis of degree l is indexed by words over 1..m+n in
 lexicographic order, fixing row/column numbering for every matrix in
@@ -143,19 +143,38 @@ def xi_entries(pair: DoubleIndex, shape: Shape) -> dict:
 
     Basis word t is sent to the sum of sigma(pair; k, t) *
     alpha(eps_k + eps_t, eps_t) * (word k) over all orbit elements
-    (k, t) of ``pair`` whose column matches t, the transport signs
-    sigma carried along the orbit by ``combinatorics.orbit_signs``.
+    (k, t) of ``pair`` whose column matches t.  The orbit is walked on
+    position pairs along the simple transpositions of ``Degree.words``,
+    carrying the transport sign sigma as ``combinatorics.orbit_signs``
+    does: a step swapping slots i and i+1 flips it when both are odd in
+    eps_k + eps_t.
     """
     if not comb.is_strict(pair, shape):
         raise ValueError(f"pair {pair} is not strict")
-    m = shape.m
-    entries = {}
-    for (k, t), sgn in comb.orbit_signs(pair, shape).items():
-        et = tuple(x > m for x in t)
-        ekt = tuple((a > m) != (b > m) for a, b in zip(k, t))
-        entries[(word_position(k, shape), word_position(t, shape))] = (
-            sgn * alpha(ekt, et))
-    return entries
+    odd, swaps = degree(shape, len(pair[0])).words
+    start = (word_position(pair[0], shape), word_position(pair[1], shape))
+    signs = {start: 1}
+    stack = [start]
+    while stack:
+        k, t = y = stack.pop()
+        sign, both = signs[y], odd[k] ^ odd[t]
+        for i, img in enumerate(swaps):
+            q = (img[k], img[t])
+            if q not in signs:
+                signs[q] = -sign if both >> i & 3 == 3 else sign
+                stack.append(q)
+    return {(k, t): sign * _alpha(odd[k] ^ odd[t], odd[t])
+            for (k, t), sign in signs.items()}
+
+
+def _alpha(eps: int, delta: int) -> int:
+    """``alpha`` on parity words held as bitmasks, slot k at bit k."""
+    par = 0
+    while eps:
+        low = eps & -eps
+        par ^= (delta & (low - 1)).bit_count()
+        eps ^= low
+    return -1 if par & 1 else 1
 
 
 def xi_matrix(pair: DoubleIndex, shape: Shape) -> ExactMatrix:
@@ -289,6 +308,23 @@ class Degree:
         return then(a[one], a[one]) == a[one] and all(
             edge(sigma) for sigma in a if sigma != one) and all(
             coxeter(i, j) for i in range(l - 1) for j in range(i, l - 1))
+
+    @cached_property
+    def words(self) -> tuple[list[int], list[list[int]]]:
+        """Integer tables of the words, by position: the odd slots of
+        each word as a bitmask, slot k at bit k, and for each simple
+        transposition s_i the position of the word with slots i and
+        i+1 swapped.  In mixed radix N = m+n that swap adds (x_{i+1} -
+        x_i)(N^(l-1-i) - N^(l-2-i)) to the position."""
+        m, l, num = self.shape.m, self.l, self.shape.m + self.shape.n
+        words = natural_basis(self.shape, l)
+        odd = [sum(1 << k for k, x in enumerate(w) if x > m) for w in words]
+        swaps = []
+        for i in range(l - 1):
+            step = num ** (l - 1 - i) - num ** (l - 2 - i)
+            swaps.append([p + (w[i + 1] - w[i]) * step
+                          for p, w in enumerate(words)])
+        return odd, swaps
 
     @cached_property
     def xi(self) -> dict[DoubleIndex, dict]:

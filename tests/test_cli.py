@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
+import gc
 import json
 import os
 import random
@@ -68,15 +69,17 @@ def test_verify_exit_ok(capsys):
 def test_cold_import_loads_no_dataclasses():
     """``import levischur.cli`` in a bare interpreter (``-S``, so no site
     hook imports anything) loads neither ``dataclasses`` nor ``inspect``,
-    which together cost more at start-up than a small ``verify``."""
+    which together cost more at start-up than a small ``verify``, nor
+    the ``json`` package: reports are encoded with ``_json``'s string
+    escaper alone.  The probe imports no ``json`` itself."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import json, sys, levischur.cli; print(json.dumps(sorted("
-             "{'dataclasses', 'inspect'} & set(sys.modules))))")
+    probe = ("import sys, levischur.cli; print(' '.join(sorted("
+             "{'dataclasses', 'inspect', 'json'} & set(sys.modules))))")
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True,
         text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     ).stdout
-    assert json.loads(out) == []
+    assert out == "\n"
 
 
 def test_cold_import_loads_no_typing():
@@ -104,6 +107,66 @@ def test_bad_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--m", "1", "--n", "1"])
     assert exc.value.code == 2
+
+
+ENTRY_RUNS = [
+    ([cmd, "--m", "1", "--n", "1", "--r", "3", "--output", "json"], EXIT_OK)
+    for cmd in ("verify", "dims", "orbits", "relations")
+] + [
+    (["verify", "--m", "1", "--n", "1", "--r", "3"], EXIT_OK),
+    (["verify", "--m", "0", "--n", "1", "--r", "2"], EXIT_BAD_CONFIG),
+    (["verify", "--m", "1", "--n", "1"], EXIT_BAD_CONFIG),
+    (["verify", "--m", "2", "--n", "2", "--r", "4", "--output", "json"],
+     EXIT_SIZE_CAP),
+]
+
+
+def without_seconds(out: str) -> str:
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if '"seconds":' not in line)
+
+
+@pytest.mark.parametrize("argv,expect", ENTRY_RUNS,
+                         ids=[" ".join(argv) for argv, _ in ENTRY_RUNS])
+def test_process_entry_matches_main(capsys, argv, expect):
+    """``python -m levischur.cli``, which exits through ``run``, prints
+    what ``main`` prints in this process, ``seconds`` lines dropped, and
+    exits with its status: 0, 2 for a bad shape or a missing flag, 3
+    above the size cap."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "levischur.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert child.returncode == status == expect
+    assert without_seconds(child.stdout) == without_seconds(out)
+    assert child.stderr == err
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    """Only ``run`` freezes the heap: ``main`` serves long-lived
+    processes, where frozen objects would never be collected."""
+    before = gc.get_freeze_count()
+    assert main(["verify", "--m", "1", "--n", "1", "--r", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_after_main_then_exits_with_its_status(monkeypatch):
+    import levischur.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli_mod.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.run()
+    assert exc.value.code == 3
+    assert calls == ["main", "freeze"]
 
 
 def test_size_cap_exit_3(capsys):

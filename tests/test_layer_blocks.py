@@ -813,16 +813,15 @@ def test_table_mutant_fails_classical_duality(monkeypatch):
 
 
 def test_run_path_checks_3_3_on_the_table_alone(monkeypatch):
-    """Outside ``boundary_observations`` no command builds an instance
-    of 3.3, nor the map of a ``LayerGen`` whose sigma is neither id nor
-    simple."""
-    built, seen, inside = [], [], []
+    """No command builds an instance of 3.3, nor the map of a
+    ``LayerGen`` whose sigma is neither id nor simple; the boundary
+    observations decide each sigma on the domains of the maps."""
+    built, seen = [], []
     real_map = hecke._gen_map
     real_instance = hecke.RelationInstance
-    real_boundary = hecke.boundary_observations
 
     def recording_map(g, shape):
-        if isinstance(g, LayerGen) and not inside:
+        if isinstance(g, LayerGen):
             seen.append(g)
             if g.sigma not in hecke._id_and_simple(g.l):
                 built.append(g)
@@ -833,16 +832,8 @@ def test_run_path_checks_3_3_on_the_table_alone(monkeypatch):
             built.append(rel)
         return real_instance(rel, **params)
 
-    def boundary(shape):
-        inside.append(shape)
-        try:
-            return real_boundary(shape)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(hecke, "_gen_map", recording_map)
     monkeypatch.setattr(hecke, "RelationInstance", recording_instance)
-    monkeypatch.setattr(hecke, "boundary_observations", boundary)
     levischur.clear_caches()
     for m, n, r in [(1, 1, 3), (1, 0, 5), (2, 1, 3)]:
         for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_relations,

@@ -12,12 +12,21 @@ import pytest
 from levischur.combinatorics import (
     Shape,
     adjacent_transposition,
+    alpha,
     identity_perm,
     orbit_elements,
+    orbit_signs,
     perms,
     strict_pairs,
 )
-from levischur.linalg import ExactMatrix, commutant, rank_of_rows, span_of
+from levischur.linalg import (
+    QQ,
+    ExactMatrix,
+    PrimeField,
+    commutant,
+    rank_of_rows,
+    span_of,
+)
 from levischur.schur_core import (
     classical_duality,
     degree,
@@ -27,6 +36,7 @@ from levischur.schur_core import (
     schur_basis,
     structure_constants,
     word_position,
+    xi_entries,
     xi_matrix,
 )
 
@@ -123,6 +133,37 @@ def test_xi_commutes_with_pi():
             m = xi_matrix(pair, shape)
             for s in swaps:
                 assert m.commutes_with(s)
+
+
+def walked_xi_entries(pair, shape):
+    """The paper's formula on tuples: ``orbit_signs`` for the transport
+    signs, ``word_position`` and ``alpha`` of the parity words."""
+    m = shape.m
+    entries = {}
+    for (k, t), sgn in orbit_signs(pair, shape).items():
+        et = tuple(x > m for x in t)
+        ekt = tuple((a > m) != (b > m) for a, b in zip(k, t))
+        entries[(word_position(k, shape), word_position(t, shape))] = (
+            sgn * alpha(ekt, et))
+    return entries
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+@pytest.mark.parametrize("mnr", [(2, 1, 3), (1, 2, 3), (1, 1, 4), (2, 2, 4),
+                                 (3, 0, 3), (1, 3, 3)],
+                         ids=lambda mnr: "%d|%d,%d" % mnr)
+def test_xi_entries_match_the_tuple_walk(mnr, field):
+    """``xi_entries`` walks the orbit on the integer tables of
+    ``Degree.words``; it gives the tuple walk's dict, in the same order,
+    on every basis label of every degree, and on every strict pair of
+    degree 2."""
+    shape = Shape(*mnr, 0, field)
+    pairs = [p for l in range(shape.r + 1) for p in schur_basis(shape, l)]
+    pairs += strict_pairs(shape, 2)
+    for pair in pairs:
+        got = xi_entries(pair, shape)
+        want = walked_xi_entries(pair, shape)
+        assert got == want and list(got) == list(want), pair
 
 
 # ---------------------------------------------------------------------------
