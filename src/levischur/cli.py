@@ -35,16 +35,21 @@ the verdict on each of its two commutants was reached
 the step that failed; ``commutant_D`` gives the signed orbits counted,
 ``commutant_levi`` whether the weight blocks passed, the count's
 unknowns and prime, and how many Chevalley elements and basis matrices
-it stacked.  A commutant dimension that no verdict fixes is null.
+it stacked.  A dimension that no verdict fixes is null.
 ``dims`` reads dim D from the factored layers, so it fails with a
 ``d_certificate`` check when the certificate of D does at any requested
-parity.  Runs over a prime field are labelled informative;
-the rationals are authoritative.
+parity, and with a ``converse`` check when a degree's converse fails:
+that verdict fixes dim Pi_l, so d_algebra is then null.  Runs over a
+prime field are labelled informative; the rationals are authoritative.
+
+A plain command line is read by ``_plain_args``, which returns what
+argparse would; ``build_parser``, the argparse parser of record, reads
+every other one (help, abbreviations, ``=`` forms and every malformed
+line), so its messages and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
@@ -53,7 +58,7 @@ from collections import namedtuple
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
-from . import hecke
+from . import hecke, schur_core
 from .combinatorics import Shape
 from .duality import layer_factors, run_duality, verify_first
 from .linalg import (
@@ -278,16 +283,22 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
         str(l): len(comb.orbit_reps(shape, l))
         for l in range(1, shape.r + 1)
     }
+    d_algebra = hecke.d_dimension(shape, cfg.size_cap)
     report["dims"] = {
         "ambient": shape.dim_enhanced,
         "per_layer_orbits": per_layer,
         "levi": enh.levi_dimension(shape),
-        "d_algebra": hecke.d_dimension(shape, cfg.size_cap),
+        "d_algebra": d_algebra,
     }
-    # dim D is read from the factored layers, valid under G1 and G2
+    # dim D is read from the factored layers, valid under G1 and G2, and
+    # each dim Pi_l from its degree's converse, which reads no parity
     gates = [(sh.vparity, hecke.d_certificate(sh)) for sh in cfg.shapes()]
     checks = [_check("d_certificate", vp, False, True, gate=gate)
               for vp, gate in gates if gate is not None]
+    if d_algebra is None:
+        checks.append(_check("converse", -1, False, True, layers=[
+            l for l in range(shape.r + 1)
+            if not schur_core.degree(shape, l).converse]))
     return _finish(report, checks, t0)
 
 
@@ -417,7 +428,21 @@ def _text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each option's dest, and int, its choices, or None for any string
+_OPTIONS = {
+    "--m": ("m", int), "--n": ("n", int), "--r": ("r", int),
+    "--vparity": ("vparity", ("even", "odd", "both")),
+    "--field": ("field", None),
+    "--output": ("output", ("text", "json")),
+    "--size-cap": ("size_cap", int),
+}
+
+
+def build_parser():
+    """The ``argparse`` parser of record; ``main`` builds it only for a
+    command line that ``_plain_args`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="levischur",
         description=(
@@ -432,26 +457,56 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of odd basis vectors (>= 0)")
     parser.add_argument("--r", type=int, required=True,
                         help="tensor degree (>= 1)")
-    parser.add_argument("--vparity", choices=("even", "odd", "both"),
+    parser.add_argument("--vparity", choices=_OPTIONS["--vparity"][1],
                         default="both")
     parser.add_argument("--field", default="q",
                         help="q for rationals, p:<odd prime> for a prime field")
-    parser.add_argument("--output", choices=("text", "json"), default="text")
+    parser.add_argument("--output", choices=_OPTIONS["--output"][1],
+                        default="text")
     parser.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="largest allowed ambient dimension")
     return parser
 
 
+def _plain_args(argv: list[str]) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` for a plain command line,
+    without building the parser, and None for any other.
+
+    Plain: the command once, anywhere; every option spelled in full,
+    apart from its value, the required ones present; no value starting
+    with ``-``; every integer in at most 18 ASCII digits; every choice
+    valid.  Help, abbreviations, ``=`` forms and every malformed line
+    are left to argparse, with its messages and exit codes."""
+    args = {"vparity": "both", "field": "q", "output": "text",
+            "size_cap": DEFAULT_SIZE_CAP}
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok not in _OPTIONS:
+            if tok not in _COMMANDS or "command" in args:
+                return None
+            args["command"] = tok
+            continue
+        val, (dest, kind) = next(tokens, "-"), _OPTIONS[tok]
+        if val.startswith("-"):
+            return None
+        if kind is int:
+            if not (val.isascii() and val.isdigit() and len(val) <= 18):
+                return None
+            val = int(val)
+        elif kind is not None and val not in kind:
+            return None
+        args[dest] = val
+    return args if len(args) == 8 else None
+
+
 def main(argv=None) -> int:
     """Run one command in this process and return its exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        m=args.m, n=args.n, r=args.r,
-        vparity=args.vparity, field=args.field,
-        command=args.command, output=args.output,
-        size_cap=args.size_cap,
-    )
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
+    cfg = RunConfig(**args)
     try:
         cfg.validate()
         Shape(cfg.m, cfg.n, cfg.r)

@@ -48,9 +48,9 @@ class LayerFactor(namedtuple("LayerFactor", (
     ``supports`` is k = C(r, l) and ``block_size`` k (m+n)^l;
     ``dim_commutant_pi`` counts the consistent signed orbits, on every
     run; ``certified`` is C(Pi_l) = S(m|n,l) and ``converse``
-    C(S(m|n,l)) = Pi_l.  ``seconds`` and ``solves``, how each verdict
-    was reached (``schur_core.Degree.solves``), are left out of
-    equality."""
+    C(S(m|n,l)) = Pi_l, which fixes ``dim_pi`` (None without it).
+    ``seconds`` and ``solves``, how each verdict was reached
+    (``schur_core.Degree.solves``), are left out of equality."""
 
     __slots__ = ()
 
@@ -64,13 +64,13 @@ class LayerFactor(namedtuple("LayerFactor", (
         return hash(self[:-2])
 
     @property
-    def dim_D(self) -> int:
-        return self.supports ** 2 * self.dim_pi
-
-    @property
-    def dim_commutant_levi(self) -> int | None:
+    def dim_D(self) -> int | None:
         """k^2 dim Pi_l under ``converse``; None when no verdict fixes it."""
-        return self.dim_D if self.converse else None
+        k2 = self.supports ** 2
+        return None if self.dim_pi is None else k2 * self.dim_pi
+
+    # C(L_l) = M_k (x) C(S(m|n,l)) = D_l under the same verdict
+    dim_commutant_levi = dim_D
 
 
 # ``failed_gate`` is the first of G1-G3 that fails, or None
@@ -125,7 +125,7 @@ def _layer_factors(shape: Shape) -> LayerFactors:
             layer=l,
             supports=k,
             block_size=k * deg.dim,
-            dim_pi=deg.group.dimension,
+            dim_pi=deg.group if deg.converse else None,
             dim_commutant_pi=len(deg.orbits[0]),
             certified=deg.certified,
             converse=deg.converse,
@@ -187,11 +187,12 @@ def verify_second(
     """
     fac = layer_factors(shape, size_cap)
     ok = fac.failed_gate is None
-    dim_D = sum(x.dim_D for x in fac.layers)
     converse = all(x.converse for x in fac.layers)
+    # the converse on every layer fixes dim D and the Levi commutant's
+    dim_D = sum(x.dim_D for x in fac.layers) if converse else None
     return SecondDualityResult(
         dim_D=dim_D,
-        dim_commutant_levi=dim_D if converse else None,
+        dim_commutant_levi=dim_D,
         containment_holds=ok and all(x.certified for x in fac.layers),
         spans_equal=ok and converse,
         gated=shape.r <= shape.m + shape.n,

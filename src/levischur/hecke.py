@@ -62,8 +62,9 @@ every member of D factors as B_S L_w A_T.  ``d_certificate`` checks on
 these O(sum_l C(r,l) (|cox| + C(r,l))) maps and the relation verdict
 that the products span D (gate G1) and that the B_S A_T are matrix
 units (gate G2).  Then layer l of D is M_{C(r,l)} (x) Pi_l, with Pi_l
-the span of the ``LayerGen(l, w)`` on V^{(x)l}: ``schur_core.degree(shape,
-l).group``, ranked from the same table of actions.  ``d_algebra`` and
+the span of the ``LayerGen(l, w)`` on V^{(x)l}, of the dimension
+``schur_core.degree(shape, l).group`` that its ``converse`` certifies,
+ranked from the same table of actions.  ``d_algebra`` and
 ``d_layer_algebra`` build the spans of the sum_l C(r,l)^2 l! products
 on the whole space; no verification reads them.
 """
@@ -547,15 +548,14 @@ def d_certificate(shape: Shape) -> str | None:
     return None if units else "matrix_units"
 
 
-def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int | None:
     """dim D = sum_l C(r,l)^2 dim Pi_l, valid when ``d_certificate``
-    passes."""
+    passes; None unless every degree's ``converse`` fixes dim Pi_l."""
     check_size_cap(shape.dim_enhanced, size_cap)
-    return sum(
-        math.comb(shape.r, l) ** 2
-        * schur_core.degree(shape, l).group.dimension
-        for l in range(shape.r + 1)
-    )
+    degs = [schur_core.degree(shape, l) for l in range(shape.r + 1)]
+    if not all(deg.converse for deg in degs):
+        return None
+    return sum(math.comb(shape.r, deg.l) ** 2 * deg.group for deg in degs)
 
 
 @lru_cache(maxsize=None)

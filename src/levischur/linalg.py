@@ -12,22 +12,24 @@ everywhere, rows ordered by pivot column), so two subspaces are equal
 iff their canonical bases are identical.  ``AlgebraSpan`` wraps an
 echelon of flattened d x d matrices.
 
-The commands rank and count on plain entry dicts, (row, col) -> value:
-``nullity_reaches`` bounds a commutant's dimension from above by a
-count modulo a prime.  ``ExactMatrix``, ``span_of``, ``commutant``
-(which eliminates) and ``algebra_closure`` serve the tests and demos.
+The commands rank and count on plain entry dicts, (row, col) -> value,
+modulo a prime alone: ``nullity_reaches`` bounds a commutant's
+dimension from above by a count modulo a prime, ``_certificate_field``.
+``ExactMatrix``, ``span_of``, ``commutant`` (which eliminates) and
+``algebra_closure`` serve the tests and demos.
 
 Over the rationals a value is an ``int`` when it is a whole number and
 a ``Fraction`` otherwise, never a float; most entries met in practice
-are small integers, and int arithmetic is far cheaper.  All values are
-immutable after construction; nothing here ever touches floating point.
+are small integers, and int arithmetic is far cheaper.  ``fractions``
+is imported on the first value that is not an ``int``, which no command
+meets.  All values are immutable after construction; nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 DEFAULT_SIZE_CAP = 256
@@ -85,7 +87,10 @@ class RationalField:
 
     @staticmethod
     def coerce(x):
-        return x if x.__class__ is int else _whole(Fraction(x))
+        if x.__class__ is int:
+            return x
+        from fractions import Fraction
+        return _whole(Fraction(x))
 
     @staticmethod
     def add(a, b):
@@ -103,6 +108,7 @@ class RationalField:
 
     @staticmethod
     def inv(a):
+        from fractions import Fraction
         return _whole(Fraction(1) / a)
 
     def __eq__(self, other):
@@ -157,9 +163,11 @@ class PrimeField:
         self.one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            num, den = x.numerator, x.denominator
-            return (num % self.p) * self.inv(den % self.p) % self.p
+        if x.__class__ is not int:
+            from fractions import Fraction
+            if isinstance(x, Fraction):
+                num, den = x.numerator, x.denominator
+                return (num % self.p) * self.inv(den % self.p) % self.p
         return int(x) % self.p
 
     def add(self, a, b):
@@ -359,14 +367,21 @@ class ExactMatrix:
 class Echelon:
     """Incrementally maintained reduced row echelon form.
 
-    Rows are sparse dicts ``col -> scalar``.  Invariants: every stored
-    row is monic at its pivot column, and pivot columns appear in no
-    other stored row.  This keeps single-pass reduction valid and makes
-    the basis canonical.
+    Rows are sparse dicts ``col -> scalar`` of field elements.
+    Invariants: every stored row is monic at its pivot column, and pivot
+    columns appear in no other stored row.  This keeps single-pass
+    reduction valid and makes the basis canonical.
+
+    The arithmetic is inline on the values: over GF(p) on ints, reduced
+    ``% p`` at each step, and over any other field exact on ``int`` and
+    ``Fraction``, a whole ``Fraction`` stored as its ``int``.  Only a
+    rational pivot that is not monic calls the field, ``QQ.inv``.
     """
 
     def __init__(self, field):
         self.field = field
+        # reduce modulo p over GF(p); None over the rationals
+        self._p = field.p if isinstance(field, PrimeField) else None
         self.rows: dict[int, dict] = {}        # pivot col -> row
         self._colindex: dict[int, set] = {}    # col -> pivot cols touching it
 
@@ -376,55 +391,62 @@ class Echelon:
 
     def reduce(self, row: dict) -> dict:
         """Fully reduce a copy of ``row`` against the current basis."""
-        f = self.field
-        zero, sub, mul = f.zero, f.sub, f.mul
+        rows, p = self.rows, self._p
         row = dict(row)
+        get = row.get
         # pivot rows only carry non-pivot columns besides their own pivot,
         # so one pass over the initial pivot hits is a complete reduction
-        hits = [c for c in row if c in self.rows]
-        for c in hits:
+        for c in [c for c in row if c in rows]:
             coeff = row.pop(c)
-            for col, v in self.rows[c].items():
-                if col == c:
-                    continue
-                s = sub(row.get(col, zero), mul(coeff, v))
-                if s == zero:
-                    row.pop(col, None)
-                else:
-                    row[col] = s
+            for col, v in rows[c].items():
+                if col != c:
+                    s = get(col, 0) - coeff * v
+                    s = s % p if p else _whole(s)
+                    if s:
+                        row[col] = s
+                    else:
+                        del row[col]
         return row
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        f = self.field
         red = self.reduce(row)
         if not red:
             return False
-        p = min(red)
-        inv = f.inv(red[p])
-        if inv != f.one:
-            red = {c: f.mul(v, inv) for c, v in red.items()}
+        rows, index, p = self.rows, self._colindex, self._p
+        pivot = min(red)
+        lead = red[pivot]
+        if lead != 1:
+            inv = pow(lead, -1, p) if p else QQ.inv(lead)
+            red = {c: v * inv % p if p else _whole(v * inv)
+                   for c, v in red.items()}
+        tail = [(col, v) for col, v in red.items() if col != pivot]
+        for col, _ in tail:
+            if col not in index:
+                index[col] = set()
         # eliminate the new pivot column from every existing row
-        zero, sub, mul = f.zero, f.sub, f.mul
-        touch = self._colindex.pop(p, set())
-        for q in touch:
-            r = self.rows[q]
-            coeff = r.pop(p)
-            for col, v in red.items():
-                if col == p:
+        for q in index.pop(pivot, ()):
+            r = rows[q]
+            coeff = r.pop(pivot)
+            get = r.get
+            for col, v in tail:
+                old = get(col)
+                if old is None:
+                    # coeff and v are nonzero, and so is their product
+                    r[col] = -coeff * v % p if p else _whole(-coeff * v)
+                    index[col].add(q)
                     continue
-                s = sub(r.get(col, zero), mul(coeff, v))
-                if s == zero:
-                    if col in r:
-                        del r[col]
-                        self._colindex[col].discard(q)
-                else:
-                    if col not in r:
-                        self._colindex.setdefault(col, set()).add(q)
+                s = old - coeff * v
+                s = s % p if p else _whole(s)
+                if s:
                     r[col] = s
-        self.rows[p] = red
+                else:
+                    del r[col]
+                    index[col].discard(q)
+        rows[pivot] = red
+        index[pivot] = set()
         for col in red:
-            self._colindex.setdefault(col, set()).add(p)
+            index[col].add(pivot)
         return True
 
     def contains(self, row: dict) -> bool:
@@ -545,24 +567,29 @@ def _commutation_rows(g: dict, d: int, field, unknowns=None):
     The unknown X is flattened row-major; the equation indexed by
     (a, b) reads  sum_k X[a,k] g[k,b] - g[a,k] X[k,b] = 0, and equations
     come in order of (a, b).  With ``unknowns``, a set of flattened
-    positions, every other entry of X is held at zero.
+    positions, every other entry of X is held at zero.  Coefficients
+    are summed inline and taken into the field once, ``% p`` over GF(p).
     """
-    zero, add, sub = field.zero, field.add, field.sub
+    p = field.p if isinstance(field, PrimeField) else None
     eqs: dict[int, dict] = {}
     for (k, b), v in g.items():             # X[a,k] g[k,b]
         for a in range(d):
             x = a * d + k
             if unknowns is None or x in unknowns:
                 eq = eqs.setdefault(a * d + b, {})
-                eq[x] = add(eq.get(x, zero), v)
+                eq[x] = eq.get(x, 0) + v
     for (a, k), v in g.items():             # -g[a,k] X[k,b]
         for b in range(d):
             x = k * d + b
             if unknowns is None or x in unknowns:
                 eq = eqs.setdefault(a * d + b, {})
-                eq[x] = sub(eq.get(x, zero), v)
+                eq[x] = eq.get(x, 0) - v
     for key in sorted(eqs):
-        eq = {c: v for c, v in eqs[key].items() if v != zero}
+        eq = {}
+        for c, v in eqs[key].items():
+            v = v % p if p else field.coerce(v)
+            if v:
+                eq[c] = v
         if eq:
             yield eq
 
@@ -613,8 +640,11 @@ def commutant(
     return AlgebraSpan(field, d, out)
 
 
-# The prime the certificate counts modulo over the rationals, 2^31 - 1.
-CERTIFICATE_PRIME = 2 ** 31 - 1
+# The prime the certificate counts modulo over the rationals: the
+# largest below 2^30, so residues are one-digit ints and a product of
+# two is reduced by a one-digit divisor (about twice as fast as modulo
+# 2^31 - 1 on CPython).
+CERTIFICATE_PRIME = 1073741789
 
 
 @lru_cache(maxsize=2)

@@ -8,17 +8,19 @@ the enhanced modules move to the supports.
 Each piece is read off its structure, as signed maps and dicts of +-1
 ints; no command builds an ``ExactMatrix``.  ``Degree.actions``, the
 signed S_l action, is built once per degree, checked by ``Degree.acts``
-(relation 3.3), and read by the group span, the signed orbits and
+(relation 3.3), and read by the group rank, the signed orbits and
 ``hecke``'s layer generators; ``then`` composes signed maps.  The basis
 matrices come from the paper's formula, the transport signs carried
 along each orbit once, on the integer word tables ``Degree.words``.
 C(Pi_l) is the span of the signed orbits of the simple transpositions
 on the matrix positions, with no field arithmetic; checking that every
 basis matrix is one of those orbits is the first direction.  The
-converse, C(S(m|n,l)) = Pi_l, is a count inside the weight blocks that
-the diagonal basis matrices cut out, on the Chevalley elements
-E_{a,a+-1} and then the basis matrices.  Each direction is one verdict
-on one path: a failed check fails, and nothing is eliminated instead.
+converse, C(S(m|n,l)) = Pi_l, is a count modulo a prime inside the
+weight blocks that the diagonal basis matrices cut out, on the
+Chevalley elements E_{a,a+-1} and then the basis matrices, that meets
+the rank of Pi_l modulo the same prime; it fixes dim Pi_l too, and no
+command does rational arithmetic.  Each direction is one verdict on one
+path: a failed check fails, and nothing is eliminated instead.
 
 The tensor basis of degree l is indexed by words over 1..m+n in
 lexicographic order, fixing row/column numbering for every matrix in
@@ -43,10 +45,11 @@ from .combinatorics import (
 from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
-    Echelon,
     ExactMatrix,
+    _certificate_field,
     check_size_cap,
     nullity_reaches,
+    rank_of_rows,
     span_of,
 )
 
@@ -261,8 +264,7 @@ def signed_orbits(maps: list[dict], d: int) -> tuple[list[dict], int]:
 
 class Degree:
     """Classical Schur-Sergeev duality on the (m+n)^l words of V^{(x)l},
-    each piece built on first use: ``hecke.d_dimension`` reads only
-    ``group`` and decides no commutant.
+    each piece built on first use.
 
     ``signed_orbits`` of the l-1 simple transpositions is C(Pi_l)
     exactly, of dimension the number of consistent orbits, when the
@@ -340,14 +342,15 @@ class Degree:
                        d=d, field=f)
 
     @cached_property
-    def group(self) -> AlgebraSpan:
-        """The image of KS_l, the span of the matrices of ``actions``,
-        ranked as flattened rows: p -> (q, s) is the entry s at (q, p)."""
-        d, f = self.dim, self.shape.field
-        ech = Echelon(f)
-        for m in self.actions.values():
-            ech.add({q * d + p: f.coerce(s) for p, (q, s) in m.items()})
-        return AlgebraSpan(f, d, ech)
+    def group(self) -> int:
+        """The rank of the matrices of ``actions`` over the field the
+        count works in (``linalg._certificate_field``), ranked as
+        flattened rows: p -> (q, s) is the entry s at (q, p).  It is at
+        most dim Pi_l, Pi_l the image of KS_l, and ``converse`` certifies
+        that it equals it; read it only under that verdict."""
+        d, gf = self.dim, _certificate_field(self.shape.field)
+        return rank_of_rows(({q * d + p: s % gf.p for p, (q, s) in m.items()}
+                             for m in self.actions.values()), gf)
 
     @cached_property
     def orbits(self) -> tuple[list[dict], int]:
@@ -414,11 +417,13 @@ class Degree:
 
     @cached_property
     def converse(self) -> bool:
-        """C(S(m|n,l)) = Pi_l: ``certified`` puts Pi_l in it, and a count
-        on the unknowns of the ``weight_blocks`` meets dim Pi_l.  The
-        count stacks the Chevalley elements, then the basis matrices,
-        those whose row and column words differ in at most one slot
-        first."""
+        """C(S(m|n,l)) = Pi_l, and dim Pi_l = ``group``: ``certified``
+        puts Pi_l in C(S(m|n,l)), and a count modulo the same prime on
+        the unknowns of the ``weight_blocks`` meets ``group``.  Then
+        rank_p(Pi_l) <= dim Pi_l <= dim C(S(m|n,l)) <= nullity_p are all
+        equal.  The count stacks the Chevalley elements, then the basis
+        matrices, those whose row and column words differ in at most one
+        slot first."""
         certified, blocks = self.certified, self.weight_blocks
         solve = self.solves["commutant_schur"] = {
             "method": "weights_failed" if certified else "orbits_failed",
@@ -433,7 +438,7 @@ class Degree:
         order = sorted(self.xi, key=lambda pair: sum(
             a != b for a, b in zip(*pair)) > 1)
         prime, stacked = nullity_reaches(
-            chev + [self.xi[p] for p in order], d, self.group.dimension,
+            chev + [self.xi[p] for p in order], d, self.group,
             self.shape.field, unknowns)
         solve.update(method="count_failed", prime=prime,
                      unknowns=len(unknowns))
@@ -480,6 +485,6 @@ def classical_duality(
         dim_schur=len(deg.xi) if deg.certified else None,
         spans_equal=deg.certified,
         r_le_mplusn=shape.r <= shape.m + shape.n,
-        dim_commutant_of_schur=deg.group.dimension if deg.converse else None,
+        dim_commutant_of_schur=deg.group if deg.converse else None,
         converse_spans_equal=deg.converse,
     )

@@ -1,0 +1,103 @@
+"""Reference implementations that the package's fast paths are tested
+against.
+
+``FieldEchelon`` is the reduced row echelon form that does every
+operation through the field's methods (``sub``, ``mul``, ``inv``), as
+``linalg.Echelon`` did before its arithmetic went inline; it works over
+any object with the field interface, including the test-only
+``FractionField``.  ``group_span`` is Pi_l by elimination over the
+shape's field, which ``schur_core.Degree.group`` only ranks modulo a
+prime.
+"""
+
+from levischur import schur_core
+from levischur.combinatorics import perms
+from levischur.linalg import span_of
+
+
+def group_span(deg):
+    """The span of the ``pi_matrix`` of every permutation of the degree,
+    over the shape's field."""
+    return span_of([schur_core.pi_matrix(w, deg.shape, deg.l)
+                    for w in perms(deg.l)], d=deg.dim, field=deg.shape.field)
+
+
+class FieldEchelon:
+    """Incrementally maintained reduced row echelon form, one field
+    method call per operation: every stored row is monic at its pivot
+    column, and pivot columns appear in no other stored row."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows: dict[int, dict] = {}        # pivot col -> row
+        self._colindex: dict[int, set] = {}    # col -> pivot cols touching it
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: dict) -> dict:
+        f = self.field
+        zero, sub, mul = f.zero, f.sub, f.mul
+        row = dict(row)
+        hits = [c for c in row if c in self.rows]
+        for c in hits:
+            coeff = row.pop(c)
+            for col, v in self.rows[c].items():
+                if col == c:
+                    continue
+                s = sub(row.get(col, zero), mul(coeff, v))
+                if s == zero:
+                    row.pop(col, None)
+                else:
+                    row[col] = s
+        return row
+
+    def add(self, row: dict) -> bool:
+        f = self.field
+        red = self.reduce(row)
+        if not red:
+            return False
+        p = min(red)
+        inv = f.inv(red[p])
+        if inv != f.one:
+            red = {c: f.mul(v, inv) for c, v in red.items()}
+        zero, sub, mul = f.zero, f.sub, f.mul
+        touch = self._colindex.pop(p, set())
+        for q in touch:
+            r = self.rows[q]
+            coeff = r.pop(p)
+            for col, v in red.items():
+                if col == p:
+                    continue
+                s = sub(r.get(col, zero), mul(coeff, v))
+                if s == zero:
+                    if col in r:
+                        del r[col]
+                        self._colindex[col].discard(q)
+                else:
+                    if col not in r:
+                        self._colindex.setdefault(col, set()).add(q)
+                    r[col] = s
+        self.rows[p] = red
+        for col in red:
+            self._colindex.setdefault(col, set()).add(p)
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+    def canonical_rows(self) -> list:
+        return [self.rows[p] for p in sorted(self.rows)]
+
+    def null_space(self, ncols: int) -> list[dict]:
+        f = self.field
+        out = []
+        for c in range(ncols):
+            if c in self.rows:
+                continue
+            vec = {c: f.one}
+            for p in self._colindex.get(c, ()):
+                vec[p] = f.neg(self.rows[p][c])
+            out.append(vec)
+        return out

@@ -30,6 +30,7 @@ from levischur.linalg import (
     commutant,
     nullity_reaches,
 )
+from oracles import group_span
 
 FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(32003)]
 LADDER = [(1, 1, l) for l in range(5)] + [(2, 1, l) for l in range(4)] + [
@@ -73,8 +74,10 @@ def test_certified_spans_match_elimination(field):
     for m, n, l in ladder:
         deg = schur_core.degree(Shape(m, n, 1, 0, field), l)
         comm_pi, comm_schur = eliminated(deg)
+        group = group_span(deg)
+        assert deg.group == group.dimension
         assert deg.certified == (comm_pi == deg.schur)
-        assert deg.converse == (comm_schur == deg.group)
+        assert deg.converse == (comm_schur == group)
         assert deg.certified and deg.converse
         assert len(deg.orbits[0]) == comm_pi.dimension
         prime = field.p if isinstance(field, PrimeField) else CERTIFICATE_PRIME
@@ -216,7 +219,8 @@ def test_forced_chevalley_miss_takes_the_fallback(field, monkeypatch):
     for l in range(4):
         deg = schur_core.degree(shape, l)
         assert deg.converse
-        assert eliminated(deg)[1] == deg.group
+        assert eliminated(deg)[1] == group_span(deg)
+        assert deg.group == group_span(deg).dimension
         solve = deg.solves["commutant_schur"]
         assert solve["method"] == "certified"
         assert solve["stacked"]["chevalley"] == min(l, 1)
@@ -250,13 +254,21 @@ def test_forced_count_miss_fails_the_converse(field, monkeypatch):
 def test_run_path_eliminates_no_commutant(monkeypatch):
     """``verify``, ``dims``, ``report`` and ``relations`` pass over the
     ladder with ``linalg.commutant``, ``enh.levi_span``,
-    ``linalg.span_of``, ``schur_core.pi_matrix`` and the ``ExactMatrix``
-    constructor refusing to run: the verdicts alone decide, on signed
-    maps and entry dicts."""
+    ``linalg.span_of``, ``schur_core.pi_matrix``, the ``ExactMatrix``
+    constructor and any ``Echelon`` over the rationals refusing to run:
+    the verdicts alone decide, on signed maps and entry dicts, and every
+    rank and count is modulo a prime."""
     def refusing(what):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{what} on the run path")
         return refuse
+
+    real_echelon = linalg.Echelon.__init__
+
+    def prime_only(self, field):
+        if not isinstance(field, PrimeField):
+            raise AssertionError("rational elimination on the run path")
+        real_echelon(self, field)
 
     for module in (levischur, linalg, schur_core, cli):
         monkeypatch.setattr(module, "commutant",
@@ -267,6 +279,7 @@ def test_run_path_eliminates_no_commutant(monkeypatch):
     monkeypatch.setattr(enh, "levi_span", refusing("Levi span built"))
     monkeypatch.setattr(schur_core, "pi_matrix", refusing("pi_matrix"))
     monkeypatch.setattr(ExactMatrix, "__init__", refusing("ExactMatrix"))
+    monkeypatch.setattr(linalg.Echelon, "__init__", prime_only)
     for m, n, r in [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 0, 4),
                     (3, 0, 3)]:
         for field in ("q", "p:3", "p:5"):
@@ -302,7 +315,7 @@ def test_each_degree_builds_its_signed_action_once(monkeypatch):
 def test_count_reports_prime_and_generators_stacked():
     deg = schur_core.degree(Shape(1, 1, 1), 4)
     mats = list(deg.xi.values())
-    target = deg.group.dimension
+    target = deg.group
     p, stacked = nullity_reaches(mats, deg.dim, target, QQ)
     assert p == CERTIFICATE_PRIME and 0 < stacked <= len(mats)
     assert nullity_reaches(mats, deg.dim, target - 1, QQ) == (p, None)

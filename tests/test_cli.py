@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import levischur
-from levischur import hecke
+from levischur import hecke, schur_core
 from levischur.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -19,6 +19,7 @@ from levischur.cli import (
     EXIT_SIZE_CAP,
     RunConfig,
     _json,
+    build_parser,
     cmd_dims,
     cmd_orbits,
     cmd_relations,
@@ -95,6 +96,64 @@ def test_cold_import_loads_no_typing():
     ).returncode == 0
 
 
+# what the standard library loads for ``Fraction`` and for ``argparse``
+RUN_PATH_SHEDS = {"fractions", "decimal", "numbers", "argparse", "gettext",
+                  "locale"}
+
+
+def test_cold_commands_load_no_fractions_or_argparse():
+    """A ``verify`` over the rationals and a ``dims``, run by ``main`` in
+    a bare interpreter, load none of ``RUN_PATH_SHEDS``: every count and
+    rank is modulo a prime on ints, and a plain command line is read
+    without building the argparse parser."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import io, sys, levischur.cli as cli\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "codes = [cli.main(['verify', '--m', '1', '--n', '2', '--r', '3',"
+        " '--output', 'json']), cli.main(['dims', '--m', '1', '--n', '1',"
+        " '--r', '4', '--output', 'json'])]\n"
+        "sys.stdout = out\n"
+        f"print(codes, sorted(set({sorted(RUN_PATH_SHEDS)!r})"
+        " & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "[0, 0] []\n"
+
+
+def test_missing_flag_still_goes_through_argparse(monkeypatch):
+    """A command line without ``--r`` loads argparse, which prints its
+    usage and the missing flag to stderr and exits 2."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, levischur.cli as cli\n"
+        "try:\n"
+        "    cli.main(['verify', '--m', '1', '--n', '1'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n"
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert child.stdout == "2 True\n"
+    assert child.stderr == build_parser().format_usage() + (
+        "levischur: error: the following arguments are required: --r\n")
+
+
+def test_help_prints_argparse_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == build_parser().format_help() and err == ""
+    assert out.startswith("usage: levischur [-h] --m M --n N --r R")
+
+
 def test_invalid_config_exit_2(capsys):
     status, _, err = run_main(
         capsys, ["verify", "--m", "0", "--n", "1", "--r", "2"]
@@ -114,6 +173,9 @@ ENTRY_RUNS = [
     for cmd in ("verify", "dims", "orbits", "relations")
 ] + [
     (["verify", "--m", "1", "--n", "1", "--r", "3"], EXIT_OK),
+    # read by argparse: an = form and help
+    (["verify", "--m=1", "--n", "1", "--r", "3"], EXIT_OK),
+    (["--help"], EXIT_OK),
     (["verify", "--m", "0", "--n", "1", "--r", "2"], EXIT_BAD_CONFIG),
     (["verify", "--m", "1", "--n", "1"], EXIT_BAD_CONFIG),
     (["verify", "--m", "2", "--n", "2", "--r", "4", "--output", "json"],
@@ -128,11 +190,13 @@ def without_seconds(out: str) -> str:
 
 @pytest.mark.parametrize("argv,expect", ENTRY_RUNS,
                          ids=[" ".join(argv) for argv, _ in ENTRY_RUNS])
-def test_process_entry_matches_main(capsys, argv, expect):
+def test_process_entry_matches_main(capsys, monkeypatch, argv, expect):
     """``python -m levischur.cli``, which exits through ``run``, prints
     what ``main`` prints in this process, ``seconds`` lines dropped, and
     exits with its status: 0, 2 for a bad shape or a missing flag, 3
-    above the size cap."""
+    above the size cap.  argparse wraps its usage to ``COLUMNS``, pinned
+    here for both processes."""
+    monkeypatch.setenv("COLUMNS", "80")
     src = Path(__file__).resolve().parent.parent / "src"
     child = subprocess.run(
         [sys.executable, "-m", "levischur.cli", *argv], capture_output=True,
@@ -383,6 +447,40 @@ def test_dims_certifies_every_requested_parity(fresh_caches, monkeypatch,
             for c in json.loads(out)["checks"]] == [
         ("d_certificate", 1, {"gate": "certificate"})]
     assert main(argv + ["--vparity", "even"]) == EXIT_OK
+
+
+def test_failed_converse_leaves_dim_pi_unfixed(fresh_caches, monkeypatch,
+                                              capsys):
+    """When the count of one degree misses, its converse fails, and that
+    verdict alone fixes dim Pi_l: ``verify`` reports the layer's dim_D
+    and Levi commutant, and the totals, as null, and ``dims`` reports
+    d_algebra as null with a failing ``converse`` check; both exit 1."""
+    real = schur_core.nullity_reaches
+
+    def missing_at_degree_2(gens, d, target, field, unknowns=None):
+        prime, stacked = real(gens, d, target, field, unknowns)
+        return prime, None if d == 4 else stacked
+
+    monkeypatch.setattr(schur_core, "nullity_reaches", missing_at_degree_2)
+    argv = ["--m", "1", "--n", "1", "--r", "3", "--output", "json"]
+    status, out, _ = run_main(capsys, ["verify", "--vparity", "even"] + argv)
+    assert status == EXIT_CHECK_FAILED and out == stdlib_json(out)
+    report = json.loads(out)
+    [second] = [c for c in report["checks"] if c["name"] == "second_duality"]
+    assert second["details"]["dim_D"] is None
+    assert second["details"]["dim_commutant_levi"] is None
+    assert report["dims"]["d_algebra"] is None
+    assert report["dims"]["per_layer_endos"] == [1, 9, None, 6]
+    assert [(e["dim_D"], e["dim_commutant_levi"])
+            for e in report["timing"]["layers"]] == [
+        (1, 1), (9, 9), (None, None), (6, 6)]
+    status, out, _ = run_main(capsys, ["dims"] + argv)
+    assert status == EXIT_CHECK_FAILED and out == stdlib_json(out)
+    report = json.loads(out)
+    assert report["dims"]["d_algebra"] is None
+    assert report["checks"] == [{"name": "converse", "vparity": -1,
+                                 "passed": False, "gated": True,
+                                 "details": {"layers": [2]}}]
 
 
 def test_dims_values():

@@ -42,6 +42,7 @@ from levischur.linalg import (
     commutant,
     span_of,
 )
+from oracles import group_span
 
 SHAPES = [
     Shape(m, n, r, vp, field)
@@ -210,7 +211,9 @@ def test_blocks_match_full_space_commutants(shape):
 
     # under the verdicts C(Pi_l) = S(m|n,l) and C(S(m|n,l)) = Pi_l
     assert all(x.certified and x.converse for x in fac.layers)
-    pis = whole([deg.group for deg in degs], False)
+    groups = [group_span(deg) for deg in degs]
+    assert [deg.group for deg in degs] == [g.dimension for g in groups]
+    pis = whole(groups, False)
     assert pis == dalg == hecke.d_algebra(shape)
     assert pis == commutant(levi.basis, d, field=f)
     assert whole([deg.schur for deg in degs], True) == levi == commutant(
@@ -247,12 +250,13 @@ def test_degree_data_matches_cut_blocks(shape):
         simple = [block(xi_gen(LayerGen(l, adjacent_transposition(l, i)),
                                shape), lead) for i in range(1, l)]
         assert deg.schur == span_of(levi, d=size, field=f)
-        assert deg.group == span_of(pis, d=size, field=f)
+        group = span_of(pis, d=size, field=f)
+        assert deg.group == group.dimension
         comm_pi = commutant(simple, size, field=f, size_cap=size)
         assert len(deg.orbits[0]) == comm_pi.dimension
         assert deg.certified == (comm_pi == deg.schur)
         assert deg.converse == (commutant(levi, size, field=f,
-                                          size_cap=size) == deg.group)
+                                          size_cap=size) == group)
         assert deg.certified and deg.converse
 
 
@@ -261,10 +265,10 @@ def refuse_elimination(*args, **kwargs):
 
 
 def test_both_parities_solve_each_degree_once(monkeypatch):
-    """The classical data is keyed on (m, n, l, field): ``verify
-    --vparity both`` certifies the two commutants of each degree once,
-    with no elimination and one count, for C(S(m|n,l)), and ``dims``
-    certifies none."""
+    """The classical data is keyed on (m, n, l, field): ``dims`` runs one
+    count per degree, for C(S(m|n,l)), which fixes dim Pi_l, and ``verify
+    --vparity both`` then certifies the two commutants of each degree on
+    the same verdicts, with no elimination and no further count."""
     counted = []
 
     def recording(gens, d, target, field, unknowns=None):
@@ -273,9 +277,9 @@ def test_both_parities_solve_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(schur_core, "nullity_reaches", recording)
     monkeypatch.setattr(linalg, "commutant", refuse_elimination)
-    # ``dims`` reads only the group spans
     _report, status = cli.cmd_dims(cli.RunConfig(m=2, n=1, r=3))
-    assert status == cli.EXIT_OK and counted == []
+    assert status == cli.EXIT_OK
+    assert sorted(counted) == [3 ** l for l in range(4)]
     _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3))
     assert status == cli.EXIT_OK
     assert sorted(counted) == [3 ** l for l in range(4)]

@@ -5,7 +5,9 @@ already implied; ``naive_commutant`` below stacks every equation with
 no shortcuts and serves as the independent oracle for it.  Likewise
 ``FractionField`` keeps every rational a ``Fraction`` and is the oracle
 for the int fast path of ``QQ``, and ``fixpoint_closure`` closes with no
-shortcuts and is the oracle for ``algebra_closure``.
+shortcuts and is the oracle for ``algebra_closure``.  Both oracles
+eliminate with ``oracles.FieldEchelon``, one field method call per
+operation, the reference for the inline arithmetic of ``Echelon``.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from levischur.linalg import (
     span_of,
 )
 from levischur.linalg import _commutation_rows, _is_odd_prime
+from oracles import FieldEchelon
 
 
 def units(field, d):
@@ -42,11 +45,11 @@ def units(field, d):
 
 def naive_commutant(gens, d, field):
     """Oracle: stack every commutation equation, then extract."""
-    ech = Echelon(field)
+    ech = FieldEchelon(field)
     for g in gens:
         for row in _commutation_rows(g.entries, d, field):
             ech.add(row)
-    out = Echelon(field)
+    out = FieldEchelon(field)
     for vec in ech.null_space(d * d):
         out.add(vec)
     return AlgebraSpan(field, d, out)
@@ -102,7 +105,7 @@ def assert_qq_values(rows):
 def fixpoint_closure(gens, include_identity, d, field):
     """Oracle: add every product of the basis with every generator until
     nothing new appears, with no record of products already formed."""
-    ech = Echelon(field)
+    ech = FieldEchelon(field)
     seed = [ExactMatrix.identity(field, d)] if include_identity else []
     for m in seed + list(gens):
         ech.add(m.flatten())
@@ -185,7 +188,7 @@ def test_qq_echelon_matches_fraction_field(seed):
     rng = random.Random(seed)
     ncols = 9
     rows = [random_row(rng, ncols, rng.randrange(1, 5)) for _ in range(7)]
-    eq, ef = Echelon(QQ), Echelon(FractionField)
+    eq, ef = Echelon(QQ), FieldEchelon(FractionField)
     for row in rows:
         # QQ takes the raw ints and Fractions; the reference needs its rows
         # coerced, as ExactMatrix would, or 1 / a of an int is a float

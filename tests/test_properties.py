@@ -2,6 +2,10 @@
 
 * ``Echelon`` is canonical: permuting and rescaling the input rows
   leaves its rows unchanged, so span equality is row equality.
+* ``Echelon``'s inline arithmetic agrees with ``oracles.FieldEchelon``,
+  which calls the field for every operation: the same answer and rank
+  after every ``add`` and the same canonical rows, over the rationals
+  (a whole value stored as an ``int``) and prime fields.
 * For an integer matrix the nullity over GF(p) is at least the nullity
   over the rationals (rank mod p is at most the rational rank), so
   ``nullity_reaches`` never meets a target below the rational
@@ -15,7 +19,13 @@
   simple transpositions by ``gamma``, is ``sigma_sign`` whatever the
   path, and ``orbit_signs`` gives it; for a pair that is not strict a
   closed path carries -1, the conflict the signed orbits drop.
+* ``cli._plain_args``, the command line parsed without argparse, either
+  declines a token list or returns what argparse returns for it.
 """
+
+import contextlib
+import io
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +47,9 @@ from levischur.combinatorics import (  # noqa: E402
     parity_vector,
     sigma_sign,
 )
+from levischur.cli import _plain_args, build_parser  # noqa: E402
 from levischur.linalg import (  # noqa: E402
+    CERTIFICATE_PRIME,
     QQ,
     Echelon,
     ExactMatrix,
@@ -47,6 +59,7 @@ from levischur.linalg import (  # noqa: E402
     nullity_reaches,
     rank_of_rows,
 )
+from oracles import FieldEchelon  # noqa: E402
 
 FIELDS = [QQ, PrimeField(3), PrimeField(7), PrimeField(32003)]
 PROFILE = settings(max_examples=60, deadline=None)
@@ -88,6 +101,28 @@ def test_echelon_canonical_under_permutation_and_scaling(rows, data, field):
     assert canonical(moved, field) == canonical(rows, field)
 
 
+# invertible in every field below: no denominator 3
+kernel_values = st.sampled_from(
+    (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-5, 4), Fraction(7, 2)))
+
+
+@PROFILE
+@given(rows=st.lists(st.dictionaries(st.integers(0, 11), kernel_values,
+                                     max_size=6), max_size=14),
+       field=st.sampled_from(FIELDS + [PrimeField(CERTIFICATE_PRIME)]))
+def test_inline_echelon_matches_the_field_method_reference(rows, field):
+    kernel, reference = Echelon(field), FieldEchelon(field)
+    for row in rows:
+        row = {c: field.coerce(v) for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v != field.zero}
+        assert kernel.add(row) == reference.add(row)
+        assert kernel.rank == reference.rank
+    assert kernel.canonical_rows() == reference.canonical_rows()
+    # over the rationals a whole value is stored as an int
+    assert all(v.__class__ is int or v.denominator != 1
+               for row in kernel.canonical_rows() for v in row.values())
+
+
 @PROFILE
 @given(rows=int_rows(ncols=6, max_rows=8),
        p=st.sampled_from([3, 5, 7, 32003]))
@@ -112,7 +147,8 @@ def test_count_never_certifies_below_the_rational_commutant(gens):
     entries = [g.entries for g in gens]
     assert nullity_reaches(entries, 3, dim - 1, QQ)[1] is None
     # each commutation row has norm at most sqrt(72), so by Hadamard every
-    # minor is below 2^31 - 1 in size: the rank mod p is the rational rank
+    # minor is below 72^4.5 < 2^28 in size, under the certificate prime:
+    # the rank mod p is the rational rank
     assert nullity_reaches(entries, 3, dim, QQ)[1] is not None
 
 
@@ -245,3 +281,63 @@ def test_non_strict_pair_has_a_closed_path_of_sign_minus_one(shape, data):
     assert carry(pair, loop, shape) == (pair, -1)
     with pytest.raises(ValueError):
         orbit_signs(pair, shape)
+
+
+# the command line's vocabulary, with the spellings argparse reads and
+# the plain path declines: = forms, abbreviations, help, signed,
+# zero-padded and non-ASCII integers, and values that look like options
+ARGV_TOKENS = (
+    "verify", "dims", "orbits", "relations", "report", "bogus",
+    "--m", "--n", "--r", "--vparity", "--field", "--output", "--size-cap",
+    "--m=1", "--vp", "--size", "-h", "--help", "--", "-", "",
+    "1", "2", "3", "0", "+1", "01", "\uff11", "-1", "1_0",
+    "even", "odd", "both", "q", "p:3", "json", "text",
+)
+
+
+def argparse_args(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it
+    exits (help, or an error)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(
+                sink):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@PROFILE
+@given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=14))
+def test_plain_args_declines_or_matches_argparse(argv):
+    plain = _plain_args(argv)
+    assert plain is None or plain == argparse_args(argv)
+
+
+@st.composite
+def plain_lines(draw):
+    """Well-formed command lines: the required options, some optional
+    ones, repeated flags, in any order, the command anywhere."""
+    ints = st.integers(0, 99).map(str)
+    pairs = [("--m", draw(ints)), ("--n", draw(ints)), ("--r", draw(ints))]
+    pairs += draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(("--m", "--n", "--r", "--size-cap")),
+                  ints),
+        st.tuples(st.just("--vparity"),
+                  st.sampled_from(("even", "odd", "both"))),
+        st.tuples(st.just("--output"), st.sampled_from(("text", "json"))),
+        st.tuples(st.just("--field"), st.sampled_from(("q", "p:3", "x"))),
+    ), max_size=5))
+    pairs = draw(st.permutations(pairs))
+    argv = [tok for pair in pairs for tok in pair]
+    at = draw(st.integers(0, len(pairs))) * 2
+    command = draw(st.sampled_from(
+        ("verify", "dims", "orbits", "relations", "report")))
+    return argv[:at] + [command] + argv[at:]
+
+
+@PROFILE
+@given(argv=plain_lines())
+def test_plain_args_reads_every_well_formed_line(argv):
+    plain = _plain_args(argv)
+    assert plain is not None and plain == argparse_args(argv)
