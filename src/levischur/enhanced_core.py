@@ -1,12 +1,15 @@
 """
 The enhanced tensor space and the Levi Schur superalgebra acting on it.
 
-The degree-r enhanced space has basis words over the alphabet
-``1..m+n+1``: letter ``m+1`` is the extra enhanced vector, letters
-``<= m`` keep their meaning and letters ``> m+1`` stand for the odd
-natural letters shifted up by one.  The layer of a word is the number
-of natural (non-enhanced) letters; the support is the 0-based set of
-positions carrying them.
+The enhanced space is the natural tensor space of Vbar = V + Kv,
+itself a superspace: ``vbar(shape)`` is K^{m+1|n} when v is even and
+K^{m|n+1} when it is odd (Cheng-Wang, GSM 144, for the natural tensor
+superspace).  Its degree-r basis words run over the alphabet
+``1..m+n+1``: letter ``m+1`` is v, letters ``<= m`` keep their meaning
+and letters ``> m+1`` stand for the odd natural letters shifted up by
+one, so the parity of a letter is ``comb.parity_of_index`` on
+``vbar(shape)``.  The layer of a word is the number of natural (non-v)
+letters; the support is the 0-based set of positions carrying them.
 
 Basis elements of the Levi algebra are a rank-one bottom element (layer
 0) together with one element per layer l >= 1 and per orbit
@@ -14,7 +17,12 @@ representative of degree l.  Their matrices preserve every fixed
 support subspace, on which they act by ``schur_core``'s basis matrices
 twisted by a sign per word that depends on the configured ``vparity``
 (the two parities are conjugate by an explicit diagonal sign matrix,
-see ``parity_flip_conjugator``).
+see ``parity_flip_conjugator``).  Each is a basis element of the Schur
+superalgebra S(Vbar, r) too: ``rho_levi(b)`` is
+``schur_core.xi_entries((I, J), vbar(shape))``, with I and J the two
+words of ``b.pair`` on the leading slots and v elsewhere (all v for
+``BOTTOM``).  So S'(m|n,r) is spanned by the basis elements of S(Vbar,
+r) whose two words carry v in the same slots.
 """
 
 from __future__ import annotations
@@ -32,8 +40,12 @@ EnhWord = tuple[int, ...]
 Support = tuple[int, ...]
 
 
-def enhanced_letter(shape: Shape) -> int:
-    return shape.m + 1
+def vbar(shape: Shape) -> Shape:
+    """Vbar = V + Kv at the same degree r: K^{m+1|n} when v is even and
+    K^{m|n+1} when it is odd.  Its natural words are the enhanced words,
+    in the order of ``enhanced_basis``."""
+    return Shape(shape.m + 1 - shape.vparity, shape.n + shape.vparity,
+                 shape.r, 0, shape.field)
 
 
 def natural_to_letter(idx: int, shape: Shape) -> int:
@@ -41,22 +53,6 @@ def natural_to_letter(idx: int, shape: Shape) -> int:
     if not 1 <= idx <= shape.m + shape.n:
         raise ValueError(f"letter {idx} out of range")
     return idx if idx <= shape.m else idx + 1
-
-
-def letter_to_natural(letter: int, shape: Shape) -> int | None:
-    """Inverse relabelling; None for the enhanced letter."""
-    if not 1 <= letter <= shape.m + shape.n + 1:
-        raise ValueError(f"letter {letter} out of range")
-    if letter == shape.m + 1:
-        return None
-    return letter if letter <= shape.m else letter - 1
-
-
-def letter_parity(letter: int, shape: Shape) -> int:
-    nat = letter_to_natural(letter, shape)
-    if nat is None:
-        return shape.vparity
-    return comb.parity_of_index(nat, shape)
 
 
 def enhanced_basis(shape: Shape) -> tuple[EnhWord, ...]:
@@ -72,15 +68,17 @@ def enh_position(word: EnhWord, shape: Shape) -> int:
 def enh_encode(core: MultiIndex, support: Support, shape: Shape) -> EnhWord:
     """Word with the k-th core letter at the k-th smallest support slot.
 
-    ``support`` is a set of 0-based positions; all other slots hold the
-    enhanced letter.
+    ``support`` is a set of 0-based positions; all other slots hold v,
+    letter ``m+1``.
     """
     supp = tuple(sorted(support))
     if len(supp) != len(core):
         raise ValueError("support size does not match core length")
     if supp and not (0 <= supp[0] and supp[-1] < shape.r):
         raise ValueError("support positions out of range")
-    word = [enhanced_letter(shape)] * shape.r
+    if len(set(supp)) != len(supp):
+        raise ValueError("support positions repeat")
+    word = [shape.m + 1] * shape.r
     for k, p in enumerate(supp):
         word[p] = natural_to_letter(core[k], shape)
     return tuple(word)
@@ -88,23 +86,19 @@ def enh_encode(core: MultiIndex, support: Support, shape: Shape) -> EnhWord:
 
 def enh_decode(word: EnhWord, shape: Shape) -> tuple[MultiIndex, Support]:
     """Recover (core word, support) from an enhanced word."""
-    core = []
-    supp = []
+    v = shape.m + 1
+    core, supp = [], []
     for p, letter in enumerate(word):
-        nat = letter_to_natural(letter, shape)
-        if nat is not None:
-            core.append(nat)
+        if not 1 <= letter <= shape.m + shape.n + 1:
+            raise ValueError(f"letter {letter} out of range")
+        if letter != v:
+            core.append(letter if letter < v else letter - 1)
             supp.append(p)
     return tuple(core), tuple(supp)
 
 
 def word_layer(word: EnhWord, shape: Shape) -> int:
-    enh = enhanced_letter(shape)
-    return sum(1 for x in word if x != enh)
-
-
-def enh_parity_vector(word: EnhWord, shape: Shape) -> tuple[int, ...]:
-    return tuple(letter_parity(x, shape) for x in word)
+    return len(word) - word.count(shape.m + 1)
 
 
 def layer_positions(shape: Shape, l: int) -> tuple[int, ...]:
@@ -234,14 +228,14 @@ def flip_exponents(shape: Shape) -> tuple[int, ...]:
     """Per enhanced word, in ``enhanced_basis`` order, the number of
     inversions between enhanced slots and later odd natural letters
     (the letters above ``m+1``), mod 2."""
-    enh = enhanced_letter(shape)
+    v = shape.m + 1
     out = []
     for word in enhanced_basis(shape):
         count = enh_seen = 0
         for letter in word:
-            if letter == enh:
+            if letter == v:
                 enh_seen += 1
-            elif letter > enh:
+            elif letter > v:
                 count += enh_seen
         out.append(count & 1)
     return tuple(out)

@@ -5,9 +5,9 @@ algebra acting on the enhanced tensor space.
 Two families of generators act on the right of the degree-r enhanced
 space:
 
-  * ``SwapGen(i)`` for 1 <= i <= r-1: the signed swap of tensor slots i
-    and i+1 (slots 1-based), with sign given by the product of the slot
-    parities.
+  * ``SwapGen(i)`` for 1 <= i <= r-1: the signed swap s_i of tensor
+    slots i and i+1 (slots 1-based) on Vbar^{(x)r}, Vbar =
+    ``enh.vbar(shape)``, -1 exactly when both slots are odd.
   * ``LayerGen(l, sigma)`` for 0 <= l <= r and sigma of degree l: the
     signed action of sigma, ``schur_core.degree(shape, l).actions``, on
     the cores of the words with leading support {1..l}, relabelled on
@@ -80,7 +80,7 @@ from functools import lru_cache
 from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import schur_core
-from .combinatorics import Permutation, Shape, gamma
+from .combinatorics import Permutation, Shape
 from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
@@ -92,7 +92,7 @@ from .schur_core import then
 
 
 class SwapGen(namedtuple("SwapGen", "i")):
-    """Adjacent signed swap of tensor slots i, i+1 (1-based)."""
+    """Signed swap s_i of tensor slots i, i+1 (1-based) on Vbar^{(x)r}."""
 
     __slots__ = ()
 
@@ -149,13 +149,11 @@ def _gen_map(g: HeckeGenerator, shape: Shape) -> SignedMap:
 
 @lru_cache(maxsize=None)
 def _swap_map(i: int, shape: Shape) -> SignedMap:
-    w = comb.adjacent_transposition(shape.r, i)
-    out: SignedMap = {}
-    for pos, word in enumerate(enh.enhanced_basis(shape)):
-        eps = enh.enh_parity_vector(word, shape)
-        tgt = comb.act(word, w)
-        out[pos] = (enh.enh_position(tgt, shape), gamma(eps, w))
-    return out
+    """``SwapGen(i)``, read from the integer tables ``Degree.words`` of
+    Vbar^{(x)r}; that degree builds nothing else."""
+    odd, swaps = schur_core.degree(enh.vbar(shape), shape.r).words
+    return {p: (q, -1 if odd[p] >> (i - 1) & 3 == 3 else 1)
+            for p, q in enumerate(swaps[i - 1])}
 
 
 def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:

@@ -7,9 +7,13 @@ operation through the field's methods (``sub``, ``mul``, ``inv``), as
 any object with the field interface, including the test-only
 ``FractionField``.  ``group_span`` is Pi_l by elimination over the
 shape's field, which ``schur_core.Degree.group`` only ranks modulo a
-prime.
+prime.  ``swap_map`` is the signed swap of ``hecke`` walked on tuples
+of the enhanced basis, which ``hecke._swap_map`` reads from integer
+tables.
 """
 
+from levischur import combinatorics as comb
+from levischur import enhanced_core as enh
 from levischur import schur_core
 from levischur.combinatorics import perms
 from levischur.linalg import span_of
@@ -101,3 +105,18 @@ class FieldEchelon:
                 vec[p] = f.neg(self.rows[p][c])
             out.append(vec)
         return out
+
+
+def swap_map(i, shape):
+    """``hecke._swap_map`` walked on tuples: the enhanced word is sent
+    to its image under the adjacent transposition s_i, with the sign
+    ``gamma`` of its parity word, v = letter m+1 of parity ``vparity``
+    and the letters above it odd."""
+    w = comb.adjacent_transposition(shape.r, i)
+    v = shape.m + 1
+    out = {}
+    for pos, word in enumerate(enh.enhanced_basis(shape)):
+        eps = tuple(shape.vparity if x == v else int(x > v) for x in word)
+        out[pos] = (enh.enh_position(comb.act(word, w), shape),
+                    comb.gamma(eps, w))
+    return out

@@ -50,6 +50,12 @@ GOLDEN_RUNS = {
     "verify_2_1_3": ["verify", "--m", "2", "--n", "1", "--r", "3"],
     "relations_1_0_5": ["relations", "--m", "1", "--n", "0", "--r", "5"],
     "dims_1_1_4": ["dims", "--m", "1", "--n", "1", "--r", "4"],
+    # the rest of the benchmark's operations; orbits (2|2,4) is 609 KB,
+    # and BYTE_RUNS covers orbits
+    "verify_1_2_3": ["verify", "--m", "1", "--n", "2", "--r", "3"],
+    "verify_2_1_3_p32003": ["verify", "--m", "2", "--n", "1", "--r", "3",
+                            "--field", "p:32003"],
+    "relations_1_1_4": ["relations", "--m", "1", "--n", "1", "--r", "4"],
 }
 
 

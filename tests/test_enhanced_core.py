@@ -16,6 +16,8 @@ from levischur.combinatorics import (
     alpha,
     orbit_elements,
     orbit_reps,
+    parity_of_index,
+    parity_vector,
     sigma_sign,
 )
 from levischur.enhanced_core import (
@@ -24,11 +26,9 @@ from levischur.enhanced_core import (
     embed_alpha,
     enh_decode,
     enh_encode,
-    enh_parity_vector,
     enh_position,
     enhanced_basis,
     layer_positions,
-    letter_parity,
     levi_basis,
     levi_dimension,
     levi_product,
@@ -36,10 +36,16 @@ from levischur.enhanced_core import (
     parity_flip_conjugator,
     rho_bottom,
     rho_levi,
+    vbar,
     word_layer,
 )
 from levischur.linalg import QQ, ExactMatrix, PrimeField, rank_of_rows, span_of
-from levischur.schur_core import structure_constants, word_position, xi_matrix
+from levischur.schur_core import (
+    structure_constants,
+    word_position,
+    xi_entries,
+    xi_matrix,
+)
 
 SH0 = Shape(1, 1, 2, vparity=0)
 SH1 = Shape(1, 1, 2, vparity=1)
@@ -57,6 +63,15 @@ def test_enh_encode_examples():
         enh_encode((1,), (), SH0)
     with pytest.raises(ValueError):
         enh_encode((1,), (5,), SH0)
+    # a repeated slot would drop a core letter: (3, 2) decodes to (2,)
+    with pytest.raises(ValueError):
+        enh_encode((1, 2), (0, 0), SH0)
+
+
+@pytest.mark.parametrize("word", [(0, 1), (1, 4), (5, 2)])
+def test_enh_decode_rejects_letters_outside_the_alphabet(word):
+    with pytest.raises(ValueError):
+        enh_decode(word, SH0)
 
 
 def test_enh_roundtrip():
@@ -68,10 +83,14 @@ def test_enh_roundtrip():
 
 
 def test_letter_parity_uses_vparity():
-    assert letter_parity(2, SH0) == 0
-    assert letter_parity(2, SH1) == 1
-    assert letter_parity(1, SH1) == 0
-    assert letter_parity(3, SH1) == 1
+    """The enhanced letters are the natural letters of ``vbar``:
+    K^{2|1} for an even v, K^{1|2} for an odd one, v being letter 2."""
+    assert vbar(SH0) == Shape(2, 1, 2, 0)
+    assert vbar(SH1) == Shape(1, 2, 2, 0)
+    assert parity_of_index(2, vbar(SH0)) == 0
+    assert parity_of_index(2, vbar(SH1)) == 1
+    assert parity_of_index(1, vbar(SH1)) == 0
+    assert parity_of_index(3, vbar(SH1)) == 1
 
 
 def test_layer_positions_partition():
@@ -157,6 +176,7 @@ def tensor_unit_oracle(core_pair, supp, shape):
     the vectors in earlier slots."""
     i, j = core_pair
     d = shape.dim_enhanced
+    bar = vbar(shape)
     slot_ops = []
     for p in range(shape.r):
         if p in supp:
@@ -177,10 +197,10 @@ def tensor_unit_oracle(core_pair, supp, shape):
         for p, (a, b) in enumerate(slot_ops):
             # operator parity of slot p times parity of everything the
             # operator jumps over (vectors in slots before p)
-            op_par = (letter_parity(a, shape) + letter_parity(b, shape)) % 2
+            op_par = (parity_of_index(a, bar) + parity_of_index(b, bar)) % 2
             if op_par:
                 sign ^= sum(
-                    letter_parity(word[q], shape) for q in range(p)
+                    parity_of_index(word[q], bar) for q in range(p)
                 ) % 2
             if word[p] != b:
                 ok = False
@@ -209,18 +229,37 @@ def rho_alpha_oracle(b, shape):
     of sigma(b.pair; k, t) alpha(eps_{k,I} + eps_{t,I}, eps_{t,I}) times
     the word with core k on I, enhanced slots contributing vparity."""
     d = shape.dim_enhanced
+    bar = vbar(shape)
     entries = {}
     for supp in itertools.combinations(range(shape.r), b.layer):
         for k, t in orbit_elements(b.pair):
             wk = enh_encode(k, supp, shape)
             wt = enh_encode(t, supp, shape)
-            ek = enh_parity_vector(wk, shape)
-            et = enh_parity_vector(wt, shape)
+            ek = parity_vector(wk, bar)
+            et = parity_vector(wt, bar)
             entries[(enh_position(wk, shape), enh_position(wt, shape))] = (
                 sigma_sign(b.pair, (k, t), shape)
                 * alpha(add_parities(ek, et), et)
             )
     return ExactMatrix(shape.field, d, d, entries)
+
+
+@pytest.mark.parametrize("vparity", [0, 1])
+@pytest.mark.parametrize("mnr", [
+    (1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3), (2, 1, 3), (1, 0, 3), (2, 2, 2)])
+def test_levi_basis_is_a_schur_basis_of_vbar(mnr, vparity):
+    """Levi-type identity: every Levi basis matrix is the basis element
+    of S(Vbar, r) labelled by ``b.pair`` on the leading slots and v
+    elsewhere, all v for ``BOTTOM``.  So S'(m|n,r) is spanned by the
+    basis elements of S(Vbar, r) whose two words carry v in the same
+    slots."""
+    shape = Shape(*mnr, vparity)
+    d = shape.dim_enhanced
+    for b in levi_basis(shape):
+        lead = tuple(range(b.layer))
+        pair = tuple(enh_encode(w, lead, shape) for w in b.pair)
+        assert rho_levi(b, shape) == ExactMatrix(
+            shape.field, d, d, xi_entries(pair, vbar(shape)))
 
 
 @pytest.mark.parametrize(

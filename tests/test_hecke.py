@@ -14,6 +14,7 @@ from levischur import combinatorics as comb
 from levischur.combinatorics import Shape, identity_perm, perms
 from levischur.enhanced_core import (
     enh_position,
+    vbar,
     levi_basis,
     levi_span,
     rho_bottom,
@@ -38,6 +39,7 @@ from levischur.hecke import (
     relation_instances,
     xi_gen,
 )
+from oracles import swap_map
 from levischur.hecke import _gen_map, _word_map, relation_sides
 from levischur.linalg import QQ, ExactMatrix, PrimeField, commutant, span_of
 
@@ -122,6 +124,38 @@ def test_swap_sign_example():
     assert m1.entries[(dst, src)] == SH1.field.coerce(-1)
     m0 = xi_gen(SwapGen(1), SH0)
     assert m0.entries[(dst, src)] == SH0.field.coerce(1)
+
+
+SWAP_SHAPES = [(1, 0, r) for r in range(2, 7)] + [(1, 1, r) for r in range(
+    2, 7)] + [(2, 0, 3), (1, 2, 4), (2, 2, 3), (3, 1, 3)]
+
+
+@pytest.mark.parametrize("vp", [0, 1])
+@pytest.mark.parametrize("mnr", SWAP_SHAPES, ids=str)
+def test_swap_maps_match_the_tuple_oracle(mnr, vp):
+    shape = Shape(*mnr, vp)
+    for i in range(1, shape.r):
+        assert hecke._swap_map(i, shape) == swap_map(i, shape)
+
+
+def test_vbar_degrees_build_their_word_tables_alone():
+    """``verify (2|1,3) --vparity both`` reads the swaps of Vbar =
+    K^{3|1} and K^{2|2} from the word tables of their degree 3, and
+    builds none of its actions, basis matrices, orbits or group rank:
+    the actions alone would be 3! maps of 4^3 words."""
+    clear_caches()
+    try:
+        _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3,
+                                                       vparity="both"))
+        assert status == cli.EXIT_OK
+        for vp, mn in ((0, (3, 1)), (1, (2, 2))):
+            bar = vbar(Shape(2, 1, 3, vp))
+            assert (bar.m, bar.n) == mn
+            built = vars(schur_core.degree(bar, 3))
+            assert "words" in built
+            assert not {"actions", "xi", "orbits", "group"} & set(built)
+    finally:
+        clear_caches()
 
 
 def test_layer_generator_is_leading_projector():

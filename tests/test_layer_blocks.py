@@ -283,12 +283,17 @@ def test_both_parities_solve_each_degree_once(monkeypatch):
     _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3))
     assert status == cli.EXIT_OK
     assert sorted(counted) == [3 ** l for l in range(4)]
-    assert schur_core._degree.cache_info().misses == 4
+    # the 4 natural degrees, and the swap tables of Vbar = K^{3|1} and
+    # K^{2|2} at degree 3, one per parity
+    assert schur_core._degree.cache_info().misses == 4 + 2
     for l in range(4):
         assert (schur_core.degree(Shape(2, 1, 3, 0), l)
                 is schur_core.degree(Shape(2, 1, 5, 1), l))
         assert {e["method"] for e in schur_core.degree(
             Shape(2, 1, 3), l).solves.values()} == {"certified"}
+    for vbar in (Shape(3, 1, 3), Shape(2, 2, 3)):
+        assert "words" in vars(schur_core.degree(vbar, 3))
+    assert schur_core._degree.cache_info().misses == 4 + 2
     assert (schur_core.degree(Shape(2, 1, 3), 2)
             is not schur_core.degree(Shape(2, 1, 3, 0, PrimeField(3)), 2))
 
