@@ -41,6 +41,8 @@ it stacked.  A dimension that no verdict fixes is null.
 parity, and with a ``converse`` check when a degree's converse fails:
 that verdict fixes dim Pi_l, so d_algebra is then null.  Runs over a
 prime field are labelled informative; the rationals are authoritative.
+The records of ``orbits`` go through one JSON template per degree,
+which ``_json`` spells (``_encode_orbits``).
 
 A plain command line is read by ``_plain_args``, which returns what
 argparse would; ``build_parser``, the argparse parser of record, reads
@@ -373,18 +375,26 @@ def _scalar(x) -> str:
         f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+class _Encoded(str):
+    """JSON text that ``_json`` writes as it stands."""
+
+    __slots__ = ()
+
+
 def _json(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, built by joins.
 
     ``pad`` is the newline and indentation that precede ``obj``'s
     closing bracket.  Dict keys are strings, as in every report.  An
-    ``int`` (not a ``bool``) is ``str(x)``; every other scalar goes
-    through ``_scalar``, which spells floats, ``true``/``false``,
-    ``null`` and string escapes as the stdlib does.  Tuples encode as
-    lists.
+    ``int`` (not a ``bool``) is ``str(x)``, and an ``_Encoded`` is
+    itself; every other scalar goes through ``_scalar``, which spells
+    floats, ``true``/``false``, ``null`` and string escapes as the
+    stdlib does.  Tuples encode as lists.
     """
     if type(obj) is int:
         return str(obj)
+    if type(obj) is _Encoded:
+        return obj
     inner = pad + "  "
     sep = "," + inner
     if isinstance(obj, dict):
@@ -400,6 +410,28 @@ def _json(obj, pad: str = "\n") -> str:
             str(x) if type(x) is int else _json(x, inner)
             for x in obj]) + pad + "]"
     return _scalar(obj)
+
+
+def _encode_orbits(report: dict) -> dict:
+    """The ``orbits`` report with each degree's list already
+    ``_Encoded``, so that ``_json`` of it prints ``_json(report)``.
+
+    A degree's records differ only in their ints, so its list is one
+    ``%`` template: ``_json`` of a record of ``-1``s, at the records'
+    indent (report, ``orbits``, degree, record), with each ``-1`` made
+    ``%d``, and ``_json`` of the list of as many copies.  ``_json``
+    visits a record's keys sorted, so the records' values, concatenated
+    in that order, fill the slots."""
+    pad = "\n    "
+    layers = {}
+    for l, reps in report["orbits"].items():
+        first, second = keys = sorted(reps[0])
+        slots = _json(dict.fromkeys(keys, (-1,) * int(l)), pad + "  ")
+        record = _Encoded(slots.replace("-1", "%d"))
+        template = _json([record] * len(reps), pad)
+        layers[l] = _Encoded(template % tuple([
+            x for rep in reps for x in rep[first] + rep[second]]))
+    return {**report, "orbits": layers}
 
 
 def _text(report: dict) -> str:
@@ -520,7 +552,11 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    text = _json(report) if cfg.output == "json" else _text(report)
+    if cfg.output == "text":
+        text = _text(report)
+    else:
+        text = _json(_encode_orbits(report) if "orbits" in report
+                     else report)
     sys.stdout.write(text + "\n")
     return status
 

@@ -231,16 +231,19 @@ def canonical_pair(pair: DoubleIndex, shape: Shape) -> DoubleIndex | None:
 
 @lru_cache(maxsize=None)
 def _orbit_reps(m: int, n: int, l: int) -> tuple[DoubleIndex, ...]:
+    if not l:
+        return (((), ()),)
     cells = list(itertools.product(range(1, m + n + 1), repeat=2))
     odd = [(a, b) for a, b in cells if (a > m) != (b > m)]
     even = [c for c in cells if c not in odd]
-    reps = [
-        _unzip(sorted(ev + od))
-        for k in range(min(l, len(odd)) + 1)
-        for od in itertools.combinations(odd, k)
-        for ev in itertools.combinations_with_replacement(even, l - k)
-    ]
-    return tuple(sorted(reps, key=lambda p: p[0] + p[1]))
+    flats = []
+    for k in range(min(l, len(odd)) + 1):
+        for od in itertools.combinations(odd, k):
+            for ev in itertools.combinations_with_replacement(even, l - k):
+                row, col = zip(*sorted(ev + od))
+                flats.append(row + col)
+    flats.sort()
+    return tuple([(f[:l], f[l:]) for f in flats])
 
 
 def orbit_reps(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
@@ -248,7 +251,9 @@ def orbit_reps(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
 
     One per multiset of even letter pairs joined with a set of odd
     ones, listing its pairs sorted: the least element of its orbit (row
-    concatenated with column).  The list is sorted and deterministic.
+    concatenated with column).  Each is built once as that flat word,
+    the flat words are sorted as they stand and split at ``l``, so the
+    list is sorted by row concatenated with column, and deterministic.
     """
     if l < 0:
         raise ValueError("degree must be >= 0")

@@ -29,6 +29,7 @@ the package.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
@@ -40,7 +41,6 @@ from .combinatorics import (
     Shape,
     add_parities,
     alpha,
-    gamma,
 )
 from .linalg import (
     DEFAULT_SIZE_CAP,
@@ -67,12 +67,32 @@ def word_position(word: MultiIndex, shape: Shape) -> int:
 def signed_action(w: Permutation, shape: Shape) -> dict:
     """The right action of ``w`` on the degree-``len(w)`` natural words,
     as a signed map (see ``hecke``): the basis word ``i`` is sent to
-    ``gamma(eps_i, w)`` times the word ``act(i, w)``."""
-    return {
-        p: (word_position(comb.act(word, w), shape),
-            gamma(comb.parity_vector(word, shape), w))
-        for p, word in enumerate(natural_basis(shape, len(w)))
-    }
+    ``gamma(eps_i, w)`` times the word ``act(i, w)``.
+
+    Built on integers.  ``act`` moves the digit of slot j to slot
+    inv(w)[j], so the positions of the images, in word order, are the
+    mixed-radix sums of the permuted digit columns.  ``gamma`` depends
+    on the odd slots alone: an odd slot s flips it once per odd slot
+    t < s that ``w`` places after s, the slots of s's inversion mask.
+    So one sign per bitmask of odd slots, built slot by slot, is read
+    for each word at its odd bitmask in ``Degree.words``."""
+    l, num = len(w), shape.m + shape.n
+    if num == 1:    # V = K^{1|0}: its one word is fixed and even
+        return {0: (0, 1)}
+    inv = comb.inverse_perm(w)
+    pos = [0]
+    for j in range(l):
+        step = num ** (l - 1 - inv[j])
+        pos = [p + x for p in pos for x in range(0, num * step, step)]
+    if not shape.n or l < 2:
+        return dict(enumerate(zip(pos, itertools.repeat(1))))
+    sign = [1]
+    for s in range(l):
+        later = sum(1 << t for t in range(s) if inv[t] > inv[s])
+        sign += [-g if (mask & later).bit_count() & 1 else g
+                 for mask, g in enumerate(sign)]
+    odd = degree(shape, l).words[0]
+    return dict(enumerate(zip(pos, [sign[o] for o in odd])))
 
 
 def then(a: dict, b: dict) -> dict:

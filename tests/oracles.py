@@ -9,8 +9,14 @@ any object with the field interface, including the test-only
 shape's field, which ``schur_core.Degree.group`` only ranks modulo a
 prime.  ``swap_map`` is the signed swap of ``hecke`` walked on tuples
 of the enhanced basis, which ``hecke._swap_map`` reads from integer
-tables.
+tables, and ``signed_action`` the signed S_l action walked on tuples of
+the natural basis, which ``schur_core.signed_action`` reads from
+``Degree.words``.  ``orbit_reps`` sorts the unzipped representatives by
+row concatenated with column, which ``combinatorics._orbit_reps`` sorts
+as flat words.
 """
+
+import itertools
 
 from levischur import combinatorics as comb
 from levischur import enhanced_core as enh
@@ -120,3 +126,29 @@ def swap_map(i, shape):
         out[pos] = (enh.enh_position(comb.act(word, w), shape),
                     comb.gamma(eps, w))
     return out
+
+
+def signed_action(w, shape):
+    """``schur_core.signed_action`` walked on tuples: each natural word
+    is sent to its image under ``act``, with the sign ``gamma`` of its
+    parity word."""
+    return {
+        p: (schur_core.word_position(comb.act(word, w), shape),
+            comb.gamma(comb.parity_vector(word, shape), w))
+        for p, word in enumerate(schur_core.natural_basis(shape, len(w)))
+    }
+
+
+def orbit_reps(m, n, l):
+    """``combinatorics._orbit_reps`` with each representative unzipped
+    from its sorted letter pairs, sorted by a key function."""
+    cells = list(itertools.product(range(1, m + n + 1), repeat=2))
+    odd = [(a, b) for a, b in cells if (a > m) != (b > m)]
+    even = [c for c in cells if c not in odd]
+    reps = [
+        comb._unzip(sorted(ev + od))
+        for k in range(min(l, len(odd)) + 1)
+        for od in itertools.combinations(odd, k)
+        for ev in itertools.combinations_with_replacement(even, l - k)
+    ]
+    return tuple(sorted(reps, key=lambda p: p[0] + p[1]))

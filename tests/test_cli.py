@@ -292,6 +292,10 @@ BYTE_RUNS = [
     ["verify", "--m", "2", "--n", "1", "--r", "2", "--vparity", "odd"],
     ["dims", "--m", "1", "--n", "1", "--r", "3"],
     ["orbits", "--m", "1", "--n", "1", "--r", "3"],
+    # two-digit letters in the orbit templates' slots
+    ["orbits", "--m", "6", "--n", "5", "--r", "2"],
+    # degree keys that sort as strings: "0", "1", "10", "2", ...
+    ["orbits", "--m", "1", "--n", "0", "--r", "10"],
     ["relations", "--m", "1", "--n", "0", "--r", "3"],
     ["report", "--m", "1", "--n", "1", "--r", "2", "--vparity", "even"],
 ]
@@ -512,6 +516,15 @@ def test_orbits_command(capsys):
     )
     assert status == EXIT_OK
     assert "8 representatives" in out
+
+
+def test_orbits_text_matches_golden(capsys):
+    """The text output of ``orbits``, which has no timing, is the
+    golden file byte for byte."""
+    status, out, _ = run_main(
+        capsys, ["orbits", "--m", "1", "--n", "1", "--r", "3"])
+    assert status == EXIT_OK
+    assert out == (GOLDEN / "orbits_1_1_3.txt").read_text()
 
 
 def test_orbits_ignores_size_cap(capsys):

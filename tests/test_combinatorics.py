@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import oracles
 from levischur.combinatorics import (
     Shape,
     act,
@@ -220,6 +221,20 @@ def test_orbit_reps_sorted_and_deterministic():
     assert list(reps) == sorted(reps, key=lambda p: p[0] + p[1])
     assert reps == orbit_reps(Shape(1, 1, 3), 2)
     assert orbit_reps(SH11, 0) == ((((), ())),)
+
+
+# the shapes on which the table-driven fast paths meet their tuple oracles
+ORACLE_SHAPES = [(1, 0, 6), (2, 0, 4), (1, 1, 5), (2, 1, 4), (1, 2, 4),
+                 (2, 2, 3), (3, 1, 3), (6, 5, 2)]
+
+
+@pytest.mark.parametrize("mnr", ORACLE_SHAPES, ids=str)
+def test_orbit_reps_match_the_key_sort_oracle(mnr):
+    """The flat-word sort lists the representatives of every layer in
+    the order of the key sort on row concatenated with column."""
+    m, n, r = mnr
+    for l in range(r + 1):
+        assert orbit_reps(Shape(m, n, 1), l) == oracles.orbit_reps(m, n, l)
 
 
 # ---------------------------------------------------------------------------

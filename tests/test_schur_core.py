@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import oracles
 from levischur.combinatorics import (
     Shape,
     adjacent_transposition,
@@ -34,11 +35,13 @@ from levischur.schur_core import (
     normalize_pair,
     pi_matrix,
     schur_basis,
+    signed_action,
     structure_constants,
     word_position,
     xi_entries,
     xi_matrix,
 )
+from test_combinatorics import ORACLE_SHAPES
 
 SH11 = Shape(1, 1, 2)
 SH21 = Shape(2, 1, 2)
@@ -46,6 +49,18 @@ SH21 = Shape(2, 1, 2)
 
 # ---------------------------------------------------------------------------
 # the signed permutation action
+
+
+@pytest.mark.parametrize("mnr", ORACLE_SHAPES, ids=str)
+def test_signed_action_matches_the_tuple_oracle(mnr):
+    """The table-driven action equals the tuple walk for every
+    permutation of every degree up to r, entry by entry in word
+    order."""
+    shape = Shape(*mnr)
+    for l in range(shape.r + 1):
+        for w in perms(l):
+            assert list(signed_action(w, shape).items()) == list(
+                oracles.signed_action(w, shape).items())
 
 
 def test_pi_identity():
