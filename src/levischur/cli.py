@@ -33,9 +33,13 @@ dimensions and seconds of every layer of the duality check, and how
 the verdict on each of its two commutants was reached
 (``schur_core.Degree.solves``): ``method`` is ``certified`` or names
 the step that failed; ``commutant_D`` gives the signed orbits counted,
-``commutant_levi`` whether the weight blocks passed, the count's
-unknowns and prime, and how many Chevalley elements and basis matrices
-it stacked.  A dimension that no verdict fixes is null.
+``commutant_levi`` whether the weight blocks passed and then either
+the Specht modules that occur (``constituents``), when KS_l is
+semisimple and the double centralizer theorem decides under the
+character gates (``characters_failed`` when one fails), or, for
+p <= l, the count's unknowns and prime and how many Chevalley elements
+and basis matrices it stacked; the fields of the path not taken are
+null.  A dimension that no verdict fixes is null.
 ``dims`` reads dim D from the factored layers, so it fails with a
 ``d_certificate`` check when the certificate of D does at any requested
 parity, and with a ``converse`` check when a degree's converse fails:

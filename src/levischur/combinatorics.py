@@ -33,6 +33,7 @@ element lists them sorted.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -41,6 +42,7 @@ from .linalg import QQ
 MultiIndex = tuple[int, ...]
 ParityVector = tuple[int, ...]
 Permutation = tuple[int, ...]
+Partition = tuple[int, ...]
 DoubleIndex = tuple[MultiIndex, MultiIndex]
 
 
@@ -179,6 +181,71 @@ def adjacent_transposition(l: int, i: int) -> Permutation:
 def perms(l: int) -> tuple[Permutation, ...]:
     """All degree-l permutations in lexicographic order."""
     return tuple(itertools.permutations(range(l)))
+
+
+def partitions(l: int, largest: int | None = None) -> list[Partition]:
+    """The partitions of l as non-increasing tuples, in reverse
+    lexicographic order: (l,) first, (1,)*l last."""
+    if l == 0:
+        return [()]
+    largest = l if largest is None else largest
+    return [(first,) + rest for first in range(min(l, largest), 0, -1)
+            for rest in partitions(l - first, first)]
+
+
+def cycle_perm(mu: Partition) -> Permutation:
+    """A permutation of cycle type mu: one cycle on each run of mu[i]
+    consecutive slots."""
+    w, start = [], 0
+    for part in mu:
+        w += range(start + 1, start + part)
+        w.append(start)
+        start += part
+    return tuple(w)
+
+
+def class_size(mu: Partition) -> int:
+    """The number of permutations of cycle type mu: l!/z_mu, z_mu the
+    product over part sizes k, taken a_k times, of k^a_k a_k!."""
+    z = 1
+    for k in set(mu):
+        a = mu.count(k)
+        z *= k ** a * math.factorial(a)
+    return math.factorial(sum(mu)) // z
+
+
+@lru_cache(maxsize=None)
+def characters(l: int) -> dict[Partition, dict[Partition, int]]:
+    """The character table of S_l over the integers: chi^lambda(mu) for
+    partitions lambda and mu of l, keyed in ``partitions`` order;
+    f^lambda = chi^lambda((1,)*l).
+
+    Murnaghan-Nakayama on beta sets: lambda is the set of the
+    lambda_i + l - i, i = 1..l (lambda padded with zeros), and removing
+    a rim hook of length k moves one b of it to b - k, free and >= 0,
+    with the sign (-1)^(members strictly between).  chi^lambda(mu)
+    removes the parts of mu in turn, largest first, and sums the signs
+    over every way to empty the diagram."""
+    memo: dict = {}
+
+    def chi(beta: frozenset, mu: Partition) -> int:
+        if not mu:
+            return 1
+        key = beta, mu
+        if key not in memo:
+            k, total = mu[0], 0
+            for b in beta:
+                if b >= k and b - k not in beta:
+                    height = sum(b - k < c < b for c in beta)
+                    total += (-1) ** height * chi(beta - {b} | {b - k},
+                                                  mu[1:])
+            memo[key] = total
+        return memo[key]
+
+    parts = partitions(l)
+    return {lam: {mu: chi(frozenset(
+        x + l - 1 - i for i, x in enumerate(lam + (0,) * (l - len(lam)))),
+        mu) for mu in parts} for lam in parts}
 
 
 def is_strict(pair: DoubleIndex, shape: Shape) -> bool:

@@ -63,10 +63,12 @@ these O(sum_l C(r,l) (|cox| + C(r,l))) maps and the relation verdict
 that the products span D (gate G1) and that the B_S A_T are matrix
 units (gate G2).  Then layer l of D is M_{C(r,l)} (x) Pi_l, with Pi_l
 the span of the ``LayerGen(l, w)`` on V^{(x)l}, of the dimension
-``schur_core.degree(shape, l).group`` that its ``converse`` certifies,
-ranked from the same table of actions.  ``d_algebra`` and
-``d_layer_algebra`` build the spans of the sum_l C(r,l)^2 l! products
-on the whole space; no verification reads them.
+``schur_core.degree(shape, l).group`` that its ``converse`` certifies:
+read from the characters of the same table of actions when KS_l is
+semisimple (the double centralizer theorem), and ranked from it modulo
+p for p <= l.  ``d_algebra`` and ``d_layer_algebra`` build the spans
+of the sum_l C(r,l)^2 l! products on the whole space; no verification
+reads them.
 """
 
 from __future__ import annotations

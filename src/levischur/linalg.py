@@ -12,11 +12,13 @@ everywhere, rows ordered by pivot column), so two subspaces are equal
 iff their canonical bases are identical.  ``AlgebraSpan`` wraps an
 echelon of flattened d x d matrices.
 
-The commands rank and count on plain entry dicts, (row, col) -> value,
-modulo a prime alone: ``nullity_reaches`` bounds a commutant's
-dimension from above by a count modulo a prime, ``_certificate_field``.
-``ExactMatrix``, ``span_of``, ``commutant`` (which eliminates) and
-``algebra_closure`` serve the tests and demos.
+The commands eliminate only over GF(p), at the degrees l >= p where
+KS_l is not semisimple (``schur_core.Degree.converse``): they rank and
+count on plain entry dicts, (row, col) -> value, and
+``nullity_reaches`` bounds a commutant's dimension from above by a
+count modulo a prime, ``_certificate_field``.  ``ExactMatrix``,
+``span_of``, ``commutant`` (which eliminates) and ``algebra_closure``
+serve the tests and demos.
 
 Over the rationals a value is an ``int`` when it is a whole number and
 a ``Fraction`` otherwise, never a float; most entries met in practice
@@ -640,10 +642,10 @@ def commutant(
     return AlgebraSpan(field, d, out)
 
 
-# The prime the certificate counts modulo over the rationals: the
-# largest below 2^30, so residues are one-digit ints and a product of
-# two is reduced by a one-digit divisor (about twice as fast as modulo
-# 2^31 - 1 on CPython).
+# The prime ``nullity_reaches`` counts modulo over the rationals, which
+# no command asks for: the largest below 2^30, so residues are one-digit
+# ints and a product of two is reduced by a one-digit divisor (about
+# twice as fast as modulo 2^31 - 1 on CPython).
 CERTIFICATE_PRIME = 1073741789
 
 

@@ -8,19 +8,20 @@ the enhanced modules move to the supports.
 Each piece is read off its structure, as signed maps and dicts of +-1
 ints; no command builds an ``ExactMatrix``.  ``Degree.actions``, the
 signed S_l action, is built once per degree, checked by ``Degree.acts``
-(relation 3.3), and read by the group rank, the signed orbits and
+(relation 3.3), and read by the traces, the signed orbits and
 ``hecke``'s layer generators; ``then`` composes signed maps.  The basis
 matrices come from the paper's formula, the transport signs carried
 along each orbit once, on the integer word tables ``Degree.words``.
 C(Pi_l) is the span of the signed orbits of the simple transpositions
 on the matrix positions, with no field arithmetic; checking that every
-basis matrix is one of those orbits is the first direction.  The
-converse, C(S(m|n,l)) = Pi_l, is a count modulo a prime inside the
-weight blocks that the diagonal basis matrices cut out, on the
-Chevalley elements E_{a,a+-1} and then the basis matrices, that meets
-the rank of Pi_l modulo the same prime; it fixes dim Pi_l too, and no
-command does rational arithmetic.  Each direction is one verdict on one
-path: a failed check fails, and nothing is eliminated instead.
+basis matrix is one of those orbits is the first direction,
+``certified``: S(m|n,l) = C(Pi_l).  The converse, C(S(m|n,l)) = Pi_l,
+is ``Degree.converse``, which states the argument: over the rationals
+and over GF(p) with p > l, Maschke and the double centralizer theorem,
+with dim Pi_l read from the characters of the signed action under exact
+gates; only for p <= l a count modulo p inside the weight blocks.  No
+command does rational arithmetic.  Each direction is one verdict on
+one path: a failed check fails, and nothing is eliminated instead.
 
 The tensor basis of degree l is indexed by words over 1..m+n in
 lexicographic order, fixing row/column numbering for every matrix in
@@ -30,6 +31,7 @@ the package.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
@@ -37,6 +39,7 @@ from . import combinatorics as comb
 from .combinatorics import (
     DoubleIndex,
     MultiIndex,
+    Partition,
     Permutation,
     Shape,
     add_parities,
@@ -46,7 +49,7 @@ from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
     ExactMatrix,
-    _certificate_field,
+    PrimeField,
     check_size_cap,
     nullity_reaches,
     rank_of_rows,
@@ -290,7 +293,9 @@ class Degree:
     exactly, of dimension the number of consistent orbits, when the
     table ``actions`` is an action of S_l, which ``acts`` checks.
     ``certified`` decides C(Pi_l) = S(m|n,l), and ``converse``
-    C(S(m|n,l)) = Pi_l.  Both hold in every characteristic but 2
+    C(S(m|n,l)) = Pi_l: by the double centralizer theorem and the
+    character gates when KS_l is ``semisimple``, and by a count modulo
+    p for p <= l.  Both hold in every characteristic but 2
     (Brundan-Kujawa), so a failed verdict is a defect, and final: no
     commutant is eliminated.  ``solves`` records each verdict, and the
     step that failed.  Matrices are dicts of +-1 ints by (row, col).
@@ -362,13 +367,52 @@ class Degree:
                        d=d, field=f)
 
     @cached_property
-    def group(self) -> int:
-        """The rank of the matrices of ``actions`` over the field the
-        count works in (``linalg._certificate_field``), ranked as
-        flattened rows: p -> (q, s) is the entry s at (q, p).  It is at
-        most dim Pi_l, Pi_l the image of KS_l, and ``converse`` certifies
-        that it equals it; read it only under that verdict."""
-        d, gf = self.dim, _certificate_field(self.shape.field)
+    def semisimple(self) -> bool:
+        """K S_l is semisimple: K is the rationals, or GF(p) with p > l
+        (Maschke)."""
+        field = self.shape.field
+        return not isinstance(field, PrimeField) or field.p > self.l
+
+    @cached_property
+    def traces(self) -> dict[Partition, int]:
+        """chi_V(mu) for each partition mu of l: the trace of ``actions``
+        at ``combinatorics.cycle_perm(mu)``, the signs of the words it
+        fixes.  Under ``acts`` it is the character of V^{(x)l}."""
+        return {mu: sum(s for p, (q, s) in self.actions[
+            comb.cycle_perm(mu)].items() if p == q)
+            for mu in comb.partitions(self.l)}
+
+    @cached_property
+    def multiplicities(self) -> list[tuple[int, int]] | None:
+        """(m_lambda, f^lambda) for each partition lambda of l, m_lambda
+        the multiplicity of the Specht module S^lambda and f^lambda its
+        dimension, in integers: l! m_lambda sums, over mu, ``class_size``
+        of mu times chi^lambda(mu) times ``traces``[mu]
+        (``combinatorics.characters``).  None when an m_lambda is not a
+        non-negative integer."""
+        out, order = [], math.factorial(self.l)
+        for row in comb.characters(self.l).values():
+            m, rest = divmod(sum(comb.class_size(mu) * chi * self.traces[mu]
+                                 for mu, chi in row.items()), order)
+            if rest or m < 0:
+                return None
+            out.append((m, row[(1,) * self.l]))
+        return out
+
+    @cached_property
+    def group(self) -> int | None:
+        """dim Pi_l, Pi_l the image of KS_l; read it only under
+        ``converse``, which certifies it.  When KS_l is ``semisimple``,
+        Pi_l is the sum of one matrix algebra M_{f^lambda} per Specht
+        module that occurs in V^{(x)l} (Wedderburn; each S^lambda is
+        absolutely irreducible there): the sum of (f^lambda)^2 over the
+        m_lambda > 0 of ``multiplicities``, None without them.  For p <= l
+        it is the rank over GF(p) of the matrices of ``actions``, ranked
+        as flattened rows: p -> (q, s) is the entry s at (q, p)."""
+        if self.semisimple:
+            mult = self.multiplicities
+            return None if mult is None else sum(f * f for m, f in mult if m)
+        d, gf = self.dim, self.shape.field
         return rank_of_rows(({q * d + p: s % gf.p for p, (q, s) in m.items()}
                              for m in self.actions.values()), gf)
 
@@ -437,21 +481,39 @@ class Degree:
 
     @cached_property
     def converse(self) -> bool:
-        """C(S(m|n,l)) = Pi_l, and dim Pi_l = ``group``: ``certified``
-        puts Pi_l in C(S(m|n,l)), and a count modulo the same prime on
-        the unknowns of the ``weight_blocks`` meets ``group``.  Then
-        rank_p(Pi_l) <= dim Pi_l <= dim C(S(m|n,l)) <= nullity_p are all
-        equal.  The count stacks the Chevalley elements, then the basis
-        matrices, those whose row and column words differ in at most one
-        slot first."""
+        """C(S(m|n,l)) = Pi_l, and dim Pi_l = ``group``.  ``certified``
+        gives S(m|n,l) = C(Pi_l), and the ``weight_blocks`` must hold.
+
+        When KS_l is ``semisimple`` (Maschke: char K = 0 or p > l), so is
+        its image Pi_l, and the double centralizer theorem (Curtis-Reiner,
+        1962) gives C(S(m|n,l)) = C(C(Pi_l)) = Pi_l.  The character gates
+        then fix dim Pi_l: every m_lambda of ``multiplicities`` is a
+        non-negative integer, the sum of m_lambda f^lambda is (m+n)^l, and
+        the sum of m_lambda^2, the dimension of End_{S_l}(V^{(x)l}), is
+        the number of consistent signed orbits, dim C(Pi_l).
+
+        Only for p <= l does a count run: modulo p, on the unknowns of
+        the weight blocks, it meets ``group``, so rank_p(Pi_l) = dim Pi_l
+        <= dim C(S(m|n,l)) <= nullity_p are equal.  It stacks the
+        Chevalley elements, then the basis matrices, those whose row and
+        column words differ in at most one slot first."""
         certified, blocks = self.certified, self.weight_blocks
         solve = self.solves["commutant_schur"] = {
             "method": "weights_failed" if certified else "orbits_failed",
-            "weights": blocks is not None,
+            "weights": blocks is not None, "constituents": None,
             "unknowns": None, "prime": None, "stacked": None,
         }
         if not certified or blocks is None:
             return False
+        if self.semisimple:
+            mult = self.multiplicities
+            ok = mult is not None and sum(
+                m * f for m, f in mult) == self.dim and sum(
+                m * m for m, _f in mult) == len(self.orbits[0])
+            solve.update(method="certified" if ok else "characters_failed",
+                         constituents=None if mult is None else sum(
+                             m > 0 for m, _f in mult))
+            return ok
         d, chev = self.dim, self.chevalley
         unknowns = {a * d + b for block in blocks for a in block
                     for b in block}

@@ -6,11 +6,12 @@ operation through the field's methods (``sub``, ``mul``, ``inv``), as
 ``linalg.Echelon`` did before its arithmetic went inline; it works over
 any object with the field interface, including the test-only
 ``FractionField``.  ``group_span`` is Pi_l by elimination over the
-shape's field, which ``schur_core.Degree.group`` only ranks modulo a
-prime.  ``swap_map`` is the signed swap of ``hecke`` walked on tuples
-of the enhanced basis, which ``hecke._swap_map`` reads from integer
-tables, and ``signed_action`` the signed S_l action walked on tuples of
-the natural basis, which ``schur_core.signed_action`` reads from
+shape's field, whose dimension ``schur_core.Degree.group`` reads from
+the characters of S_l, and ranks over GF(p) only for p <= l.
+``swap_map`` is the signed swap of ``hecke`` walked on tuples of the
+enhanced basis, which ``hecke._swap_map`` reads from integer tables,
+and ``signed_action`` the signed S_l action walked on tuples of the
+natural basis, which ``schur_core.signed_action`` reads from
 ``Degree.words``.  ``orbit_reps`` sorts the unzipped representatives by
 row concatenated with column, which ``combinatorics._orbit_reps`` sorts
 as flat words.

@@ -8,15 +8,18 @@ and the count over GF(p) is exact, so a passing GF(p) run establishes
 the double centralizer over the algebraic closure of GF(p).  Here every
 dimension and every verdict ``verify`` reports equals its value over the
 rationals, and each layer takes the same path: C(Pi_l) certified on the
-signed orbits, C(S(m|n,l)) on the Chevalley elements alone, inside the
-weight blocks.  (2|0,5) over GF(3) is the exception, and has a test of
-its own.  Prime fields stay labelled informative.
+signed orbits; C(S(m|n,l)) by the double centralizer theorem under the
+same character gates as over the rationals when p > l, and for l >= p
+by a count modulo p on the Chevalley elements alone, inside the weight
+blocks.  (2|0,5) over GF(3) is the exception, and has a test of its
+own.  Prime fields stay labelled informative.
 """
 
 import pytest
 
 import levischur
-from levischur import cli
+from levischur import cli, schur_core
+from levischur.combinatorics import Shape
 
 LADDER = [(m, n, r, (3, 5, 7)) for m, n, r in ((1, 1, 4), (2, 1, 3),
                                                (1, 2, 3))] + [
@@ -54,14 +57,20 @@ def test_prime_fields_report_the_rational_dimensions(m, n, r, primes):
         assert labels_p == (f"p:{p}", False)
         assert (status_p, report_p) == (status, report)
         assert [d for d, _solves in layers_p] == dims
-        for (_dims, solves), (_dims_p, solves_p) in zip(layers, layers_p):
+        for (dims_q, solves), (_dims_p, solves_p) in zip(layers, layers_p):
             assert solves_p["commutant_D"] == solves["commutant_D"]
             assert solves_p["commutant_D"]["method"] == "certified"
             levi, levi_p = solves["commutant_levi"], solves_p["commutant_levi"]
-            assert levi_p["prime"] == p
+            assert levi["prime"] is None and levi["constituents"] > 0
+            if dims_q["layer"] < p:
+                assert levi_p == levi
+                continue
+            assert levi_p["prime"] == p and levi_p["constituents"] is None
             assert levi_p["method"] == "certified" and levi_p["weights"]
-            assert levi_p["unknowns"] == levi["unknowns"]
-            assert levi_p["stacked"] == levi["stacked"]
+            assert levi_p["unknowns"] == sum(
+                len(block) ** 2 for block in
+                schur_core.degree(Shape(m, n, r), dims_q["layer"])
+                .weight_blocks)
             assert levi_p["stacked"]["basis"] == 0
 
 
@@ -69,9 +78,9 @@ def test_divided_powers_stand_in_at_2_0_5_over_gf3():
     """(2|0,5) over GF(3) is the one shape under the size cap whose
     Chevalley count misses: at layer 5 >= p the divided powers E^{(k)}
     are not among the two Chevalley elements, and the count meets
-    dim Pi_5 on 18 basis matrices stacked after them.  Layers 1 to 4
-    take the Chevalley elements alone, and every dimension is the
-    rationals'."""
+    dim Pi_5 on 18 basis matrices stacked after them.  Layers 0 to 2,
+    below p, take no count, layers 3 and 4 the Chevalley elements alone,
+    and every dimension is the rationals'."""
     status, report, layers, _labels = run(2, 0, 5, "q")
     status_p, report_p, layers_p, _labels_p = run(2, 0, 5, "p:3")
     assert status == status_p == cli.EXIT_OK
@@ -84,5 +93,7 @@ def test_divided_powers_stand_in_at_2_0_5_over_gf3():
         assert solves["commutant_levi"]["method"] == "certified"
         if dims["layer"] == 5:
             assert stacked == {"chevalley": 2, "basis": 18}
-        else:
+        elif dims["layer"] >= 3:
             assert stacked["basis"] == 0
+        else:
+            assert stacked is None

@@ -109,9 +109,9 @@ RUN_PATH_SHEDS = {"fractions", "decimal", "numbers", "argparse", "gettext",
 
 def test_cold_commands_load_no_fractions_or_argparse():
     """A ``verify`` over the rationals and a ``dims``, run by ``main`` in
-    a bare interpreter, load none of ``RUN_PATH_SHEDS``: every count and
-    rank is modulo a prime on ints, and a plain command line is read
-    without building the argparse parser."""
+    a bare interpreter, load none of ``RUN_PATH_SHEDS``: the converse is
+    decided on integer characters, with no count or rank, and a plain
+    command line is read without building the argparse parser."""
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
         "import io, sys, levischur.cli as cli\n"
@@ -461,17 +461,21 @@ def test_dims_certifies_every_requested_parity(fresh_caches, monkeypatch,
 
 def test_failed_converse_leaves_dim_pi_unfixed(fresh_caches, monkeypatch,
                                               capsys):
-    """When the count of one degree misses, its converse fails, and that
-    verdict alone fixes dim Pi_l: ``verify`` reports the layer's dim_D
-    and Levi commutant, and the totals, as null, and ``dims`` reports
-    d_algebra as null with a failing ``converse`` check; both exit 1."""
-    real = schur_core.nullity_reaches
+    """When a planted trace fails the character gates of one degree, its
+    converse fails, and that verdict alone fixes dim Pi_l: ``verify``
+    reports the layer's dim_D and Levi commutant, and the totals, as
+    null, and ``dims`` reports d_algebra as null with a failing
+    ``converse`` check; both exit 1."""
+    real = schur_core.Degree.traces.func
 
-    def missing_at_degree_2(gens, d, target, field, unknowns=None):
-        prime, stacked = real(gens, d, target, field, unknowns)
-        return prime, None if d == 4 else stacked
+    def planted_at_degree_2(self):
+        traces = real(self)
+        if self.l == 2:
+            traces[(1, 1)] += 1     # 2 m_lambda = 5 for both lambda
+        return traces
 
-    monkeypatch.setattr(schur_core, "nullity_reaches", missing_at_degree_2)
+    monkeypatch.setattr(schur_core.Degree, "traces",
+                        property(planted_at_degree_2))
     argv = ["--m", "1", "--n", "1", "--r", "3", "--output", "json"]
     status, out, _ = run_main(capsys, ["verify", "--vparity", "even"] + argv)
     assert status == EXIT_CHECK_FAILED and out == stdlib_json(out)

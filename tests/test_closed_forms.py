@@ -1,10 +1,14 @@
-"""``verify`` and ``dims`` against closed-form dimensions."""
+"""``verify``, ``dims`` and ``Degree.group`` against closed-form
+dimensions."""
 
 import pytest
 
 import levischur
-from closed_forms import d_dim, d_layer_dims, levi_layer_counts
+from closed_forms import d_dim, d_layer_dims, hook_sum, levi_layer_counts
+from levischur import schur_core
 from levischur.cli import EXIT_OK, RunConfig, cmd_dims, cmd_verify
+from levischur.combinatorics import Shape
+from levischur.linalg import QQ, PrimeField
 
 
 @pytest.fixture(autouse=True)
@@ -43,3 +47,19 @@ def test_dims_matches_closed_forms(m, n, r):
     assert status == EXIT_OK
     assert report["dims"]["d_algebra"] == d_dim(m, n, r)
     assert report["dims"]["levi"] == sum(levi_layer_counts(m, n, r))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_group_is_the_hook_sum_under_the_cap(field):
+    """``Degree.group``, read from the characters of the signed action,
+    is the Berele-Regev hook sum at every degree of every shape whose
+    enhanced space has dimension at most 256; a degree is shared by
+    every r, so each (m, n, l) is checked once."""
+    for total in range(1, 256):
+        top = max(r for r in range(1, 9) if (total + 1) ** r <= 256)
+        for m in range(1, total + 1):
+            n = total - m
+            for l in range(top + 1):
+                deg = schur_core.Degree(Shape(m, n, 1, 0, field), l)
+                assert deg.semisimple and deg.group == hook_sum(m, n, l)
+        levischur.clear_caches()

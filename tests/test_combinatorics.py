@@ -13,6 +13,7 @@ import random
 import pytest
 
 import oracles
+from closed_forms import standard_tableaux
 from levischur.combinatorics import (
     Shape,
     act,
@@ -20,7 +21,10 @@ from levischur.combinatorics import (
     adjacent_transposition,
     alpha,
     canonical_pair,
+    characters,
+    class_size,
     compose,
+    cycle_perm,
     gamma,
     identity_perm,
     inverse_perm,
@@ -29,6 +33,7 @@ from levischur.combinatorics import (
     orbit_reps,
     parity_of_index,
     parity_vector,
+    partitions,
     perms,
     sigma_sign,
     strict_pairs,
@@ -93,6 +98,43 @@ def test_perms_are_lexicographic():
     assert perms(0) == ((),)
     assert perms(3)[0] == (0, 1, 2)
     assert list(perms(3)) == sorted(perms(3))
+
+
+def cycle_type(w):
+    """The cycle lengths of a permutation, largest first."""
+    seen, lengths = set(), []
+    for start in range(len(w)):
+        k, length = start, 0
+        while k not in seen:
+            seen.add(k)
+            k, length = w[k], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@pytest.mark.parametrize("l", range(9))
+def test_character_table_of_the_symmetric_group(l):
+    """Murnaghan-Nakayama against independent facts: f^lambda is the
+    hook-length count, sum (f^lambda)^2 = l!, the columns mu and nu have
+    inner product z_mu delta_{mu nu}, and the class sizes and
+    ``cycle_perm`` match the cycle types of every permutation."""
+    table = characters(l)
+    parts = partitions(l)
+    assert list(table) == parts and len(set(parts)) == len(parts)
+    assert all(sum(lam) == l and list(lam) == sorted(lam, reverse=True)
+               for lam in parts)
+    f = [table[lam][(1,) * l] for lam in parts]
+    assert f == [standard_tableaux(lam) for lam in parts]
+    assert sum(x * x for x in f) == math.factorial(l)
+    types = [cycle_type(w) for w in perms(l)]
+    for mu in parts:
+        assert class_size(mu) == types.count(mu)
+        assert cycle_type(cycle_perm(mu)) == mu
+        for nu in parts:
+            inner = sum(table[lam][mu] * table[lam][nu] for lam in parts)
+            assert inner == (math.factorial(l) // class_size(mu)
+                             if mu == nu else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,12 @@ def refuse_elimination(*args, **kwargs):
 
 
 def test_both_parities_solve_each_degree_once(monkeypatch):
-    """The classical data is keyed on (m, n, l, field): ``dims`` runs one
-    count per degree, for C(S(m|n,l)), which fixes dim Pi_l, and ``verify
-    --vparity both`` then certifies the two commutants of each degree on
-    the same verdicts, with no elimination and no further count."""
+    """The classical data is keyed on (m, n, l, field): ``dims`` decides
+    the converse of each degree once, on its characters over the
+    rationals, which fixes dim Pi_l, and ``verify --vparity both`` then
+    certifies the two commutants of each degree on the same verdicts,
+    with no elimination and no count.  Over GF(3) the count runs once,
+    at the one degree l >= 3."""
     counted = []
 
     def recording(gens, d, target, field, unknowns=None):
@@ -277,12 +279,14 @@ def test_both_parities_solve_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(schur_core, "nullity_reaches", recording)
     monkeypatch.setattr(linalg, "commutant", refuse_elimination)
-    _report, status = cli.cmd_dims(cli.RunConfig(m=2, n=1, r=3))
-    assert status == cli.EXIT_OK
-    assert sorted(counted) == [3 ** l for l in range(4)]
-    _report, status = cli.cmd_verify(cli.RunConfig(m=2, n=1, r=3))
-    assert status == cli.EXIT_OK
-    assert sorted(counted) == [3 ** l for l in range(4)]
+    for field, counts in (("p:3", [3 ** 3]), ("q", [])):
+        levischur.clear_caches()
+        counted.clear()
+        for command in (cli.cmd_dims, cli.cmd_verify):
+            _report, status = command(cli.RunConfig(m=2, n=1, r=3,
+                                                    field=field))
+            assert status == cli.EXIT_OK
+            assert counted == counts
     # the 4 natural degrees, and the swap tables of Vbar = K^{3|1} and
     # K^{2|2} at degree 3, one per parity
     assert schur_core._degree.cache_info().misses == 4 + 2
@@ -864,8 +868,9 @@ def test_named_mutant_fails_certificate(monkeypatch):
 
 def test_run_path_never_closes_d(monkeypatch):
     """``verify`` and ``dims`` close nothing, build no Levi span and
-    eliminate no commutant over the rationals: each is certified by a
-    count on at most (m+n)^r words, also at (1|1,5) and (2|1,4)."""
+    eliminate no commutant: each degree is decided on its characters over
+    the rationals, with no count, and over GF(3) by a count on at most
+    (m+n)^r words at each degree l >= 3, also at (1|1,5) and (2|1,4)."""
     sizes = []
 
     def refuse(*args, **kwargs):
@@ -886,13 +891,15 @@ def test_run_path_never_closes_d(monkeypatch):
     monkeypatch.setattr(schur_core, "nullity_reaches", recording)
     for m, n, r, vparity in [(1, 1, 4, "both"), (2, 1, 3, "both"),
                              (1, 1, 5, "even"), (2, 1, 4, "even")]:
-        for command in (cli.cmd_verify, cli.cmd_dims):
-            _report, status = command(cli.RunConfig(m=m, n=n, r=r,
-                                                    vparity=vparity))
-            assert status == cli.EXIT_OK
-        assert len(sizes) == r + 1 and max(sizes) == (m + n) ** r
-        sizes.clear()
-        levischur.clear_caches()
+        for field, counted in (("q", []), ("p:3", [
+                (m + n) ** l for l in range(3, r + 1)])):
+            for command in (cli.cmd_verify, cli.cmd_dims):
+                _report, status = command(cli.RunConfig(
+                    m=m, n=n, r=r, vparity=vparity, field=field))
+                assert status == cli.EXIT_OK
+            assert sizes == counted
+            sizes.clear()
+            levischur.clear_caches()
 
 
 def test_coxeter_generators_are_few():
@@ -955,23 +962,26 @@ def test_layer_telemetry_under_timing():
             "certified", e["dim_commutant_D"])
         solve = e["solves"]["commutant_levi"]
         assert (solve["method"], solve["weights"]) == ("certified", True)
-        assert solve["prime"] == linalg.CERTIFICATE_PRIME
+        # over the rationals the characters decide, with no count
+        assert solve["prime"] is solve["unknowns"] is solve["stacked"] is None
     # the signed orbits of the word pairs ((1,1), (2,2)) and ((2,2), (1,1))
     # are inconsistent: the odd letter pair (1, 2) repeats in them
     assert [e["solves"]["commutant_D"]["conflicts"] for e in layers[:3]] == [
         0, 0, 2]
-    # the weight blocks of (1|1,l) hold l+1 contents, with (l choose k)
-    # words each, and the count stacks E_12, then E_21
-    assert [e["solves"]["commutant_levi"]["unknowns"] for e in layers[:3]] == [
-        1, 2, 6]
-    assert [e["solves"]["commutant_levi"]["stacked"] for e in layers[:3]] == [
-        {"chevalley": k, "basis": 0} for k in (0, 1, 2)]
-    # over a prime field the count runs modulo its own prime, and the
-    # rest of the JSON does not see any of it
+    # the Specht modules of degree l <= 2 all lie in the (1|1)-hook
+    assert [e["solves"]["commutant_levi"]["constituents"]
+            for e in layers[:3]] == [1, 1, 2]
+    # over GF(3) the count runs at degree 3 = p alone, modulo 3: the
+    # weight blocks of (1|1,3) hold 4 contents, with (3 choose k) words
+    # each, and it stacks E_12, then E_21; the rest of the JSON does not
+    # see any of it
     report3, _status = cli.cmd_verify(cli.RunConfig(
-        m=1, n=1, r=2, vparity="both", field="p:3"))
-    assert {e["solves"]["commutant_levi"]["prime"]
-            for e in report3["timing"]["layers"]} == {3}
+        m=1, n=1, r=3, vparity="both", field="p:3"))
+    assert [(e["solves"]["commutant_levi"]["prime"],
+             e["solves"]["commutant_levi"]["unknowns"],
+             e["solves"]["commutant_levi"]["stacked"])
+            for e in report3["timing"]["layers"][:4]] == [
+        (None, None, None)] * 3 + [(3, 20, {"chevalley": 2, "basis": 0})]
     for rep in (report, report3):
         assert "solves" not in json.dumps(
             {k: v for k, v in rep.items() if k != "timing"})
