@@ -35,7 +35,7 @@ from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke, schur_core
 from .combinatorics import Shape
-from .linalg import DEFAULT_SIZE_CAP, check_size_cap
+from .linalg import DEFAULT_SIZE_CAP, check_power_cap
 
 
 class LayerFactor(namedtuple("LayerFactor", (
@@ -139,7 +139,7 @@ def layer_factors(
     shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> LayerFactors:
     """Per-layer factors and the gates; the size cap is not a cache key."""
-    check_size_cap(shape.dim_enhanced, size_cap)
+    check_power_cap(shape.m + shape.n + 1, shape.r, size_cap)
     return _layer_factors(shape)
 
 

@@ -87,7 +87,7 @@ from .linalg import (
     DEFAULT_SIZE_CAP,
     AlgebraSpan,
     ExactMatrix,
-    check_size_cap,
+    check_power_cap,
     span_of,
 )
 from .schur_core import then
@@ -551,7 +551,7 @@ def d_certificate(shape: Shape) -> str | None:
 def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int | None:
     """dim D = sum_l C(r,l)^2 dim Pi_l, valid when ``d_certificate``
     passes; None unless every degree's ``converse`` fixes dim Pi_l."""
-    check_size_cap(shape.dim_enhanced, size_cap)
+    check_power_cap(shape.m + shape.n + 1, shape.r, size_cap)
     degs = [schur_core.degree(shape, l) for l in range(shape.r + 1)]
     if not all(deg.converse for deg in degs):
         return None
@@ -579,7 +579,7 @@ def d_algebra(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> AlgebraSpan:
     That span is D when ``d_certificate`` passes.  The size cap is a
     guard, not part of the cache key.
     """
-    check_size_cap(shape.dim_enhanced, size_cap)
+    check_power_cap(shape.m + shape.n + 1, shape.r, size_cap)
     return _d_span(shape)
 
 
@@ -596,5 +596,5 @@ def d_layer_algebra(
     """The layer-l piece P_l D P_l of D, zero on every other layer."""
     if not 0 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range")
-    check_size_cap(shape.dim_enhanced, size_cap)
+    check_power_cap(shape.m + shape.n + 1, shape.r, size_cap)
     return _d_layer(l, shape)

@@ -16,9 +16,10 @@ The commands eliminate only over GF(p), at the degrees l >= p where
 KS_l is not semisimple (``schur_core.Degree.converse``): they rank and
 count on plain entry dicts, (row, col) -> value, and
 ``nullity_reaches`` bounds a commutant's dimension from above by a
-count modulo a prime, ``_certificate_field``.  ``ExactMatrix``,
-``span_of``, ``commutant`` (which eliminates) and ``algebra_closure``
-serve the tests and demos.
+count modulo p.  ``ExactMatrix``, ``span_of``, ``commutant`` and
+``algebra_closure`` serve the tests and demos, each on one path:
+``commutant`` stacks the commutation rows of every generator, and
+``algebra_closure`` reduces every right product against its echelon.
 
 Over the rationals a value is an ``int`` when it is a whole number and
 a ``Fraction`` otherwise, never a float; most entries met in practice
@@ -32,30 +33,19 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 DEFAULT_SIZE_CAP = 256
-
-# Commutant solving switches from equation stacking to explicit
-# commutation tests once the remaining null space is this small.
-_NULL_TEST_MAX = 128
 
 
 class SizeCapExceeded(ValueError):
     """Ambient dimension larger than the configured size cap."""
 
 
-def check_size_cap(d: int, size_cap: int) -> None:
-    if d > size_cap:
-        raise SizeCapExceeded(
-            f"ambient dimension {d} exceeds size cap {size_cap}"
-        )
-
-
 def check_power_cap(base: int, exponent: int, size_cap: int) -> None:
-    """``check_size_cap(base ** exponent, size_cap)`` for ``base >= 2``,
-    forming no power past the cap: a dimension whose power was not
-    formed is named ``base^exponent``."""
+    """Raise ``SizeCapExceeded`` when the ambient dimension
+    ``base ** exponent`` is above ``size_cap``, forming no power past the
+    cap: a dimension whose power was not formed is named
+    ``base^exponent``.  A single dimension d is ``(d, 1)``."""
     d = 1
     for k in range(1, exponent + 1):
         d *= base
@@ -603,37 +593,14 @@ def commutant(
     field=None,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> AlgebraSpan:
-    """All X with X G = G X for every G in ``gens``.
-
-    Computed as the null space of the stacked maps X -> XG - GX.  Once
-    the running null space is small it is cheaper to test the remaining
-    generators by explicit commutation and only stack equations for the
-    ones that actually cut it down; the result is identical because a
-    generator whose commutation test passes contributes no constraints.
-    The output is independent of which spanning set of the same algebra
-    is supplied.
+    """All X with X G = G X for every G in ``gens``: the null space of
+    the stacked maps X -> XG - GX.  It depends only on the span of
+    ``gens``, not on the spanning set supplied.
     """
     d, field = _ambient(gens, d, field)
-    check_size_cap(d, size_cap)
+    check_power_cap(d, 1, size_cap)
     ech = Echelon(field)
-    null_mats: list[ExactMatrix] | None = None
-    extracted_rank = -1
-
-    def extract():
-        nonlocal null_mats, extracted_rank
-        if extracted_rank != ech.rank:
-            null_mats = [
-                ExactMatrix.unflatten(field, d, v)
-                for v in ech.null_space(d * d)
-            ]
-            extracted_rank = ech.rank
-
     for g in gens:
-        nullity = d * d - ech.rank
-        if nullity <= _NULL_TEST_MAX:
-            extract()
-            if all(x.commutes_with(g) for x in null_mats):
-                continue
         for row in _commutation_rows(g.entries, d, field):
             ech.add(row)
     out = Echelon(field)
@@ -642,48 +609,34 @@ def commutant(
     return AlgebraSpan(field, d, out)
 
 
-# The prime ``nullity_reaches`` counts modulo over the rationals, which
-# no command asks for: the largest below 2^30, so residues are one-digit
-# ints and a product of two is reduced by a one-digit divisor (about
-# twice as fast as modulo 2^31 - 1 on CPython).
-CERTIFICATE_PRIME = 1073741789
-
-
-@lru_cache(maxsize=2)
-def _certificate_field(field) -> PrimeField:
-    """The field the certificate counts in."""
-    return field if isinstance(field, PrimeField) else PrimeField(
-        CERTIFICATE_PRIME)
-
-
 def nullity_reaches(
-    gens: Sequence[dict], d: int, target: int, field, unknowns=None
-) -> tuple[int, int | None]:
-    """Stack the rows of X -> XG - GX over GF(p), p the field's own prime
-    or ``CERTIFICATE_PRIME`` over the rationals, until the nullity
-    reaches ``target``.  Each G is given by its entries, a dict (row,
-    col) -> int.  Returns p and the generators stacked, or p and None
-    when it never equals ``target`` or an entry is not an integer.
-    The nullity bounds the commutant from above (rank mod p is at most
-    the rational rank), so meeting a proven lower bound fixes it.  With
-    ``unknowns``, a set of flattened positions a*d + b, every other entry
-    of X is held at zero: the nullity then bounds a commutant known to
-    vanish off those positions.
+    gens: Sequence[dict], d: int, target: int, field: PrimeField,
+    unknowns=None
+) -> int | None:
+    """Stack the rows of X -> XG - GX over ``field``, GF(p), until the
+    nullity reaches ``target``.  Each G is given by its entries, a dict
+    (row, col) -> int.  Returns the number of generators stacked, or
+    None when the nullity never equals ``target`` or an entry is not an
+    integer.  The nullity is the commutant's dimension over GF(p), and
+    for integer G it bounds the rational one from above (rank mod p is at
+    most the rational rank), so meeting a proven lower bound fixes it.
+    With ``unknowns``, a set of flattened positions a*d + b, every other
+    entry of X is held at zero: the nullity then bounds a commutant known
+    to vanish off those positions.
     """
-    gf = _certificate_field(field)
     if any(v.__class__ is not int for g in gens for v in g.values()):
-        return gf.p, None
-    ech = Echelon(gf)
+        return None
+    ech = Echelon(field)
     nullity, stacked = d * d if unknowns is None else len(unknowns), 0
     for g in gens:
         if nullity <= target:
             break
         stacked += 1
-        for row in _commutation_rows(g, d, gf, unknowns):
+        for row in _commutation_rows(g, d, field, unknowns):
             nullity -= ech.add(row)
             if nullity <= target:
                 break
-    return gf.p, stacked if nullity == target else None
+    return stacked if nullity == target else None
 
 
 def algebra_closure(
@@ -702,7 +655,7 @@ def algebra_closure(
     it is the seed g1 (or the identity) times g2, ..., gk.
     """
     d, field = _ambient(gens, d, field)
-    check_size_cap(d, size_cap)
+    check_power_cap(d, 1, size_cap)
     ech = Echelon(field)
     frontier: list[ExactMatrix] = []
     seed = list(gens)
@@ -711,16 +664,11 @@ def algebra_closure(
     for m in seed:
         if ech.add(m.flatten()):
             frontier.append(m)
-    # every product formed so far is in the span: a repeat skips the echelon
-    seen = set(seed)
     while frontier:
         fresh: list[ExactMatrix] = []
         for b in frontier:
             for g in gens:
                 prod = b @ g
-                if prod in seen:
-                    continue
-                seen.add(prod)
                 if ech.add(prod.flatten()):
                     fresh.append(prod)
         frontier = fresh

@@ -50,7 +50,7 @@ from .linalg import (
     AlgebraSpan,
     ExactMatrix,
     PrimeField,
-    check_size_cap,
+    check_power_cap,
     nullity_reaches,
     rank_of_rows,
     span_of,
@@ -124,26 +124,6 @@ def pi_matrix(w: Permutation, shape: Shape, l: int) -> ExactMatrix:
 def signed_matrix(m: dict, d: int, field) -> ExactMatrix:
     """The d x d matrix of a signed map."""
     return ExactMatrix(field, d, d, {(q, p): s for p, (q, s) in m.items()})
-
-
-def commutation_test(m: dict):
-    """A test whether a matrix commutes with ``signed_matrix(m)``, for a
-    one-to-one signed map m.  Both products only move and re-sign the
-    matrix's entries, so neither is formed."""
-    inv = {q: (p, s) for p, (q, s) in m.items()}
-
-    def commutes(x: ExactMatrix) -> bool:
-        neg = x.field.neg
-        left, right = {}, {}
-        for (a, b), v in x.entries.items():
-            if a in m:      # (M x)[q, b] = s x[a, b] for m(a) = (q, s)
-                q, s = m[a]
-                left[(q, b)] = v if s > 0 else neg(v)
-            if b in inv:    # (x M)[a, p] = s x[a, b] for m(p) = (b, s)
-                p, s = inv[b]
-                right[(a, p)] = v if s > 0 else neg(v)
-        return left == right
-    return commutes
 
 
 def schur_basis(shape: Shape, l: int) -> tuple[DoubleIndex, ...]:
@@ -519,10 +499,10 @@ class Degree:
                     for b in block}
         order = sorted(self.xi, key=lambda pair: sum(
             a != b for a, b in zip(*pair)) > 1)
-        prime, stacked = nullity_reaches(
+        stacked = nullity_reaches(
             chev + [self.xi[p] for p in order], d, self.group,
             self.shape.field, unknowns)
-        solve.update(method="count_failed", prime=prime,
+        solve.update(method="count_failed", prime=self.shape.field.p,
                      unknowns=len(unknowns))
         if stacked is None:
             return False
@@ -560,7 +540,7 @@ def classical_duality(
     on r <= m+n and merely reported otherwise.  A dimension that no
     verdict fixes is None.
     """
-    check_size_cap(shape.dim_natural, size_cap)
+    check_power_cap(shape.m + shape.n, shape.r, size_cap)
     deg = degree(shape, shape.r)
     return ClassicalDualityReport(
         dim_commutant_of_symmetric_group=len(deg.orbits[0]),

@@ -14,7 +14,8 @@ and ``signed_action`` the signed S_l action walked on tuples of the
 natural basis, which ``schur_core.signed_action`` reads from
 ``Degree.words``.  ``orbit_reps`` sorts the unzipped representatives by
 row concatenated with column, which ``combinatorics._orbit_reps`` sorts
-as flat words.
+as flat words.  ``CERTIFICATE_PRIME`` is the prime the tests count a
+rational commutant modulo.
 """
 
 import itertools
@@ -24,6 +25,10 @@ from levischur import enhanced_core as enh
 from levischur import schur_core
 from levischur.combinatorics import perms
 from levischur.linalg import span_of
+
+# The largest prime below 2^30, so residues are one-digit ints and a
+# product of two is reduced by a one-digit divisor.
+CERTIFICATE_PRIME = 1073741789
 
 
 def group_span(deg):

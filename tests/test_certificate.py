@@ -28,7 +28,6 @@ from levischur import combinatorics as comb
 from levischur import enhanced_core as enh
 from levischur.combinatorics import Shape, adjacent_transposition
 from levischur.linalg import (
-    CERTIFICATE_PRIME,
     QQ,
     ExactMatrix,
     PrimeField,
@@ -36,7 +35,7 @@ from levischur.linalg import (
     nullity_reaches,
 )
 from closed_forms import partitions
-from oracles import group_span
+from oracles import CERTIFICATE_PRIME, group_span
 
 FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(32003)]
 LADDER = [(1, 1, l) for l in range(5)] + [(2, 1, l) for l in range(4)] + [
@@ -456,48 +455,36 @@ def test_count_reports_prime_and_generators_stacked():
     deg = schur_core.degree(Shape(1, 1, 1), 4)
     mats = list(deg.xi.values())
     target = deg.group
-    p, stacked = nullity_reaches(mats, deg.dim, target, QQ)
-    assert p == CERTIFICATE_PRIME and 0 < stacked <= len(mats)
-    assert nullity_reaches(mats, deg.dim, target - 1, QQ) == (p, None)
+    gf = PrimeField(CERTIFICATE_PRIME)
+    stacked = nullity_reaches(mats, deg.dim, target, gf)
+    assert 0 < stacked <= len(mats)
+    assert nullity_reaches(mats, deg.dim, target - 1, gf) is None
     # no generators: the count is d^2 at once, or the unknowns left
-    assert nullity_reaches([], 3, 9, QQ) == (p, 0)
-    assert nullity_reaches([], 3, 8, QQ) == (p, None)
-    assert nullity_reaches([], 3, 2, QQ, {0, 4}) == (p, 0)
+    assert nullity_reaches([], 3, 9, gf) == 0
+    assert nullity_reaches([], 3, 8, gf) is None
+    assert nullity_reaches([], 3, 2, gf, {0, 4}) == 0
     # inside the weight blocks the count meets dim Pi_4 on the Chevalley
     # elements E_12 and E_21 alone
     unknowns = {a * deg.dim + b for block in deg.weight_blocks
                 for a in block for b in block}
     assert len(unknowns) == 70
-    assert nullity_reaches(deg.chevalley, deg.dim, target, QQ,
-                           unknowns) == (p, 2)
-    assert nullity_reaches(deg.chevalley, deg.dim, target, QQ) == (p, None)
+    assert nullity_reaches(deg.chevalley, deg.dim, target, gf,
+                           unknowns) == 2
+    assert nullity_reaches(deg.chevalley, deg.dim, target, gf) is None
+    # the converse reports the prime of the field it counted over
+    counted = schur_core.degree(Shape(1, 1, 1, 0, PrimeField(3)), 4)
+    assert counted.converse
+    assert counted.solves["commutant_schur"]["prime"] == 3
 
 
 def test_non_integer_entry_never_takes_the_modular_path(monkeypatch):
     half = {(0, 1): Fraction(1, 2)}
+    gf = PrimeField(CERTIFICATE_PRIME)
     # a target the count meets before stacking anything still fails
-    assert nullity_reaches([half], 2, 4, QQ) == (CERTIFICATE_PRIME, None)
+    assert nullity_reaches([half], 2, 4, gf) is None
 
     def refuse(*args, **kwargs):
         raise AssertionError("modular count on a non-integer entry")
 
     monkeypatch.setattr(linalg, "Echelon", refuse)
-    assert nullity_reaches([half], 2, 2, QQ)[1] is None
-
-
-def test_signed_commutation_matches_matrix_products():
-    """``commutation_test`` agrees with ``commutes_with`` pair by pair,
-    on the Levi basis and on the generators against each other, which
-    includes non-commuting pairs."""
-    for shape in (Shape(2, 1, 3, 0), Shape(2, 1, 3, 1)):
-        gens = hecke.hecke_generators(shape)
-        mats = [enh.rho_levi(b, shape) for b in enh.levi_basis(shape)]
-        mats += [hecke.xi_gen(h, shape) for h in gens]
-        outcomes = set()
-        for g in gens:
-            test = schur_core.commutation_test(hecke._gen_map(g, shape))
-            for x in mats:
-                ok = x.commutes_with(hecke.xi_gen(g, shape))
-                assert test(x) == ok
-                outcomes.add(ok)
-        assert outcomes == {True, False}
+    assert nullity_reaches([half], 2, 2, gf) is None

@@ -4,6 +4,7 @@ import pytest
 
 from levischur.combinatorics import Shape
 from levischur.duality import (
+    layer_factors,
     run_duality,
     verify_faithful_layer_action,
     verify_first,
@@ -11,8 +12,9 @@ from levischur.duality import (
     verify_second,
 )
 from levischur.enhanced_core import levi_span, rho_levi, levi_basis
-from levischur.hecke import d_algebra
+from levischur.hecke import d_algebra, d_dimension, d_layer_algebra
 from levischur.linalg import SizeCapExceeded, commutant
+from levischur.schur_core import classical_duality
 
 
 @pytest.mark.parametrize("vp", [0, 1])
@@ -108,3 +110,31 @@ def test_size_cap_enforced():
         verify_first(Shape(1, 1, 2), size_cap=4)
     with pytest.raises(SizeCapExceeded):
         verify_faithful_layer_action(Shape(1, 1, 2), 1, size_cap=4)
+
+
+# every library entry point that takes a shape, called at (1|1,10000),
+# and the power it refuses: (m+n+1)^r, or (m+n)^r on the natural side
+HUGE = Shape(1, 1, 10000)
+ENTRY_POINTS = {
+    "verify_first": (lambda: verify_first(HUGE), 3),
+    "verify_second": (lambda: verify_second(HUGE), 3),
+    "verify_layer_endos": (lambda: verify_layer_endos(HUGE), 3),
+    "verify_faithful_layer_action":
+        (lambda: verify_faithful_layer_action(HUGE, 1), 3),
+    "run_duality": (lambda: run_duality(HUGE), 3),
+    "layer_factors": (lambda: layer_factors(HUGE), 3),
+    "d_algebra": (lambda: d_algebra(HUGE), 3),
+    "d_dimension": (lambda: d_dimension(HUGE), 3),
+    "d_layer_algebra": (lambda: d_layer_algebra(1, HUGE), 3),
+    "classical_duality": (lambda: classical_duality(HUGE), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_names_an_unformed_dimension(name):
+    """The guard forms no power past the cap, so the message names the
+    power rather than failing to print a number of thousands of digits."""
+    call, base = ENTRY_POINTS[name]
+    with pytest.raises(SizeCapExceeded, match=rf"^ambient dimension "
+                       rf"{base}\^10000 exceeds size cap 256$"):
+        call()

@@ -529,11 +529,10 @@ def commutation_oracle(shape, relations_hold):
     """The ``commutation`` check entry by entry: every whole-space Levi
     basis matrix against every Coxeter generator; ``failed`` counts the
     pairs that do not commute."""
-    tests = [schur_core.commutation_test(hecke._gen_map(g, shape))
-             for g in hecke.coxeter_generators(shape)]
+    gens = [hecke.xi_gen(g, shape) for g in hecke.coxeter_generators(shape)]
     basis = enh.levi_basis(shape)
-    bad = sum(not test(enh.rho_levi(b, shape))
-              for b in basis for test in tests)
+    bad = sum(not enh.rho_levi(b, shape).commutes_with(g)
+              for b in basis for g in gens)
     details = {"pairs": len(basis) * hecke.generator_count(shape.r),
                "failed": bad}
     if not relations_hold:

@@ -49,7 +49,6 @@ from levischur.combinatorics import (  # noqa: E402
 )
 from levischur.cli import _plain_args, build_parser  # noqa: E402
 from levischur.linalg import (  # noqa: E402
-    CERTIFICATE_PRIME,
     QQ,
     Echelon,
     ExactMatrix,
@@ -59,7 +58,7 @@ from levischur.linalg import (  # noqa: E402
     nullity_reaches,
     rank_of_rows,
 )
-from oracles import FieldEchelon  # noqa: E402
+from oracles import CERTIFICATE_PRIME, FieldEchelon  # noqa: E402
 
 FIELDS = [QQ, PrimeField(3), PrimeField(7), PrimeField(32003)]
 PROFILE = settings(max_examples=60, deadline=None)
@@ -145,11 +144,12 @@ def int_matrices(draw, d=3):
 def test_count_never_certifies_below_the_rational_commutant(gens):
     dim = commutant(gens, 3, field=QQ).dimension
     entries = [g.entries for g in gens]
-    assert nullity_reaches(entries, 3, dim - 1, QQ)[1] is None
+    gf = PrimeField(CERTIFICATE_PRIME)
+    assert nullity_reaches(entries, 3, dim - 1, gf) is None
     # each commutation row has norm at most sqrt(72), so by Hadamard every
     # minor is below 72^4.5 < 2^28 in size, under the certificate prime:
     # the rank mod p is the rational rank
-    assert nullity_reaches(entries, 3, dim, QQ)[1] is not None
+    assert nullity_reaches(entries, 3, dim, gf) is not None
 
 
 parity_words = st.integers(0, 5).flatmap(
