@@ -53,8 +53,9 @@ samples = [
 ]
 for inst in samples:
     print(f"  {inst.rel}: {check_relation(inst, shape)}")
-print(f"  unconstrained boundary (swap index = layer): observed "
-      f"{boundary_observations(shape)}")
+for l, count, commuting in boundary_observations(shape):
+    print(f"  unconstrained boundary s_{l} against L({l}, sigma): "
+          f"{commuting} of {count} permutations commute (observed)")
 
 print("\n-- layer algebras --")
 for l in range(shape.r + 1):

@@ -8,7 +8,7 @@ Subcommands:
   orbits     dump the orbit representatives per layer
   relations  run only the defining-relation suite (plus the boundary
              observations, which are reported and never gated)
-  report     verify plus dims plus relations in one JSON document
+  report     the same report as verify
 
 The ``relations`` check reads ``hecke.relation_failures``, the cached
 verdict on ``hecke.certified_instances`` and ``Degree.acts`` (relation
@@ -17,9 +17,11 @@ verdict on ``hecke.certified_instances`` and ``Degree.acts`` (relation
 their ``instances`` and ``pairs`` are the counts the certificate
 covers: every relation instance, and the Levi basis against every
 ``hecke_generators`` member.  ``commutation`` passes only when the
-relations do in the same run.  ``cross_parity_conjugation`` compares
-the two parities' Levi placements on the frame; no command builds a
-whole-space Levi matrix.
+relations do in the same run.  The boundary check's ``observed`` holds
+one record per layer 1 <= l < r, ``{"i": l, "permutations": l!,
+"commuting": 0}`` (``hecke.boundary_observations``).
+``cross_parity_conjugation`` compares the two parities' Levi
+placements on the frame; no command builds a whole-space Levi matrix.
 
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 invalid
 configuration, 3 size cap exceeded; the cap applies to every command
@@ -124,14 +126,13 @@ def _relation_checks(shape: Shape) -> list[dict]:
             instances=hecke.relation_count(shape.r), failed=sorted(failures),
         )
     ]
-    boundary = hecke.boundary_observations(shape)
     checks.append(
         _check(
             "boundary_swap_layer_commutation", shape.vparity,
             True, False,
             observed=[
-                {"i": i, "sigma": list(sigma), "commutes": ok}
-                for i, sigma, ok in boundary
+                {"i": l, "permutations": count, "commuting": commuting}
+                for l, count, commuting in hecke.boundary_observations(shape)
             ],
         )
     )
@@ -331,22 +332,12 @@ def cmd_relations(cfg: RunConfig) -> tuple[dict, int]:
     return _finish(report, checks, t0)
 
 
-def cmd_report(cfg: RunConfig) -> tuple[dict, int]:
-    report, status = cmd_verify(cfg)
-    shape = cfg.shapes()[0]
-    report["dims"]["per_layer_orbits_by_layer"] = {
-        str(l): len(comb.orbit_reps(shape, l))
-        for l in range(shape.r + 1)
-    }
-    return report, status
-
-
 _COMMANDS = {
     "verify": cmd_verify,
     "dims": cmd_dims,
     "orbits": cmd_orbits,
     "relations": cmd_relations,
-    "report": cmd_report,
+    "report": cmd_verify,
 }
 
 

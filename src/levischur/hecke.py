@@ -52,7 +52,8 @@ order, with L for ``LayerGen(l, -)`` and s for ``SwapGen(i)``:
 ``acts``, read by the relation check, which reports
 ``relation_count(r)`` instances, and by gate G1.  The boundary case
 i = l of a swap against a layer generator is constrained by no
-relation; ``boundary_observations`` reports it, always False.
+relation; ``boundary_observations`` reports it once per layer, as the
+number of the l! sigma that commute, always 0.
 
 The image D is never closed.  ``d_factors`` holds, per support T of
 size l, the signed maps of the two words of ``factor_words(T)``: A_T
@@ -377,31 +378,34 @@ def generator_count(r: int) -> int:
     return r - 1 + sum(math.factorial(l) for l in range(r + 1))
 
 
-def boundary_observations(shape: Shape) -> list[tuple[int, Permutation, bool]]:
+def boundary_observations(shape: Shape) -> list[tuple[int, int, int]]:
     """Observed commutation at the unconstrained boundary i = l.
 
-    Returns (i, sigma, swap-commutes-with-layer-generator) triples; no
-    relation governs these, so they are reported and never asserted.
-    Each is decided on the domains of the two maps first, which do not
-    depend on sigma: ``LayerGen(l, sigma)`` is defined on the leading
-    words, since ``actions[sigma]`` is defined on every word of degree
-    l, and the swap on every word.  So, in word order, s_l L(l, sigma)
-    is defined on the swap-preimage of the leading words and L(l,
-    sigma) s_l on the leading words; the maps are composed only where
-    these agree.  They never do: the first domain holds the words with
-    support {1..l-1, l+1}, the second those with support {1..l}, and
-    since l < r and m >= 1 both are non-empty, so every observation
-    reads False.
+    Returns one (l, l!, commuting) triple per layer 1 <= l < r, where
+    ``commuting`` counts the sigma in S_l with s_l L(l, sigma) = L(l,
+    sigma) s_l; no relation governs these, so they are reported and
+    never asserted.  Each layer is decided on the domains of the two
+    maps first, which do not depend on sigma: ``LayerGen(l, sigma)`` is
+    defined on the leading words, since ``actions[sigma]`` is defined on
+    every word of degree l, and the swap on every word.  So, in word
+    order, s_l L(l, sigma) is defined on the swap-preimage of the leading
+    words and L(l, sigma) s_l on the leading words; the maps are composed
+    only where these agree.  They never do: the first domain holds the
+    words with support {1..l-1, l+1}, the second those with support
+    {1..l}, and since l < r and m >= 1 both are non-empty, so every
+    layer reads 0.
     """
     out = []
     for l in range(1, shape.r):
         swap = _swap_map(l, shape)
         lead = set(enh._placements(l, shape)[0][0])
-        agree = {p for p, (q, _s) in swap.items() if q in lead} == lead
-        for sigma in comb.perms(l):
-            out.append((l, sigma, agree and _word_map(
+        commuting = 0
+        if {p for p, (q, _s) in swap.items() if q in lead} == lead:
+            commuting = sum(_word_map(
                 (SwapGen(l), LayerGen(l, sigma)), shape) == _word_map(
-                (LayerGen(l, sigma), SwapGen(l)), shape)))
+                (LayerGen(l, sigma), SwapGen(l)), shape)
+                for sigma in comb.perms(l))
+        out.append((l, math.factorial(l), commuting))
     return out
 
 

@@ -374,8 +374,8 @@ def test_run_path_eliminates_no_commutant(monkeypatch):
     for m, n, r in [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 0, 4),
                     (3, 0, 3)]:
         for field in ("q", "p:3", "p:5"):
-            for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_report,
-                            cli.cmd_relations):
+            for command in (cli.cmd_verify, cli.cmd_dims,
+                            cli._COMMANDS["report"], cli.cmd_relations):
                 _report, status = command(cli.RunConfig(
                     m=m, n=n, r=r, vparity="both", field=field))
                 assert status == cli.EXIT_OK

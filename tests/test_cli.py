@@ -23,7 +23,6 @@ from levischur.cli import (
     cmd_dims,
     cmd_orbits,
     cmd_relations,
-    cmd_report,
     cmd_verify,
     main,
 )
@@ -546,6 +545,42 @@ def test_orbits_ignores_size_cap(capsys):
     }
 
 
+def report_lists(obj, path=()):
+    """Every list in a report, with the keys that lead to it."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from report_lists(value, path + (key,))
+    elif isinstance(obj, list):
+        yield path, obj
+        for x in obj:
+            yield from report_lists(x, path)
+
+
+@pytest.mark.parametrize("m, n, r, field", [
+    *[(1, 0, r, "q") for r in range(2, 8)],
+    # the benchmark's verify and relations shapes
+    (2, 1, 3, "q"), (1, 2, 3, "q"), (1, 1, 4, "q"), (2, 1, 3, "p:32003"),
+])
+def test_no_report_list_grows_with_the_group_or_the_space(m, n, r, field):
+    """Under both parities every list in a ``verify`` or ``relations``
+    report has at most 2(r+1) entries, the length of ``timing.layers``,
+    so none grows with l! or d^2; ``checks`` holds one record per check
+    and parity.  ``orbits`` is exempt: its output is the list."""
+    bound = 2 * (r + 1)
+    for command in (cmd_verify, cmd_relations):
+        report, status = command(RunConfig(m=m, n=n, r=r, field=field))
+        assert status == EXIT_OK
+        checks = [(c["name"], c["vparity"]) for c in report["checks"]]
+        assert len(set(checks)) == len(checks)
+        lists = [(path, xs) for path, xs in report_lists(report)
+                 if path != ("checks",)]
+        assert ("checks", "details", "observed") in dict(lists)
+        for path, xs in lists:
+            assert len(xs) <= bound, (command.__name__, path, len(xs))
+        if command is cmd_verify:
+            assert len(report["timing"]["layers"]) == bound
+
+
 def test_relations_command():
     report, status = cmd_relations(RunConfig(m=1, n=1, r=2))
     assert status == EXIT_OK
@@ -558,10 +593,19 @@ def test_relations_command():
     assert boundary and not boundary[0]["gated"]
 
 
-def test_report_command():
-    report, status = cmd_report(RunConfig(m=1, n=1, r=2, vparity="odd"))
-    assert status == EXIT_OK
-    assert "per_layer_orbits_by_layer" in report["dims"]
+def test_report_command(capsys):
+    """``report`` prints the report of ``verify``, once timing is
+    dropped, and with the same status."""
+    printed = []
+    for command in ("report", "verify"):
+        status, out, _ = run_main(capsys, [
+            command, "--m", "1", "--n", "1", "--r", "2", "--vparity", "odd",
+            "--output", "json"])
+        report = json.loads(out)
+        del report["timing"]
+        printed.append((status, report))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == EXIT_OK
 
 
 def test_prime_field_run_is_informative(capsys):

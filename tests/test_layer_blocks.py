@@ -827,7 +827,7 @@ def test_table_mutant_fails_classical_duality(monkeypatch):
 def test_run_path_checks_3_3_on_the_table_alone(monkeypatch):
     """No command builds an instance of 3.3, nor the map of a
     ``LayerGen`` whose sigma is neither id nor simple; the boundary
-    observations decide each sigma on the domains of the maps."""
+    observations decide each layer on the domains of the maps."""
     built, seen = [], []
     real_map = hecke._gen_map
     real_instance = hecke.RelationInstance
@@ -849,7 +849,7 @@ def test_run_path_checks_3_3_on_the_table_alone(monkeypatch):
     levischur.clear_caches()
     for m, n, r in [(1, 1, 3), (1, 0, 5), (2, 1, 3)]:
         for command in (cli.cmd_verify, cli.cmd_dims, cli.cmd_relations,
-                        cli.cmd_report):
+                        cli._COMMANDS["report"]):
             _report, status = command(cli.RunConfig(m=m, n=n, r=r))
             assert status == cli.EXIT_OK
     levischur.clear_caches()
