@@ -10,7 +10,9 @@ The natural entry points:
   * ``schur_core`` builds the classical action and basis matrices.
   * ``enhanced_core`` builds the enhanced space and the Levi algebra.
   * ``hecke`` builds the layered permutation generators and their image.
-  * ``duality`` runs the theorem-level verifications.
+  * ``duality`` reads the theorem-level verdicts: ``verify_first``,
+    ``verify_second``, ``verify_layer_endos`` and
+    ``verify_faithful_layer_action``.
   * ``cli`` is the command-line front end (``levischur ...``).
   * ``clear_caches()`` empties every cache, per shape or per degree.
 
@@ -59,8 +61,6 @@ from .hecke import (
     xi_gen,
 )
 from .duality import (
-    DualityReport,
-    run_duality,
     verify_faithful_layer_action,
     verify_first,
     verify_layer_endos,

@@ -12,8 +12,10 @@ Subcommands:
 
 The ``relations`` check reads ``hecke.relation_failures``, the cached
 verdict on ``hecke.certified_instances`` and ``Degree.acts`` (relation
-3.3 on each degree's table) that gate G1 reads too, and
-``commutation`` reads the first direction, ``duality.verify_first``;
+3.3 on each degree's table) that gate G1 reads too; the duality checks
+read the verdicts of ``duality`` (``verify_first``, ``verify_second``,
+``verify_layer_endos``, ``verify_faithful_layer_action`` per layer and
+``layer_factors``), and ``commutation`` reads the first direction;
 their ``instances`` and ``pairs`` are the counts the certificate
 covers: every relation instance, and the Levi basis against every
 ``hecke_generators`` member.  ``commutation`` passes only when the
@@ -31,7 +33,8 @@ indent=2)`` would print it, and every report, JSON or text, reaches
 stdout in one write.  Wall-clock measurements live under a "timing"
 key, so reports can be compared byte for byte after dropping it; for
 ``verify`` and ``report`` it also holds ``layers``, the size,
-dimensions and seconds of every layer of the duality check, and how
+dimensions and seconds of every layer of the duality check (the first
+read of its degree's verdicts, made before any other check), and how
 the verdict on each of its two commutants was reached
 (``schur_core.Degree.solves``): ``method`` is ``certified`` or names
 the step that failed; ``commutant_D`` gives the signed orbits counted,
@@ -68,7 +71,13 @@ from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke, schur_core
 from .combinatorics import Shape
-from .duality import layer_factors, run_duality, verify_first
+from .duality import (
+    layer_factors,
+    verify_faithful_layer_action,
+    verify_first,
+    verify_layer_endos,
+    verify_second,
+)
 from .linalg import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,
@@ -157,47 +166,52 @@ def _commutation_check(shape: Shape, relations_hold: bool,
 
 
 def _duality_checks(shape: Shape, size_cap: int) -> tuple[list[dict], dict]:
-    rep = run_duality(shape, size_cap)
+    first = verify_first(shape, size_cap)
+    second = verify_second(shape, size_cap)
+    endos = verify_layer_endos(shape, size_cap)
+    faithful = [verify_faithful_layer_action(shape, l, size_cap)
+                for l in range(1, shape.r + 1)]
     checks = [
         _check(
-            "first_duality", shape.vparity,
-            rep.first_isomorphism_holds, True,
-            dim_levi=rep.dim_levi, dim_commutant_D=rep.dim_commutant_D,
+            "first_duality", shape.vparity, first.holds, True,
+            dim_levi=first.dim_levi, dim_commutant_D=first.dim_commutant_D,
         ),
         _check(
             "second_duality_containment", shape.vparity,
-            rep.second_containment_holds, True,
+            second.containment_holds, True,
         ),
         _check(
             "second_duality", shape.vparity,
-            rep.second_isomorphism_holds, rep.r_le_mplusn,
-            dim_D=rep.dim_D, dim_commutant_levi=rep.dim_commutant_levi,
-            observed_only=not rep.r_le_mplusn,
+            second.spans_equal, second.gated,
+            dim_D=second.dim_D, dim_commutant_levi=second.dim_commutant_levi,
+            observed_only=not second.gated,
         ),
+        # (4) of ``duality._levi_transport``: the rank is fixed with dim_levi
         _check(
             "faithfulness_rank", shape.vparity,
-            rep.levi_rank_matches_basis, True,
-            dim_levi=rep.dim_levi,
+            first.dim_levi is not None, True,
+            dim_levi=first.dim_levi,
         ),
         _check(
             "faithful_layer_action", shape.vparity,
-            all(rep.faithful_layers), True,
-            layers=list(rep.faithful_layers),
+            all(faithful), True,
+            layers=faithful,
         ),
         _check(
             "layer_decomposition", shape.vparity,
-            all(rep.per_layer_endo_equal) and rep.layer_sum_matches, True,
-            per_layer=list(rep.per_layer_endo_equal),
+            endos.holds, True,
+            per_layer=list(endos.per_layer_equal),
             # True, or the name of the gate that failed
-            sum_matches=rep.failed_gate or True,
+            sum_matches=layer_factors(shape, size_cap).failed_gate or True,
         ),
     ]
     dims = {
-        "ambient": rep.dim_ambient,
-        "levi": rep.dim_levi,
-        "d_algebra": rep.dim_D,
-        "per_layer_orbits": list(rep.per_layer_orbits),
-        "per_layer_endos": list(rep.per_layer_endo_dims),
+        "ambient": shape.dim_enhanced,
+        "levi": first.dim_levi,
+        "d_algebra": second.dim_D,
+        "per_layer_orbits": [len(comb.orbit_reps(shape, l))
+                             for l in range(shape.r + 1)],
+        "per_layer_endos": list(endos.per_layer_dims),
     }
     return checks, dims
 
@@ -269,6 +283,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     dims: dict = {}
     layers: list[dict] = []
     for shape in cfg.shapes():
+        # the layers first: the relation checks would force every
+        # degree's actions before the clock of ``timing.layers`` starts
+        layer_factors(shape, cfg.size_cap)
         relations = _relation_checks(shape)
         checks.extend(relations)
         checks.append(_commutation_check(shape, relations[0]["passed"],
@@ -465,6 +482,12 @@ _OPTIONS = {
 }
 
 
+def _defaults() -> dict:
+    """``RunConfig``'s defaults of the options, the one source of each."""
+    return {k: v for k, v in RunConfig._field_defaults.items()
+            if k != "command"}
+
+
 def build_parser():
     """The ``argparse`` parser of record; ``main`` builds it only for a
     command line that ``_plain_args`` declines."""
@@ -484,14 +507,13 @@ def build_parser():
                         help="number of odd basis vectors (>= 0)")
     parser.add_argument("--r", type=int, required=True,
                         help="tensor degree (>= 1)")
-    parser.add_argument("--vparity", choices=_OPTIONS["--vparity"][1],
-                        default="both")
-    parser.add_argument("--field", default="q",
+    parser.add_argument("--vparity", choices=_OPTIONS["--vparity"][1])
+    parser.add_argument("--field",
                         help="q for rationals, p:<odd prime> for a prime field")
-    parser.add_argument("--output", choices=_OPTIONS["--output"][1],
-                        default="text")
-    parser.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+    parser.add_argument("--output", choices=_OPTIONS["--output"][1])
+    parser.add_argument("--size-cap", type=int,
                         help="largest allowed ambient dimension")
+    parser.set_defaults(**_defaults())
     return parser
 
 
@@ -504,8 +526,7 @@ def _plain_args(argv: list[str]) -> dict | None:
     with ``-``; every integer in at most 18 ASCII digits; every choice
     valid.  Help, abbreviations, ``=`` forms and every malformed line
     are left to argparse, with its messages and exit codes."""
-    args = {"vparity": "both", "field": "q", "output": "text",
-            "size_cap": DEFAULT_SIZE_CAP}
+    args = _defaults()
     tokens = iter(argv)
     for tok in tokens:
         if tok not in _OPTIONS:

@@ -31,7 +31,6 @@ import time
 from collections import namedtuple
 from functools import lru_cache
 
-from . import combinatorics as comb
 from . import enhanced_core as enh
 from . import hecke, schur_core
 from .combinatorics import Shape
@@ -49,19 +48,10 @@ class LayerFactor(namedtuple("LayerFactor", (
     ``dim_commutant_pi`` counts the consistent signed orbits, on every
     run; ``certified`` is C(Pi_l) = S(m|n,l) and ``converse``
     C(S(m|n,l)) = Pi_l, which fixes ``dim_pi`` (None without it).
-    ``seconds`` and ``solves``, how each verdict was reached
-    (``schur_core.Degree.solves``), are left out of equality."""
+    ``seconds`` is the time spent reading the layer's verdicts, and
+    ``solves`` how each was reached (``schur_core.Degree.solves``)."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, LayerFactor) and self[:-2] == other[:-2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-2])
 
     @property
     def dim_D(self) -> int | None:
@@ -114,11 +104,10 @@ def _levi_transport(shape: Shape) -> bool:
 
 @lru_cache(maxsize=None)
 def _layer_factors(shape: Shape) -> LayerFactors:
-    failed = hecke.d_certificate(shape)
-    if failed is None and not _levi_transport(shape):
-        failed = "levi_transport"
     layers = []
     for l in range(shape.r + 1):
+        # read before the gates, which force every degree's actions and
+        # xi, so that ``seconds`` is this layer's own work
         t0 = time.perf_counter()
         k, deg = math.comb(shape.r, l), schur_core.degree(shape, l)
         layers.append(LayerFactor(
@@ -132,6 +121,9 @@ def _layer_factors(shape: Shape) -> LayerFactors:
             seconds=time.perf_counter() - t0,
             solves=dict(deg.solves),
         ))
+    failed = hecke.d_certificate(shape)
+    if failed is None and not _levi_transport(shape):
+        failed = "levi_transport"
     return LayerFactors(layers=tuple(layers), failed_gate=failed)
 
 
@@ -237,81 +229,3 @@ def verify_faithful_layer_action(
     if not 1 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range 1..{shape.r}")
     return layer_factors(shape, size_cap).failed_gate is None
-
-
-class DualityReport(namedtuple("DualityReport", (
-        "m n r vparity field_name dim_ambient dim_levi dim_D"
-        " dim_commutant_D dim_commutant_levi first_isomorphism_holds"
-        " second_isomorphism_holds second_containment_holds r_le_mplusn"
-        " per_layer_orbits per_layer_endo_dims per_layer_endo_equal"
-        " failed_gate faithful_layers levi_rank_matches_basis seconds"),
-        defaults=(0.0,))):
-    """Everything the theorem-level verification produces for a shape;
-    ``seconds`` is left out of equality."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, DualityReport) and self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-1])
-
-    @property
-    def layer_sum_matches(self) -> bool:
-        return self.failed_gate is None
-
-    @property
-    def all_gated_hold(self) -> bool:
-        checks = [
-            self.first_isomorphism_holds,
-            self.second_containment_holds,
-            all(self.per_layer_endo_equal),
-            self.layer_sum_matches,
-            all(self.faithful_layers),
-            self.levi_rank_matches_basis,
-        ]
-        if self.r_le_mplusn:
-            checks.append(self.second_isomorphism_holds)
-        return all(checks)
-
-
-def run_duality(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> DualityReport:
-    """Run every verification for one shape and collect a report."""
-    t0 = time.perf_counter()
-    first = verify_first(shape, size_cap)
-    second = verify_second(shape, size_cap)
-    layers = verify_layer_endos(shape, size_cap)
-    faithful = tuple(
-        verify_faithful_layer_action(shape, l, size_cap)
-        for l in range(1, shape.r + 1)
-    )
-    return DualityReport(
-        m=shape.m,
-        n=shape.n,
-        r=shape.r,
-        vparity=shape.vparity,
-        field_name=shape.field.name,
-        dim_ambient=shape.dim_enhanced,
-        dim_levi=first.dim_levi,
-        dim_D=second.dim_D,
-        dim_commutant_D=first.dim_commutant_D,
-        dim_commutant_levi=second.dim_commutant_levi,
-        first_isomorphism_holds=first.holds,
-        second_isomorphism_holds=second.spans_equal,
-        second_containment_holds=second.containment_holds,
-        r_le_mplusn=shape.r <= shape.m + shape.n,
-        per_layer_orbits=tuple(
-            len(comb.orbit_reps(shape, l)) for l in range(shape.r + 1)
-        ),
-        per_layer_endo_dims=layers.per_layer_dims,
-        per_layer_endo_equal=layers.per_layer_equal,
-        failed_gate=layer_factors(shape, size_cap).failed_gate,
-        faithful_layers=faithful,
-        # (4) of ``_levi_transport``: the rank is fixed with dim_levi
-        levi_rank_matches_basis=first.dim_levi is not None,
-        seconds=time.perf_counter() - t0,
-    )

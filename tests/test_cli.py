@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,26 @@ def test_gated_failure_exit_1(fresh_caches, monkeypatch):
     assert comm["passed"] is False
     assert comm["details"] == {"pairs": 13 * 5, "failed": None,
                                "relations_certified": False}
+
+
+def test_layer_seconds_count_each_layers_own_work(fresh_caches,
+                                                  monkeypatch):
+    """``timing.layers`` times the first read of each degree's table of
+    signed actions: with 2 ms added to every ``signed_action`` call, the
+    layers' seconds sum to at least that much."""
+    real, calls = schur_core.signed_action, []
+
+    def slow(w, shape):
+        calls.append(w)
+        time.sleep(0.002)
+        return real(w, shape)
+
+    monkeypatch.setattr(schur_core, "signed_action", slow)
+    report, status = cmd_verify(RunConfig(m=1, n=1, r=4, vparity="even"))
+    assert status == EXIT_OK
+    assert len(calls) == 34  # the 0! + 1! + ... + 4! permutations
+    seconds = sum(x["seconds"] for x in report["timing"]["layers"])
+    assert seconds >= 0.002 * len(calls)
 
 
 def test_failing_json_output_is_stdlib_bytes(fresh_caches, monkeypatch,

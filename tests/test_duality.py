@@ -1,11 +1,14 @@
 """Theorem-level verifications and their reports."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from levischur import cli
 from levischur.combinatorics import Shape
 from levischur.duality import (
     layer_factors,
-    run_duality,
     verify_faithful_layer_action,
     verify_first,
     verify_layer_endos,
@@ -96,13 +99,13 @@ def test_unconditional_containments():
 
 
 def test_report_is_deterministic():
-    shape = Shape(1, 1, 2, 0)
-    a = run_duality(shape)
-    b = run_duality(shape)
-    assert a == b  # timing field excluded from comparison
-    assert a.dim_ambient == 9
-    assert a.per_layer_orbits == (1, 4, 8)
-    assert a.all_gated_hold
+    cfg = cli.RunConfig(m=1, n=1, r=2, vparity="even")
+    (a, status), (b, _) = cli.cmd_verify(cfg), cli.cmd_verify(cfg)
+    del a["timing"], b["timing"]
+    assert a == b
+    assert a["dims"]["ambient"] == 9
+    assert a["dims"]["per_layer_orbits"] == [1, 4, 8]
+    assert status == cli.EXIT_OK
 
 
 def test_size_cap_enforced():
@@ -121,7 +124,6 @@ ENTRY_POINTS = {
     "verify_layer_endos": (lambda: verify_layer_endos(HUGE), 3),
     "verify_faithful_layer_action":
         (lambda: verify_faithful_layer_action(HUGE, 1), 3),
-    "run_duality": (lambda: run_duality(HUGE), 3),
     "layer_factors": (lambda: layer_factors(HUGE), 3),
     "d_algebra": (lambda: d_algebra(HUGE), 3),
     "d_dimension": (lambda: d_dimension(HUGE), 3),
@@ -138,3 +140,10 @@ def test_entry_point_names_an_unformed_dimension(name):
     with pytest.raises(SizeCapExceeded, match=rf"^ambient dimension "
                        rf"{base}\^10000 exceeds size cap 256$"):
         call()
+
+
+def test_readme_library_sketch_runs():
+    """The one ``python`` block of README.md runs against the package."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    [sketch] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(sketch, str(readme), "exec"), {})

@@ -414,13 +414,17 @@ def test_family_words_evaluate_to_members(shape):
 
 def assert_all_block_checks_fail(shape):
     assert duality.layer_factors(shape).failed_gate is not None
-    rep = duality.run_duality(shape)
-    assert not rep.layer_sum_matches
-    assert not rep.first_isomorphism_holds
-    assert not rep.second_containment_holds
-    assert not rep.second_isomorphism_holds
-    assert not any(rep.per_layer_endo_equal)
-    assert not rep.all_gated_hold
+    endos = duality.verify_layer_endos(shape)
+    assert not endos.sum_matches_commutant
+    assert not duality.verify_first(shape).holds
+    second = duality.verify_second(shape)
+    assert not second.containment_holds
+    assert not second.spans_equal
+    assert not any(endos.per_layer_equal)
+    _report, status = cli.cmd_verify(cli.RunConfig(
+        m=shape.m, n=shape.n, r=shape.r,
+        vparity=("even", "odd")[shape.vparity], field=shape.field.name))
+    assert status == cli.EXIT_CHECK_FAILED
 
 
 def drop_diagonal_entry(monkeypatch):
@@ -446,9 +450,9 @@ def test_levi_span_missing_a_unit_fails_gate(shape, monkeypatch):
     assert not enh.levi_span(shape).contains(layer_projector(2, shape))
     assert_all_block_checks_fail(shape)
     assert duality.layer_factors(shape).failed_gate == "levi_transport"
-    rep = duality.run_duality(shape)
-    assert not any(rep.faithful_layers)
-    assert not rep.levi_rank_matches_basis and rep.dim_levi is None
+    assert not any(duality.verify_faithful_layer_action(shape, l)
+                   for l in range(1, shape.r + 1))
+    assert duality.verify_first(shape).dim_levi is None
 
 
 @pytest.mark.parametrize("shape", SHAPES[::2], ids=shape_id)
@@ -514,15 +518,17 @@ def faithful_oracle(shape, l):
 def test_levi_verdicts_match_whole_space_oracles(shape):
     """G3, ``faithfulness_rank`` and ``faithful_layer_action``, read on
     the frame, against the whole-space passes they replaced."""
-    rep = duality.run_duality(shape)
+    fac = duality.layer_factors(shape)
+    dim_levi = duality.verify_first(shape).dim_levi
+    faithful = tuple(duality.verify_faithful_layer_action(shape, l)
+                     for l in range(1, shape.r + 1))
     assert transport_oracle(shape)
-    assert duality._levi_transport(shape) and rep.failed_gate is None
+    assert duality._levi_transport(shape) and fac.failed_gate is None
     rank = enh.levi_span(shape).dimension
-    assert rank == enh.levi_dimension(shape) == rep.dim_levi
-    assert rep.levi_rank_matches_basis
-    assert rep.faithful_layers == tuple(
+    assert rank == enh.levi_dimension(shape) == dim_levi
+    assert faithful == tuple(
         faithful_oracle(shape, l) for l in range(1, shape.r + 1))
-    assert all(rep.faithful_layers)
+    assert all(faithful)
 
 
 def commutation_oracle(shape, relations_hold):
