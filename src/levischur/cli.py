@@ -45,10 +45,10 @@ character gates (``characters_failed`` when one fails), or, for
 p <= l, the count's unknowns and prime and how many Chevalley elements
 and basis matrices it stacked; the fields of the path not taken are
 null.  A dimension that no verdict fixes is null.
-``dims`` reads dim D from the factored layers, so it fails with a
-``d_certificate`` check when the certificate of D does at any requested
-parity, and with a ``converse`` check when a degree's converse fails:
-that verdict fixes dim Pi_l, so d_algebra is then null.  Runs over a
+``dims`` reads ``levi`` and ``d_algebra`` as ``verify`` does, and fails
+with a ``d_certificate`` check naming a gate of ``layer_factors`` that
+fails at a requested parity, and with a ``converse`` check when a
+degree's converse fails and leaves d_algebra null.  Runs over a
 prime field are labelled informative; the rationals are authoritative.
 The records of ``orbits`` go through one JSON template per degree,
 which ``_json`` spells (``_encode_orbits``).
@@ -69,7 +69,7 @@ from collections import namedtuple
 
 from . import combinatorics as comb
 from . import enhanced_core as enh
-from . import hecke, schur_core
+from . import hecke
 from .combinatorics import Shape
 from .duality import (
     layer_factors,
@@ -307,22 +307,22 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
         str(l): len(comb.orbit_reps(shape, l))
         for l in range(1, shape.r + 1)
     }
-    d_algebra = hecke.d_dimension(shape, cfg.size_cap)
+    d_algebra = verify_second(shape, cfg.size_cap).dim_D
     report["dims"] = {
         "ambient": shape.dim_enhanced,
         "per_layer_orbits": per_layer,
-        "levi": enh.levi_dimension(shape),
+        "levi": verify_first(shape, cfg.size_cap).dim_levi,
         "d_algebra": d_algebra,
     }
-    # dim D is read from the factored layers, valid under G1 and G2, and
-    # each dim Pi_l from its degree's converse, which reads no parity
-    gates = [(sh.vparity, hecke.d_certificate(sh)) for sh in cfg.shapes()]
+    # the gates at every requested parity; a converse reads no parity
+    gates = [(sh.vparity, layer_factors(sh, cfg.size_cap).failed_gate)
+             for sh in cfg.shapes()]
     checks = [_check("d_certificate", vp, False, True, gate=gate)
               for vp, gate in gates if gate is not None]
     if d_algebra is None:
         checks.append(_check("converse", -1, False, True, layers=[
-            l for l in range(shape.r + 1)
-            if not schur_core.degree(shape, l).converse]))
+            x.layer for x in layer_factors(shape, cfg.size_cap).layers
+            if not x.converse]))
     return _finish(report, checks, t0)
 
 
@@ -472,13 +472,16 @@ def _text(report: dict) -> str:
     return "\n".join(lines)
 
 
-# each option's dest, and int, its choices, or None for any string
+# each option's dest; int, its choices, or None for any string; help
 _OPTIONS = {
-    "--m": ("m", int), "--n": ("n", int), "--r": ("r", int),
-    "--vparity": ("vparity", ("even", "odd", "both")),
-    "--field": ("field", None),
-    "--output": ("output", ("text", "json")),
-    "--size-cap": ("size_cap", int),
+    "--m": ("m", int, "number of even basis vectors (>= 1)"),
+    "--n": ("n", int, "number of odd basis vectors (>= 0)"),
+    "--r": ("r", int, "tensor degree (>= 1)"),
+    "--vparity": ("vparity", ("even", "odd", "both"), None),
+    "--field": ("field", None,
+                "q for rationals, p:<odd prime> for a prime field"),
+    "--output": ("output", ("text", "json"), None),
+    "--size-cap": ("size_cap", int, "largest allowed ambient dimension"),
 }
 
 
@@ -501,18 +504,11 @@ def build_parser():
         ),
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--m", type=int, required=True,
-                        help="number of even basis vectors (>= 1)")
-    parser.add_argument("--n", type=int, required=True,
-                        help="number of odd basis vectors (>= 0)")
-    parser.add_argument("--r", type=int, required=True,
-                        help="tensor degree (>= 1)")
-    parser.add_argument("--vparity", choices=_OPTIONS["--vparity"][1])
-    parser.add_argument("--field",
-                        help="q for rationals, p:<odd prime> for a prime field")
-    parser.add_argument("--output", choices=_OPTIONS["--output"][1])
-    parser.add_argument("--size-cap", type=int,
-                        help="largest allowed ambient dimension")
+    for flag, (dest, kind, text) in _OPTIONS.items():
+        parser.add_argument(
+            flag, type=int if kind is int else None,
+            choices=kind if isinstance(kind, tuple) else None,
+            required=dest not in RunConfig._field_defaults, help=text)
     parser.set_defaults(**_defaults())
     return parser
 
@@ -534,7 +530,7 @@ def _plain_args(argv: list[str]) -> dict | None:
                 return None
             args["command"] = tok
             continue
-        val, (dest, kind) = next(tokens, "-"), _OPTIONS[tok]
+        val, (dest, kind, _help) = next(tokens, "-"), _OPTIONS[tok]
         if val.startswith("-"):
             return None
         if kind is int:

@@ -3,20 +3,20 @@ Theorem-level verifications: both directions of the double centralizer
 on the enhanced tensor space, per-layer endomorphism decomposition, and
 faithfulness of the layer actions.
 
-Layer l of the space is the sum over the C(r,l) supports S of copies
-of V^{(x)l}, and each layer of the double centralizer is classical
-Sergeev duality moved along them.  ``layer_factors`` reads it so, once
-per shape, under three exact gates on that frame: G1 and G2 of
-``hecke.d_certificate`` (the products B_S L_w A_T of its factors span
-D, and the B_S A_T are matrix units), and G3 ``_levi_transport`` (the
-Levi placement on each support S is B_S, and the weight blocks hold).
-Under them D_l = M_k (x) Pi_l and L_l = I_k (x) S(m|n,l), k = C(r,l),
-Pi_l the image of KS_l, so every layer reads ``schur_core.degree(shape,
-l)``: C(D_l) = I_k (x) C(Pi_l) and C(L_l) = M_k (x) C(S(m|n,l)), the
-classical commutants that ``schur_core.Degree`` decides in its verdicts
-``certified`` and ``converse``.  The Levi rank and the faithful layer
-actions are read from the same gates and verdicts.  If a gate or a
-verdict fails, every check read from it fails.
+Layer l of the space is the sum over the C(r,l) supports S of copies of
+V^{(x)l}, and each layer of the double centralizer is classical Sergeev
+duality moved along them.  ``layer_factors`` reads it so, once per
+shape, under three exact gates on that frame: G1 and G2 of
+``hecke.d_certificate`` (the products B_S L_w A_T of its factors span D,
+and the B_S A_T are matrix units), and G3 ``_levi_transport`` per layer
+(B_S places the Levi matrices on S, and the weight blocks hold).  Under
+them D_l = M_k (x) Pi_l and L_l = I_k (x) S(m|n,l), k = C(r,l), Pi_l the
+image of KS_l, so every layer reads ``schur_core.degree(shape, l)``:
+C(D_l) = I_k (x) C(Pi_l) and C(L_l) = M_k (x) C(S(m|n,l)), the classical
+commutants that ``schur_core.Degree`` decides in its verdicts
+``certified`` and ``converse``.  The Levi rank is read from them too,
+and layer l's faithful action from G1, G2 and its part of G3.  If a gate
+or a verdict fails, every check read from it fails.
 
 The first direction holds at every degree; the second is asserted when
 r <= m+n and otherwise only reported (containment of D in the commutant,
@@ -63,16 +63,17 @@ class LayerFactor(namedtuple("LayerFactor", (
     dim_commutant_levi = dim_D
 
 
-# ``failed_gate`` is the first of G1-G3 that fails, or None
-LayerFactors = namedtuple("LayerFactors", "layers failed_gate")
+# ``failed_gate`` is the first of G1-G3 that fails, or None;
+# ``transport`` is G3 per layer 0..r, all False when G1 or G2 fails
+LayerFactors = namedtuple("LayerFactors", "layers failed_gate transport")
 
 
-def _levi_transport(shape: Shape) -> bool:
-    """G3: on the leading words, the matrix unit B_S = X_{S,lead,id} of
-    ``hecke.d_factors`` is the placement of ``enh.rho_levi`` on S
-    (``enh._placements``), B_S(lead[k]) = (pos_S[k], (-1)^tw_S[k]), for
-    every support S; and ``Degree.weight_blocks`` holds at every degree.
-    O(dim_enhanced) lookups; no Levi matrix is built.
+def _levi_transport(shape: Shape) -> tuple[bool, ...]:
+    """G3 at each layer l: on the leading words, the matrix unit B_S =
+    X_{S,lead,id} of ``hecke.d_factors`` is the placement of ``enh.rho_levi``
+    on S (``enh._placements``), B_S(lead[k]) = (pos_S[k], (-1)^tw_S[k]),
+    for every support S of size l; and ``Degree.weight_blocks`` holds at
+    degree l.  O(dim_enhanced) lookups; no Levi matrix is built.
 
     Why it suffices, under G1 and G2.  (1) ``rho_levi(b)`` puts entry
     (k, t) of xi = ``xi_matrix(b.pair)`` at (pos_S[k], pos_S[t]) times
@@ -88,18 +89,16 @@ def _levi_transport(shape: Shape) -> bool:
     ``enh.levi_dimension``.
     """
     fac = hecke.d_factors(shape)
+    held = []
     for l in range(shape.r + 1):
         places = enh._placements(l, shape)
         lead = places[0][0]
         supports = itertools.combinations(range(shape.r), l)
-        for S, (pos, tw) in zip(supports, places):
-            B = fac[S][1]
-            if any(B.get(p) != (q, -1 if t else 1)
-                   for p, q, t in zip(lead, pos, tw)):
-                return False
-        if schur_core.degree(shape, l).weight_blocks is None:
-            return False
-    return True
+        held.append(schur_core.degree(shape, l).weight_blocks is not None
+                    and all(fac[S][1].get(p) == (q, -1 if t else 1)
+                            for S, (pos, tw) in zip(supports, places)
+                            for p, q, t in zip(lead, pos, tw)))
+    return tuple(held)
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +121,11 @@ def _layer_factors(shape: Shape) -> LayerFactors:
             solves=dict(deg.solves),
         ))
     failed = hecke.d_certificate(shape)
-    if failed is None and not _levi_transport(shape):
+    transport = ((False,) * (shape.r + 1) if failed
+                 else _levi_transport(shape))
+    if failed is None and not all(transport):
         failed = "levi_transport"
-    return LayerFactors(layers=tuple(layers), failed_gate=failed)
+    return LayerFactors(tuple(layers), failed, transport)
 
 
 def layer_factors(
@@ -224,8 +225,8 @@ def verify_faithful_layer_action(
     shape: Shape, l: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> bool:
     """No nonzero layer-l vector is killed by every degree-l element:
-    they span P_l, (2) and (3) of ``_levi_transport``, under the gates.
-    """
+    they span P_l, (2) and (3) of ``_levi_transport``, under G1, G2 and
+    layer l's part of G3."""
     if not 1 <= l <= shape.r:
         raise ValueError(f"layer {l} out of range 1..{shape.r}")
-    return layer_factors(shape, size_cap).failed_gate is None
+    return layer_factors(shape, size_cap).transport[l]

@@ -552,16 +552,6 @@ def d_certificate(shape: Shape) -> str | None:
     return None if units else "matrix_units"
 
 
-def d_dimension(shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> int | None:
-    """dim D = sum_l C(r,l)^2 dim Pi_l, valid when ``d_certificate``
-    passes; None unless every degree's ``converse`` fixes dim Pi_l."""
-    check_power_cap(shape.m + shape.n + 1, shape.r, size_cap)
-    degs = [schur_core.degree(shape, l) for l in range(shape.r + 1)]
-    if not all(deg.converse for deg in degs):
-        return None
-    return sum(math.comb(shape.r, deg.l) ** 2 * deg.group for deg in degs)
-
-
 @lru_cache(maxsize=None)
 def _d_span(shape: Shape) -> AlgebraSpan:
     d, f = shape.dim_enhanced, shape.field

@@ -80,6 +80,9 @@ def signed_action(w: Permutation, shape: Shape) -> dict:
     So one sign per bitmask of odd slots, built slot by slot, is read
     for each word at its odd bitmask in ``Degree.words``."""
     l, num = len(w), shape.m + shape.n
+    # the general path gives the same map, but ``verify (1|0,8) --vparity
+    # even`` makes 46,234 calls: 0.25-0.51 s in process with this return
+    # and 0.59-0.88 s without it (best 3 of 5 runs, two cores)
     if num == 1:    # V = K^{1|0}: its one word is fixed and even
         return {0: (0, 1)}
     inv = comb.inverse_perm(w)

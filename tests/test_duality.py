@@ -15,7 +15,7 @@ from levischur.duality import (
     verify_second,
 )
 from levischur.enhanced_core import levi_span, rho_levi, levi_basis
-from levischur.hecke import d_algebra, d_dimension, d_layer_algebra
+from levischur.hecke import d_algebra, d_layer_algebra
 from levischur.linalg import SizeCapExceeded, commutant
 from levischur.schur_core import classical_duality
 
@@ -126,7 +126,6 @@ ENTRY_POINTS = {
         (lambda: verify_faithful_layer_action(HUGE, 1), 3),
     "layer_factors": (lambda: layer_factors(HUGE), 3),
     "d_algebra": (lambda: d_algebra(HUGE), 3),
-    "d_dimension": (lambda: d_dimension(HUGE), 3),
     "d_layer_algebra": (lambda: d_layer_algebra(1, HUGE), 3),
     "classical_duality": (lambda: classical_duality(HUGE), 2),
 }

@@ -184,7 +184,7 @@ def transported(span, l, shape, diagonal):
 def test_coxeter_closure_matches_two_sided_closure(shape):
     dalg = hecke.d_algebra(shape)
     assert dalg == coxeter_closure(shape) == two_sided_closure(shape)
-    assert dalg.dimension == hecke.d_dimension(shape)
+    assert dalg.dimension == duality.verify_second(shape).dim_D
     for g in hecke.hecke_generators(shape):
         assert dalg.contains(xi_gen(g, shape))
     for l in range(shape.r + 1):
@@ -450,8 +450,9 @@ def test_levi_span_missing_a_unit_fails_gate(shape, monkeypatch):
     assert not enh.levi_span(shape).contains(layer_projector(2, shape))
     assert_all_block_checks_fail(shape)
     assert duality.layer_factors(shape).failed_gate == "levi_transport"
-    assert not any(duality.verify_faithful_layer_action(shape, l)
-                   for l in range(1, shape.r + 1))
+    assert [duality.verify_faithful_layer_action(shape, l)
+            for l in range(1, shape.r + 1)] == [
+        l != 2 for l in range(1, shape.r + 1)]
     assert duality.verify_first(shape).dim_levi is None
 
 
@@ -469,7 +470,7 @@ def test_flipped_leading_word_of_a_unit_fails(shape, monkeypatch):
         fac[S] = (A, {**B, lead[1]: (q, -s)})
 
     patch_family(monkeypatch, flip)
-    assert not duality._levi_transport(shape)
+    assert not duality._levi_transport(shape)[2]
     assert hecke.d_certificate(shape) in ("certificate", "matrix_units")
     assert_all_block_checks_fail(shape)
 
@@ -523,7 +524,7 @@ def test_levi_verdicts_match_whole_space_oracles(shape):
     faithful = tuple(duality.verify_faithful_layer_action(shape, l)
                      for l in range(1, shape.r + 1))
     assert transport_oracle(shape)
-    assert duality._levi_transport(shape) and fac.failed_gate is None
+    assert all(duality._levi_transport(shape)) and fac.failed_gate is None
     rank = enh.levi_span(shape).dimension
     assert rank == enh.levi_dimension(shape) == dim_levi
     assert faithful == tuple(
@@ -663,6 +664,25 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
     for name in ("layer_decomposition", "faithful_layer_action",
                  "faithfulness_rank"):
         assert f"FAIL {name}" in out
+
+
+def test_dims_reads_the_verdicts_verify_reads(monkeypatch):
+    """With G3 failing at layer 2 alone, ``dims`` reports the dimensions
+    ``verify`` does, both null, names the gate at each parity and the
+    layer whose converse fails."""
+    drop_diagonal_entry(monkeypatch)
+    cfg = cli.RunConfig(m=1, n=1, r=3, vparity="both", command="dims")
+    report, status = cli.cmd_dims(cfg)
+    verified, _ = cli.cmd_verify(cfg._replace(command="verify"))
+    assert status == cli.EXIT_CHECK_FAILED
+    for key in ("levi", "d_algebra"):
+        assert report["dims"][key] is verified["dims"][key] is None
+    assert [(c["name"], c["vparity"], c["details"])
+            for c in report["checks"]] == [
+        ("d_certificate", 0, {"gate": "levi_transport"}),
+        ("d_certificate", 1, {"gate": "levi_transport"}),
+        ("converse", -1, {"layers": [2]}),
+    ]
 
 
 def test_closure_adds_generators_the_coxeter_set_misses(
@@ -928,7 +948,7 @@ def test_size_cap_is_a_guard_not_a_cache_key():
     hecke.d_layer_algebra(1, shape, 256)
     info = hecke._d_layer.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    for fn in (hecke.d_algebra, duality.layer_factors, hecke.d_dimension):
+    for fn in (hecke.d_algebra, duality.layer_factors):
         with pytest.raises(levischur.SizeCapExceeded):
             fn(shape, 4)
 
