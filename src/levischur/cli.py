@@ -21,7 +21,8 @@ covers: every relation instance, and the Levi basis against every
 ``hecke_generators`` member.  ``commutation`` passes only when the
 relations do in the same run.  The boundary check's ``observed`` holds
 one record per layer 1 <= l < r, ``{"i": l, "permutations": l!,
-"commuting": 0}`` (``hecke.boundary_observations``).
+"commuting": 0}``, a zero that G3 and relation 3.1a fix
+(``hecke.boundary_observations``).
 ``cross_parity_conjugation`` compares the two parities' Levi
 placements on the frame; no command builds a whole-space Levi matrix.
 
@@ -44,14 +45,15 @@ semisimple and the double centralizer theorem decides under the
 character gates (``characters_failed`` when one fails), or, for
 p <= l, the count's unknowns and prime and how many Chevalley elements
 and basis matrices it stacked; the fields of the path not taken are
-null.  A dimension that no verdict fixes is null.
-``dims`` reads ``levi`` and ``d_algebra`` as ``verify`` does, and fails
-with a ``d_certificate`` check naming a gate of ``layer_factors`` that
-fails at a requested parity, and with a ``converse`` check when a
-degree's converse fails and leaves d_algebra null.  Runs over a
-prime field are labelled informative; the rationals are authoritative.
-The records of ``orbits`` go through one JSON template per degree,
-which ``_json`` spells (``_encode_orbits``).
+null.  A dimension in ``dims`` is null unless the verdicts of every
+requested parity fix it (``_dims``, shared with the ``dims`` command);
+``timing.layers`` keeps each parity's own.  ``dims`` fails with a
+``d_certificate`` check naming a gate of ``layer_factors`` that fails
+at a requested parity, and with a ``converse`` check naming the
+degrees whose converse fails.  Runs over a prime field are labelled
+informative; the rationals are authoritative.  The records of
+``orbits`` go through one JSON template per degree, which ``_json``
+spells (``_encode_orbits``).
 
 A plain command line is read by ``_plain_args``, which returns what
 argparse would; ``build_parser``, the argparse parser of record, reads
@@ -129,13 +131,11 @@ def _relation_checks(shape: Shape) -> list[dict]:
     """Read ``hecke.relation_failures``: ``failed`` names the failing
     families, and ``instances`` counts every instance covered."""
     failures = hecke.relation_failures(shape)
-    checks = [
+    return [
         _check(
             "relations", shape.vparity, not failures, True,
             instances=hecke.relation_count(shape.r), failed=sorted(failures),
-        )
-    ]
-    checks.append(
+        ),
         _check(
             "boundary_swap_layer_commutation", shape.vparity,
             True, False,
@@ -143,9 +143,8 @@ def _relation_checks(shape: Shape) -> list[dict]:
                 {"i": l, "permutations": count, "commuting": commuting}
                 for l, count, commuting in hecke.boundary_observations(shape)
             ],
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _commutation_check(shape: Shape, relations_hold: bool,
@@ -165,13 +164,13 @@ def _commutation_check(shape: Shape, relations_hold: bool,
                   True, **details)
 
 
-def _duality_checks(shape: Shape, size_cap: int) -> tuple[list[dict], dict]:
+def _duality_checks(shape: Shape, size_cap: int) -> list[dict]:
     first = verify_first(shape, size_cap)
     second = verify_second(shape, size_cap)
     endos = verify_layer_endos(shape, size_cap)
     faithful = [verify_faithful_layer_action(shape, l, size_cap)
                 for l in range(1, shape.r + 1)]
-    checks = [
+    return [
         _check(
             "first_duality", shape.vparity, first.holds, True,
             dim_levi=first.dim_levi, dim_commutant_D=first.dim_commutant_D,
@@ -205,15 +204,26 @@ def _duality_checks(shape: Shape, size_cap: int) -> tuple[list[dict], dict]:
             sum_matches=layer_factors(shape, size_cap).failed_gate or True,
         ),
     ]
-    dims = {
-        "ambient": shape.dim_enhanced,
-        "levi": first.dim_levi,
-        "d_algebra": second.dim_D,
-        "per_layer_orbits": [len(comb.orbit_reps(shape, l))
-                             for l in range(shape.r + 1)],
-        "per_layer_endos": list(endos.per_layer_dims),
+
+
+def _fixed(*values: int | None) -> int | None:
+    """The dimension that every requested parity's verdict fixes, or None
+    when one of them fixes none; fixed dimensions agree across parities."""
+    return None if None in values else values[0]
+
+
+def _dims(cfg: RunConfig) -> dict:
+    """The ``dims`` that ``verify`` and ``dims`` share: ``levi`` and
+    ``d_algebra`` read from ``verify_first`` and ``verify_second`` at
+    every requested parity."""
+    shapes = cfg.shapes()
+    return {
+        "ambient": shapes[0].dim_enhanced,
+        "levi": _fixed(*[verify_first(sh, cfg.size_cap).dim_levi
+                         for sh in shapes]),
+        "d_algebra": _fixed(*[verify_second(sh, cfg.size_cap).dim_D
+                              for sh in shapes]),
     }
-    return checks, dims
 
 
 def _layer_timing(shape: Shape, size_cap: int) -> list[dict]:
@@ -280,7 +290,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     report = _base_report(cfg)
     checks: list[dict] = []
-    dims: dict = {}
     layers: list[dict] = []
     for shape in cfg.shapes():
         # the layers first: the relation checks would force every
@@ -290,12 +299,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         checks.extend(relations)
         checks.append(_commutation_check(shape, relations[0]["passed"],
                                          cfg.size_cap))
-        dchecks, dims = _duality_checks(shape, cfg.size_cap)
-        checks.extend(dchecks)
+        checks.extend(_duality_checks(shape, cfg.size_cap))
         layers.extend(_layer_timing(shape, cfg.size_cap))
     if cfg.vparity == "both":
         checks.append(_cross_parity_check(cfg))
-    report["dims"] = dims
+    endos = [verify_layer_endos(sh, cfg.size_cap).per_layer_dims
+             for sh in cfg.shapes()]
+    report["dims"] = {
+        **_dims(cfg),
+        "per_layer_orbits": [len(comb.orbit_reps(shape, l))
+                             for l in range(cfg.r + 1)],
+        "per_layer_endos": [_fixed(*layer) for layer in zip(*endos)],
+    }
     return _finish(report, checks, t0, layers=layers)
 
 
@@ -303,26 +318,18 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     report = _base_report(cfg)
     shape = cfg.shapes()[0]
-    per_layer = {
+    report["dims"] = {**_dims(cfg), "per_layer_orbits": {
         str(l): len(comb.orbit_reps(shape, l))
-        for l in range(1, shape.r + 1)
-    }
-    d_algebra = verify_second(shape, cfg.size_cap).dim_D
-    report["dims"] = {
-        "ambient": shape.dim_enhanced,
-        "per_layer_orbits": per_layer,
-        "levi": verify_first(shape, cfg.size_cap).dim_levi,
-        "d_algebra": d_algebra,
-    }
+        for l in range(1, shape.r + 1)}}
     # the gates at every requested parity; a converse reads no parity
     gates = [(sh.vparity, layer_factors(sh, cfg.size_cap).failed_gate)
              for sh in cfg.shapes()]
     checks = [_check("d_certificate", vp, False, True, gate=gate)
               for vp, gate in gates if gate is not None]
-    if d_algebra is None:
-        checks.append(_check("converse", -1, False, True, layers=[
-            x.layer for x in layer_factors(shape, cfg.size_cap).layers
-            if not x.converse]))
+    failed = [x.layer for x in layer_factors(shape, cfg.size_cap).layers
+              if not x.converse]
+    if failed:
+        checks.append(_check("converse", -1, False, True, layers=failed))
     return _finish(report, checks, t0)
 
 

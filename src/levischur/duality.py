@@ -174,20 +174,20 @@ def verify_second(
     """Commutant of the Levi span against the generator image.
 
     Containment of the image in the commutant is unconditional: it
-    follows from the first direction.  Span equality, the classical
-    converse on every layer, is asserted only for r <= m+n and otherwise
-    only reported.
+    follows from the first direction.  Span equality, the gates and the
+    classical converse on every layer, is asserted only for r <= m+n and
+    otherwise only reported; it alone fixes dim_D, which is also the
+    Levi commutant's, and both are None without it.
     """
     fac = layer_factors(shape, size_cap)
     ok = fac.failed_gate is None
-    converse = all(x.converse for x in fac.layers)
-    # the converse on every layer fixes dim D and the Levi commutant's
-    dim_D = sum(x.dim_D for x in fac.layers) if converse else None
+    spans_equal = ok and all(x.converse for x in fac.layers)
+    dim_D = sum(x.dim_D for x in fac.layers) if spans_equal else None
     return SecondDualityResult(
         dim_D=dim_D,
         dim_commutant_levi=dim_D,
         containment_holds=ok and all(x.certified for x in fac.layers),
-        spans_equal=ok and converse,
+        spans_equal=spans_equal,
         gated=shape.r <= shape.m + shape.n,
     )
 
@@ -207,15 +207,16 @@ def verify_layer_endos(
     """Per-layer commutants against the layer algebras.
 
     For each layer the commutant of the Levi action, M_k (x) C(S(m|n,l)),
-    is D_l = M_k (x) Pi_l when the classical converse holds; its
-    dimension is None otherwise.  ``sum_matches_commutant``
-    reports the gates, under which their direct sum is the whole
-    commutant.
+    is D_l = M_k (x) Pi_l under the gates and the classical converse,
+    ``per_layer_equal``; its dimension is None otherwise.
+    ``sum_matches_commutant`` reports the gates, under which their
+    direct sum is the whole commutant.
     """
     fac = layer_factors(shape, size_cap)
     ok = fac.failed_gate is None
     return LayerEndoReport(
-        per_layer_dims=tuple(x.dim_commutant_levi for x in fac.layers),
+        per_layer_dims=tuple(x.dim_commutant_levi if ok else None
+                             for x in fac.layers),
         per_layer_equal=tuple(ok and x.converse for x in fac.layers),
         sum_matches_commutant=ok,
     )

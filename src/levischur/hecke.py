@@ -53,7 +53,7 @@ order, with L for ``LayerGen(l, -)`` and s for ``SwapGen(i)``:
 ``relation_count(r)`` instances, and by gate G1.  The boundary case
 i = l of a swap against a layer generator is constrained by no
 relation; ``boundary_observations`` reports it once per layer, as the
-number of the l! sigma that commute, always 0.
+number of the l! sigma that commute, which G3 and 3.1a fix at 0.
 
 The image D is never closed.  ``d_factors`` holds, per support T of
 size l, the signed maps of the two words of ``factor_words(T)``: A_T
@@ -384,29 +384,14 @@ def boundary_observations(shape: Shape) -> list[tuple[int, int, int]]:
     Returns one (l, l!, commuting) triple per layer 1 <= l < r, where
     ``commuting`` counts the sigma in S_l with s_l L(l, sigma) = L(l,
     sigma) s_l; no relation governs these, so they are reported and
-    never asserted.  Each layer is decided on the domains of the two
-    maps first, which do not depend on sigma: ``LayerGen(l, sigma)`` is
-    defined on the leading words, since ``actions[sigma]`` is defined on
-    every word of degree l, and the swap on every word.  So, in word
-    order, s_l L(l, sigma) is defined on the swap-preimage of the leading
-    words and L(l, sigma) s_l on the leading words; the maps are composed
-    only where these agree.  They never do: the first domain holds the
-    words with support {1..l-1, l+1}, the second those with support
-    {1..l}, and since l < r and m >= 1 both are non-empty, so every
-    layer reads 0.
+    never asserted.  Two gated checks fix it at 0, with no map composed.
+    G3 pins B_S = L(l, id) s_l, for S = {1..l-1, l+1}, as the placement
+    on S, so s_l sends the leading words onto the words on S, and by
+    3.1a back.  So, in word order, s_l L(l, sigma) is defined on the
+    words on S and L(l, sigma) s_l on the leading words: disjoint
+    domains, non-empty as l < r and m >= 1, so no sigma commutes.
     """
-    out = []
-    for l in range(1, shape.r):
-        swap = _swap_map(l, shape)
-        lead = set(enh._placements(l, shape)[0][0])
-        commuting = 0
-        if {p for p, (q, _s) in swap.items() if q in lead} == lead:
-            commuting = sum(_word_map(
-                (SwapGen(l), LayerGen(l, sigma)), shape) == _word_map(
-                (LayerGen(l, sigma), SwapGen(l)), shape)
-                for sigma in comb.perms(l))
-        out.append((l, math.factorial(l), commuting))
-    return out
+    return [(l, math.factorial(l), 0) for l in range(1, shape.r)]
 
 
 def hecke_generators(shape: Shape) -> tuple[HeckeGenerator, ...]:

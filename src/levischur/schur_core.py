@@ -539,9 +539,9 @@ def classical_duality(
 
     The commutant of the signed symmetric group action always equals
     the span of the basis matrices; the converse (the commutant of that
-    span is the image of the group algebra, of dimension r!) is gated
-    on r <= m+n and merely reported otherwise.  A dimension that no
-    verdict fixes is None.
+    span is Pi_r, the image of the group algebra, of dimension
+    ``Degree.group``, not r! in general) is reported at every r, and
+    nothing is gated.  A dimension that no verdict fixes is None.
     """
     check_power_cap(shape.m + shape.n, shape.r, size_cap)
     deg = degree(shape, shape.r)

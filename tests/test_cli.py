@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,8 @@ ENTRY_RUNS = [
     (["--help"], EXIT_OK),
     (["verify", "--m", "0", "--n", "1", "--r", "2"], EXIT_BAD_CONFIG),
     (["verify", "--m", "1", "--n", "1"], EXIT_BAD_CONFIG),
+    (["verify", "--m", "1", "--n", "1", "--r", "3", "--size-cap", "0"],
+     EXIT_BAD_CONFIG),
     (["verify", "--m", "2", "--n", "2", "--r", "4", "--output", "json"],
      EXIT_SIZE_CAP),
 ]
@@ -312,6 +315,12 @@ def test_json_output_is_stdlib_bytes(capsys, argv, field):
     assert out == stdlib_json(out)
 
 
+class Level(IntEnum):
+    """An int subclass: ``json.dumps`` spells its members as ints."""
+
+    HIGH = 7
+
+
 JSON_EDGE_CASES = [
     {}, [], None, True, False, 0, -7, 10**30, 0.1, 1e-07, 2.5e+16, -0.0,
     float("inf"), "", "plain",
@@ -323,12 +332,19 @@ JSON_EDGE_CASES = [
     {"\u00e9": 1, "z": 2, "A": 3, "\"": 4, "\n": [None]},
     (1, (2, 3), ()),
     {"row": (1, 2), "col": (2, 1)},
+    float("nan"), float("-inf"), Level.HIGH,
 ]
 
 
 @pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=repr)
 def test_json_encoder_matches_stdlib(obj):
     assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_encoder_refuses_what_stdlib_refuses():
+    for encode in (_json, json.dumps):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode(object())
 
 
 def _random_value(rng: random.Random, depth: int):
@@ -466,6 +482,8 @@ def test_failing_json_output_is_stdlib_bytes(fresh_caches, monkeypatch,
 
 def test_dims_certifies_every_requested_parity(fresh_caches, monkeypatch,
                                                capsys):
+    """With G1 failing at vparity 1 alone, neither ``dims`` nor ``verify``
+    reports a dimension that only vparity 0 fixes."""
     real = hecke.d_certificate
     monkeypatch.setattr(
         hecke, "d_certificate",
@@ -473,9 +491,15 @@ def test_dims_certifies_every_requested_parity(fresh_caches, monkeypatch,
     argv = ["dims", "--m", "1", "--n", "1", "--r", "2", "--output", "json"]
     status, out, _ = run_main(capsys, argv + ["--vparity", "both"])
     assert status == EXIT_CHECK_FAILED
+    report = json.loads(out)
     assert [(c["name"], c["vparity"], c["details"])
-            for c in json.loads(out)["checks"]] == [
+            for c in report["checks"]] == [
         ("d_certificate", 1, {"gate": "certificate"})]
+    status, out, _ = run_main(
+        capsys, ["verify"] + argv[1:] + ["--vparity", "both"])
+    assert status == EXIT_CHECK_FAILED
+    for dims in (report["dims"], json.loads(out)["dims"]):
+        assert dims["levi"] is dims["d_algebra"] is None
     assert main(argv + ["--vparity", "even"]) == EXIT_OK
 
 

@@ -22,6 +22,7 @@ from levischur.enhanced_core import (
 )
 from levischur import clear_caches
 from levischur import cli, hecke, schur_core
+from levischur import enhanced_core as enh
 from levischur.hecke import (
     LayerGen,
     RelationInstance,
@@ -217,6 +218,18 @@ def test_relation_instance_validation():
     inst = RelationInstance("3.4", i=2, l=1, sigma=(0,))
     with pytest.raises(ValueError):
         check_relation(inst, Shape(1, 1, 3))  # needs i < l
+    shape = Shape(1, 1, 4)
+    for inst in (
+        RelationInstance("3.1b", i=1, j=2),             # needs |i-j| > 1
+        RelationInstance("3.1b", i=2, j=2),
+        RelationInstance("3.2", i=1, j=3),              # needs |i-j| = 1
+        RelationInstance("3.2", i=2, j=2),
+        RelationInstance("3.5", i=2, l=2, sigma=(0, 1)),  # needs i > l
+        RelationInstance("3.5", i=1, l=2, sigma=(0, 1)),
+        RelationInstance("3.6", l=2, k=2, sigma=(0, 1), mu=(0, 1)),  # k != l
+    ):
+        with pytest.raises(ValueError, match=inst.rel):
+            relation_sides(inst, shape)
 
 
 @pytest.mark.parametrize("vp", [0, 1])
@@ -393,16 +406,18 @@ def test_boundary_observations_are_reported_not_asserted():
 def test_every_boundary_observation_reads_false(shape, monkeypatch):
     """In word order s_l L(l, sigma) is defined on the words with support
     {1..l-1, l+1}, and L(l, sigma) s_l on the leading words: the two
-    domains are disjoint and non-empty, so no sigma commutes, and each
-    layer is decided on them without enumerating S_l or composing a
-    map.  ``commuting`` is the int 0, which JSON prints as 0, not
-    false."""
+    domains are disjoint and non-empty, so no sigma commutes, as G3 and
+    relation 3.1a fix: the records are read with no swap map or
+    placement built, no S_l enumerated and no map composed.
+    ``commuting`` is the int 0, which JSON prints as 0, not false."""
     def refuse(*args):
-        raise AssertionError("boundary decided per sigma")
+        raise AssertionError("boundary record built from maps")
 
     with monkeypatch.context() as mp:
         mp.setattr(comb, "perms", refuse)
-        mp.setattr(hecke, "_word_map", refuse)
+        for name in ("_word_map", "_swap_map"):
+            mp.setattr(hecke, name, refuse)
+        mp.setattr(enh, "_placements", refuse)
         obs = boundary_observations(shape)
     assert obs == [(l, math.factorial(l), 0) for l in range(1, shape.r)]
     assert {type(x) for rec in obs for x in rec} == {int}
@@ -439,6 +454,8 @@ def test_layer_projector():
     assert layer_projector(1, SH0).trace() == 4
     with pytest.raises(ValueError):
         layer_projector(3, SH0)
+    with pytest.raises(ValueError):
+        d_layer_algebra(3, SH0)
 
 
 def test_layer_zero_algebra_is_one_dimensional():

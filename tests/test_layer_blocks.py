@@ -690,7 +690,10 @@ def test_closure_adds_generators_the_coxeter_set_misses(
 ):
     """With the layer generators left out of the Coxeter set the factors
     are no longer words in it: G1 fails, and so does everything
-    read from the layers, ``dims`` included."""
+    read from the layers, ``dims`` included.  Without G1, D_l = M_k (x)
+    Pi_l is not established, so no verdict fixes dim D, the Levi
+    commutant's dimension or any layer's: all are null, although every
+    degree's converse holds."""
     shape = Shape(1, 1, 3, 1)
     swaps_only = tuple(
         g for g in hecke.coxeter_generators(shape)
@@ -711,6 +714,12 @@ def test_closure_adds_generators_the_coxeter_set_misses(
         }[command]
         assert [c["details"][gate[1]] for c in report["checks"]
                 if c["name"] == gate[0]] == ["certificate"]
+        assert report["dims"]["d_algebra"] is None
+        if command == "verify":
+            [second] = [c["details"] for c in report["checks"]
+                        if c["name"] == "second_duality"]
+            assert second["dim_D"] is second["dim_commutant_levi"] is None
+            assert report["dims"]["per_layer_endos"] == [None] * 4
 
 
 def test_coxeter_set_missing_a_swap_fails_certificate(monkeypatch):
