@@ -155,8 +155,8 @@ def _commutation_check(shape: Shape, relations_hold: bool,
     the pairs that verdict covers; ``failed`` is 0 under it, and None
     when no verdict fixes it."""
     holds = verify_first(shape, size_cap).holds
-    details = {"pairs": enh.levi_dimension(shape)
-               * hecke.generator_count(shape.r),
+    labels = sum(x.labels for x in layer_factors(shape, size_cap).layers)
+    details = {"pairs": labels * hecke.generator_count(shape.r),
                "failed": 0 if holds else None}
     if not relations_hold:
         details["relations_certified"] = False
@@ -215,7 +215,8 @@ def _fixed(*values: int | None) -> int | None:
 def _dims(cfg: RunConfig) -> dict:
     """The ``dims`` that ``verify`` and ``dims`` share: ``levi`` and
     ``d_algebra`` read from ``verify_first`` and ``verify_second`` at
-    every requested parity."""
+    every requested parity, and ``per_layer_orbits`` from the
+    ``LayerFactor.labels`` of degrees 0..r, which no parity changes."""
     shapes = cfg.shapes()
     return {
         "ambient": shapes[0].dim_enhanced,
@@ -223,6 +224,8 @@ def _dims(cfg: RunConfig) -> dict:
                          for sh in shapes]),
         "d_algebra": _fixed(*[verify_second(sh, cfg.size_cap).dim_D
                               for sh in shapes]),
+        "per_layer_orbits": [x.labels for x in
+                             layer_factors(shapes[0], cfg.size_cap).layers],
     }
 
 
@@ -307,8 +310,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
              for sh in cfg.shapes()]
     report["dims"] = {
         **_dims(cfg),
-        "per_layer_orbits": [len(comb.orbit_reps(shape, l))
-                             for l in range(cfg.r + 1)],
         "per_layer_endos": [_fixed(*layer) for layer in zip(*endos)],
     }
     return _finish(report, checks, t0, layers=layers)
@@ -318,9 +319,9 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     report = _base_report(cfg)
     shape = cfg.shapes()[0]
-    report["dims"] = {**_dims(cfg), "per_layer_orbits": {
-        str(l): len(comb.orbit_reps(shape, l))
-        for l in range(1, shape.r + 1)}}
+    dims = report["dims"] = _dims(cfg)
+    dims["per_layer_orbits"] = {
+        str(l): c for l, c in enumerate(dims["per_layer_orbits"]) if l}
     # the gates at every requested parity; a converse reads no parity
     gates = [(sh.vparity, layer_factors(sh, cfg.size_cap).failed_gate)
              for sh in cfg.shapes()]

@@ -38,13 +38,14 @@ from .linalg import DEFAULT_SIZE_CAP, check_power_cap
 
 
 class LayerFactor(namedtuple("LayerFactor", (
-        "layer supports block_size dim_pi dim_commutant_pi certified"
-        " converse seconds solves"))):
+        "layer supports block_size labels dim_pi dim_commutant_pi"
+        " certified converse seconds solves"))):
     """Layer l of both algebras, read from ``schur_core.degree``: D_l =
     M_k (x) Pi_l and L_l = I_k (x) S(m|n,l) on k copies of the (m+n)^l
     words of V^{(x)l}, with the verdicts on their classical commutants.
 
-    ``supports`` is k = C(r, l) and ``block_size`` k (m+n)^l;
+    ``supports`` is k = C(r, l), ``block_size`` k (m+n)^l and ``labels``
+    the size of S(m|n,l)'s basis ``schur_core.schur_basis``;
     ``dim_commutant_pi`` counts the consistent signed orbits, on every
     run; ``certified`` is C(Pi_l) = S(m|n,l) and ``converse``
     C(S(m|n,l)) = Pi_l, which fixes ``dim_pi`` (None without it).
@@ -85,8 +86,8 @@ def _levi_transport(shape: Shape) -> tuple[bool, ...]:
     degree-l element.  (4) Under ``Degree.certified`` each xi is one
     whole signed orbit, on distinct orbits, so the xi of a degree lie on
     disjoint positions; the B_S keep the supports apart and the layers
-    lie on disjoint words, so the Levi basis is independent, of rank
-    ``enh.levi_dimension``.
+    lie on disjoint words, so the Levi basis is independent, of rank the
+    sum of the ``LayerFactor.labels``.
     """
     fac = hecke.d_factors(shape)
     held = []
@@ -113,6 +114,7 @@ def _layer_factors(shape: Shape) -> LayerFactors:
             layer=l,
             supports=k,
             block_size=k * deg.dim,
+            labels=len(schur_core.schur_basis(shape, l)),
             dim_pi=deg.group if deg.converse else None,
             dim_commutant_pi=len(deg.orbits[0]),
             certified=deg.certified,
@@ -152,7 +154,7 @@ def verify_first(
     fac = layer_factors(shape, size_cap)
     holds = fac.failed_gate is None and all(x.certified for x in fac.layers)
     return FirstDualityResult(
-        dim_levi=enh.levi_dimension(shape) if holds else None,
+        dim_levi=sum(x.labels for x in fac.layers) if holds else None,
         dim_commutant_D=sum(x.dim_commutant_pi for x in fac.layers),
         holds=holds,
     )

@@ -217,13 +217,6 @@ def levi_span(shape: Shape) -> AlgebraSpan:
     return span_of(mats, d=shape.dim_enhanced, field=shape.field)
 
 
-def levi_dimension(shape: Shape) -> int:
-    """Basis count: one bottom element plus all orbit representatives."""
-    return 1 + sum(
-        len(comb.orbit_reps(shape, l)) for l in range(1, shape.r + 1)
-    )
-
-
 def flip_exponents(shape: Shape) -> tuple[int, ...]:
     """Per enhanced word, in ``enhanced_basis`` order, the number of
     inversions between enhanced slots and later odd natural letters

@@ -25,6 +25,12 @@ The abstract algebra behind these generators is infinite dimensional
 and never materialized; only words of generators, their images, and
 the relation checks below exist.  Words evaluate under the
 right-module convention: the leftmost generator acts first.
+``_word_map`` composes a word from its first layer generator outward:
+that map keeps only (m+n)^l words, and is pulled back through the swaps
+before it, each read as its own inverse with the same sign; the letters
+after it compose forward.  This equals the left-to-right composite
+whenever relation 3.1a holds, which ``relation_failures`` checks on
+words of swaps alone, composed forward.
 
 The defining relations carry the labels 3.1a through 3.6; see
 ``RELATION_IDS`` for the catalogue.  ``relation_instances`` enumerates
@@ -162,13 +168,20 @@ def _swap_map(i: int, shape: Shape) -> SignedMap:
 def _word_map(word: Sequence[HeckeGenerator], shape: Shape) -> SignedMap:
     """Compose the generator maps; the leftmost generator acts first.
 
-    A one-letter swap word returns the cached swap map itself, so
-    callers must not mutate the result.
+    From the first ``LayerGen`` outward: its map is pulled back through
+    the swaps before it, each its own inverse with the same sign by
+    relation 3.1a, and the letters after it compose forward.  A
+    one-letter swap word returns the cached swap map itself, so callers
+    must not mutate the result.
     """
     if not word:
         return {p: (p, 1) for p in range(shape.dim_enhanced)}
-    out = _gen_map(word[0], shape)
-    for g in word[1:]:
+    k = next((k for k, g in enumerate(word) if isinstance(g, LayerGen)), 0)
+    out = _gen_map(word[k], shape)
+    for g in reversed(word[:k]):
+        sw = _gen_map(g, shape)
+        out = {sw[p][0]: (q, s * sw[p][1]) for p, (q, s) in out.items()}
+    for g in word[k + 1:]:
         out = then(out, _gen_map(g, shape))
     return out
 

@@ -11,6 +11,7 @@ import json
 import random
 import time
 
+from closed_forms import levi_layer_counts
 from levischur.cli import RunConfig, cmd_verify
 from levischur.combinatorics import (
     Shape,
@@ -30,7 +31,6 @@ from levischur.duality import (
 )
 from levischur.enhanced_core import (
     levi_basis,
-    levi_dimension,
     levi_span,
     rho_levi,
 )
@@ -216,7 +216,7 @@ def test_criterion_08_faithfulness():
             shape = Shape(m, n, r, vp)
             mats = [rho_levi(b, shape) for b in levi_basis(shape)]
             rank = rank_of_rows([mm.flatten() for mm in mats], shape.field)
-            ok = ok and rank == levi_dimension(shape)
+            ok = ok and rank == sum(levi_layer_counts(m, n, r))
             for l in range(1, r + 1):
                 ok = ok and verify_faithful_layer_action(shape, l)
     report(8, ok, f"rank and layer kernels at {2 * len(shapes)} "

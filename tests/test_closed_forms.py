@@ -41,12 +41,20 @@ def test_verify_matches_closed_forms(m, n, r):
         assert e["dim_commutant_levi"] == e["dim_D"]
 
 
-@pytest.mark.parametrize("m,n,r", [(1, 1, 5), (2, 1, 4)])
-def test_dims_matches_closed_forms(m, n, r):
-    report, status = cmd_dims(RunConfig(m=m, n=n, r=r, vparity="even"))
+@pytest.mark.parametrize("m,n,r,vparity", [
+    pytest.param(1, 1, 5, "even", id="1-1-5"),
+    pytest.param(2, 1, 4, "even", id="2-1-4"),
+    pytest.param(1, 1, 4, "both", id="1-1-4-both"),
+])
+def test_dims_matches_closed_forms(m, n, r, vparity):
+    report, status = cmd_dims(RunConfig(m=m, n=n, r=r, vparity=vparity))
     assert status == EXIT_OK
+    orbits = levi_layer_counts(m, n, r)
     assert report["dims"]["d_algebra"] == d_dim(m, n, r)
-    assert report["dims"]["levi"] == sum(levi_layer_counts(m, n, r))
+    assert report["dims"]["levi"] == sum(orbits)
+    # ``dims`` keys the degrees 1..r as strings, where ``verify`` lists 0..r
+    assert report["dims"]["per_layer_orbits"] == {
+        str(l): orbits[l] for l in range(1, r + 1)}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)

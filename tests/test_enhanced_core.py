@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from closed_forms import levi_layer_counts
 from levischur.combinatorics import (
     Shape,
     add_parities,
@@ -30,7 +31,6 @@ from levischur.enhanced_core import (
     enhanced_basis,
     layer_positions,
     levi_basis,
-    levi_dimension,
     levi_product,
     levi_span,
     parity_flip_conjugator,
@@ -292,7 +292,7 @@ def test_levi_basis_counts():
     assert len(levi_basis(Shape(1, 1, 1))) == 5
     assert len(levi_basis(Shape(2, 1, 2))) == 51
     assert levi_basis(SH0)[0] == BOTTOM
-    assert levi_dimension(SH0) == 13
+    assert len(levi_basis(SH0)) == sum(levi_layer_counts(1, 1, 2))
 
 
 def test_embed_alpha():
@@ -314,7 +314,8 @@ def test_faithfulness_rank():
         assert rank_of_rows(
             [m.flatten() for m in mats], shape.field
         ) == len(mats)
-        assert levi_span(shape).dimension == levi_dimension(shape)
+        assert levi_span(shape).dimension == sum(
+            levi_layer_counts(shape.m, shape.n, shape.r))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ products of ``xi_gen`` matrices and compare ``ExactMatrix``es; they are
 the independent oracle for the signed-map path in ``hecke``.
 """
 
+import functools
 import math
 import random
 
@@ -426,6 +427,39 @@ def test_every_boundary_observation_reads_false(shape, monkeypatch):
             a = _word_map((SwapGen(l), LayerGen(l, sigma)), shape)
             b = _word_map((LayerGen(l, sigma), SwapGen(l)), shape)
             assert a and b and not set(a) & set(b)
+
+
+class _Unwalked(dict):
+    """A swap map that may be looked up but not walked."""
+
+    def items(self):
+        raise AssertionError("a whole swap map was walked")
+
+
+@pytest.mark.parametrize("shape", [
+    Shape(m, n, r, vp) for (m, n, r) in [(1, 1, 3), (1, 0, 5)]
+    for vp in (0, 1)
+], ids=shape_id)
+def test_factor_maps_start_from_their_layer_generator(shape, monkeypatch):
+    """A_T moves the words on T to the leading slots, then applies
+    ``LayerGen(l, id)``: its map is built from the (m+n)^l words that
+    generator keeps, pulled back through the swaps, and no swap map is
+    walked whole.  Each factor equals its word composed left to right."""
+    clear_caches()
+    try:
+        forward = {
+            T: tuple(functools.reduce(schur_core.then,
+                                      [_gen_map(g, shape) for g in word])
+                     for word in hecke.factor_words(T))
+            for T in hecke.d_factors(shape)}
+        clear_caches()
+        real = hecke._swap_map
+        monkeypatch.setattr(hecke, "_swap_map",
+                            lambda i, sh: _Unwalked(real(i, sh)))
+        assert hecke.d_factors(shape) == forward
+        assert len(forward) == 2 ** shape.r
+    finally:
+        clear_caches()
 
 
 # ---------------------------------------------------------------------------
