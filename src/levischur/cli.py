@@ -6,27 +6,26 @@ Subcommands:
   verify     run the full verification suite for one shape
   dims       print per-layer orbit counts and algebra dimensions
   orbits     dump the orbit representatives per layer
-  relations  run only the defining-relation suite (plus the boundary
-             observations, which are reported and never gated)
+  relations  run only the defining-relation suite
   report     the same report as verify
 
-The ``relations`` check reads ``hecke.relation_failures``, the cached
-verdict on ``hecke.certified_instances`` and ``Degree.acts`` (relation
-3.3 on each degree's table) that gate G1 reads too; the duality checks
-read the verdicts of ``duality`` (``verify_first``, ``verify_second``,
-``verify_layer_endos``, ``verify_faithful_layer_action`` per layer and
-``layer_factors``), and ``commutation`` reads the first direction;
-their ``instances`` and ``pairs`` are the counts the certificate
-covers: every relation instance, and the Levi basis against every
-``hecke_generators`` member.  ``commutation`` passes only when the
-relations do in the same run.  The boundary check's ``observed`` holds
-one record per layer 1 <= l < r, ``{"i": l, "permutations": l!,
-"commuting": 0}``, a zero that G3 and relation 3.1a fix
-(``hecke.boundary_observations``).
+Each check record is one verdict, and every record decides the exit
+code.  Per parity, ``relations`` and ``verify`` write ``relations``,
+which reads ``hecke.relation_failures``, the cached verdict on
+``hecke.certified_instances`` and ``Degree.acts`` (relation 3.3 on each
+degree's table) that gate G1 reads too.  ``verify`` adds the three
+verdicts of ``duality`` that ``layer_factors`` fixes:
+``first_duality`` (``verify_first``), ``second_duality``
+(``verify_second``, with ``verify_layer_endos`` per layer, at every r)
+and ``faithful_layer_action`` (``verify_faithful_layer_action`` per
+layer).  ``instances`` and ``first_duality``'s ``pairs`` are the counts
+the certificate covers: every relation instance, and the Levi basis
+against every ``hecke_generators`` member.  ``first_duality`` fails
+whenever ``relations`` does, since G1 reads the relation verdict.
 ``cross_parity_conjugation`` compares the two parities' Levi
 placements on the frame; no command builds a whole-space Levi matrix.
 
-Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 invalid
+Exit codes: 0 every check passes, 1 a check failed, 2 invalid
 configuration, 3 size cap exceeded; the cap applies to every command
 but ``orbits``, whose work is proportional to its output.  JSON goes to
 stdout with sorted keys, as ``json.dumps(report, sort_keys=True,
@@ -115,94 +114,52 @@ class RunConfig(namedtuple(
             raise ValueError("size cap must be positive")
 
 
-def _check(name: str, vparity: int, passed: bool, gated: bool, **details):
-    entry = {
-        "name": name,
-        "vparity": vparity,
-        "passed": bool(passed),
-        "gated": bool(gated),
-    }
+def _check(name: str, vparity: int, passed: bool, **details):
+    entry = {"name": name, "vparity": vparity, "passed": bool(passed)}
     if details:
         entry["details"] = details
     return entry
 
 
-def _relation_checks(shape: Shape) -> list[dict]:
+def _relation_check(shape: Shape) -> dict:
     """Read ``hecke.relation_failures``: ``failed`` names the failing
     families, and ``instances`` counts every instance covered."""
     failures = hecke.relation_failures(shape)
-    return [
-        _check(
-            "relations", shape.vparity, not failures, True,
-            instances=hecke.relation_count(shape.r), failed=sorted(failures),
-        ),
-        _check(
-            "boundary_swap_layer_commutation", shape.vparity,
-            True, False,
-            observed=[
-                {"i": l, "permutations": count, "commuting": commuting}
-                for l, count, commuting in hecke.boundary_observations(shape)
-            ],
-        ),
-    ]
-
-
-def _commutation_check(shape: Shape, relations_hold: bool,
-                       size_cap: int) -> dict:
-    """The Levi basis against every ``hecke_generators`` member, read from
-    the first direction: under its gates and ``Degree.certified`` the
-    Levi span is C(D), so it commutes with all of D.  ``pairs`` counts
-    the pairs that verdict covers; ``failed`` is 0 under it, and None
-    when no verdict fixes it."""
-    holds = verify_first(shape, size_cap).holds
-    labels = sum(x.labels for x in layer_factors(shape, size_cap).layers)
-    details = {"pairs": labels * hecke.generator_count(shape.r),
-               "failed": 0 if holds else None}
-    if not relations_hold:
-        details["relations_certified"] = False
-    return _check("commutation", shape.vparity, holds and relations_hold,
-                  True, **details)
+    return _check("relations", shape.vparity, not failures,
+                  instances=hecke.relation_count(shape.r),
+                  failed=sorted(failures))
 
 
 def _duality_checks(shape: Shape, size_cap: int) -> list[dict]:
+    """``first_duality``, ``second_duality`` and ``faithful_layer_action``.
+
+    Under the first direction's gates and ``Degree.certified`` the Levi
+    span is C(D), of rank ``dim_levi``, (4) of
+    ``duality._levi_transport``, and it commutes with all of D:
+    ``pairs`` counts the Levi basis against every ``hecke_generators``
+    member.  The second direction is every layer's C(L_l) = D_l,
+    ``per_layer``, under the gates, which ``sum_matches`` names when
+    one fails."""
+    fac = layer_factors(shape, size_cap)
     first = verify_first(shape, size_cap)
     second = verify_second(shape, size_cap)
-    endos = verify_layer_endos(shape, size_cap)
     faithful = [verify_faithful_layer_action(shape, l, size_cap)
                 for l in range(1, shape.r + 1)]
+    labels = sum(x.labels for x in fac.layers)
     return [
         _check(
-            "first_duality", shape.vparity, first.holds, True,
+            "first_duality", shape.vparity, first.holds,
             dim_levi=first.dim_levi, dim_commutant_D=first.dim_commutant_D,
+            pairs=labels * hecke.generator_count(shape.r),
         ),
         _check(
-            "second_duality_containment", shape.vparity,
-            second.containment_holds, True,
-        ),
-        _check(
-            "second_duality", shape.vparity,
-            second.spans_equal, second.gated,
+            "second_duality", shape.vparity, second.spans_equal,
             dim_D=second.dim_D, dim_commutant_levi=second.dim_commutant_levi,
-            observed_only=not second.gated,
+            per_layer=list(verify_layer_endos(shape, size_cap).per_layer_equal),
+            sum_matches=fac.failed_gate or True,
         ),
-        # (4) of ``duality._levi_transport``: the rank is fixed with dim_levi
-        _check(
-            "faithfulness_rank", shape.vparity,
-            first.dim_levi is not None, True,
-            dim_levi=first.dim_levi,
-        ),
-        _check(
-            "faithful_layer_action", shape.vparity,
-            all(faithful), True,
-            layers=faithful,
-        ),
-        _check(
-            "layer_decomposition", shape.vparity,
-            endos.holds, True,
-            per_layer=list(endos.per_layer_equal),
-            # True, or the name of the gate that failed
-            sum_matches=layer_factors(shape, size_cap).failed_gate or True,
-        ),
+        _check("faithful_layer_action", shape.vparity, all(faithful),
+               layers=faithful),
     ]
 
 
@@ -268,7 +225,7 @@ def _cross_parity_check(cfg: RunConfig) -> dict:
         for l in range(cfg.r + 1)
         for (pos0, tw0), (pos1, tw1) in zip(enh._placements(l, sh0),
                                             enh._placements(l, sh1)))
-    return _check("cross_parity_conjugation", -1, ok, True)
+    return _check("cross_parity_conjugation", -1, ok)
 
 
 def _base_report(cfg: RunConfig) -> dict:
@@ -283,7 +240,7 @@ def _base_report(cfg: RunConfig) -> dict:
 def _finish(report: dict, checks: list[dict], t0: float, **timing):
     """Add the checks, the verdict and the timing; return the status."""
     report["checks"] = checks
-    report["pass"] = all(c["passed"] for c in checks if c["gated"])
+    report["pass"] = all(c["passed"] for c in checks)
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6),
                         **timing}
     return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
@@ -298,10 +255,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         # the layers first: the relation checks would force every
         # degree's actions before the clock of ``timing.layers`` starts
         layer_factors(shape, cfg.size_cap)
-        relations = _relation_checks(shape)
-        checks.extend(relations)
-        checks.append(_commutation_check(shape, relations[0]["passed"],
-                                         cfg.size_cap))
+        checks.append(_relation_check(shape))
         checks.extend(_duality_checks(shape, cfg.size_cap))
         layers.extend(_layer_timing(shape, cfg.size_cap))
     if cfg.vparity == "both":
@@ -325,12 +279,12 @@ def cmd_dims(cfg: RunConfig) -> tuple[dict, int]:
     # the gates at every requested parity; a converse reads no parity
     gates = [(sh.vparity, layer_factors(sh, cfg.size_cap).failed_gate)
              for sh in cfg.shapes()]
-    checks = [_check("d_certificate", vp, False, True, gate=gate)
+    checks = [_check("d_certificate", vp, False, gate=gate)
               for vp, gate in gates if gate is not None]
     failed = [x.layer for x in layer_factors(shape, cfg.size_cap).layers
               if not x.converse]
     if failed:
-        checks.append(_check("converse", -1, False, True, layers=failed))
+        checks.append(_check("converse", -1, False, layers=failed))
     return _finish(report, checks, t0)
 
 
@@ -351,10 +305,7 @@ def cmd_orbits(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_relations(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     report = _base_report(cfg)
-    checks: list[dict] = []
-    for shape in cfg.shapes():
-        checks.extend(_relation_checks(shape))
-    return _finish(report, checks, t0)
+    return _finish(report, [_relation_check(sh) for sh in cfg.shapes()], t0)
 
 
 _COMMANDS = {
@@ -473,9 +424,8 @@ def _text(report: dict) -> str:
                           for rep in reps])
     for c in report.get("checks", []):
         status = "PASS" if c["passed"] else "FAIL"
-        gate = "" if c["gated"] else " (observed, not gated)"
         vp = "" if c["vparity"] < 0 else f" [vparity {c['vparity']}]"
-        lines.append(f"  {status} {c['name']}{vp}{gate}")
+        lines.append(f"  {status} {c['name']}{vp}")
     lines.append(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
     return "\n".join(lines)
 

@@ -18,9 +18,9 @@ commutants that ``schur_core.Degree`` decides in its verdicts
 and layer l's faithful action from G1, G2 and its part of G3.  If a gate
 or a verdict fails, every check read from it fails.
 
-The first direction holds at every degree; the second is asserted when
-r <= m+n and otherwise only reported (containment of D in the commutant,
-which the first direction gives, is always checked).
+Both directions are asserted at every degree r: neither the gates nor
+the per-layer converse (the double centralizer theorem when KS_l is
+semisimple, a count modulo p for p <= l) reads r <= m+n.
 """
 
 from __future__ import annotations
@@ -160,47 +160,30 @@ def verify_first(
     )
 
 
-class SecondDualityResult(namedtuple("SecondDualityResult", (
-        "dim_D dim_commutant_levi containment_holds spans_equal gated"))):
-    __slots__ = ()
-
-    @property
-    def holds(self) -> bool:
-        """True when the gated assertion is satisfied."""
-        return self.spans_equal if self.gated else self.containment_holds
+SecondDualityResult = namedtuple("SecondDualityResult",
+                                 "dim_D dim_commutant_levi spans_equal")
 
 
 def verify_second(
     shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> SecondDualityResult:
-    """Commutant of the Levi span against the generator image.
+    """Commutant of the Levi span equals the generator image.
 
-    Containment of the image in the commutant is unconditional: it
-    follows from the first direction.  Span equality, the gates and the
-    classical converse on every layer, is asserted only for r <= m+n and
-    otherwise only reported; it alone fixes dim_D, which is also the
+    Span equality is the gates and the classical converse on every
+    layer, at every degree; it alone fixes dim_D, which is also the
     Levi commutant's, and both are None without it.
     """
     fac = layer_factors(shape, size_cap)
-    ok = fac.failed_gate is None
-    spans_equal = ok and all(x.converse for x in fac.layers)
+    spans_equal = (fac.failed_gate is None
+                   and all(x.converse for x in fac.layers))
     dim_D = sum(x.dim_D for x in fac.layers) if spans_equal else None
-    return SecondDualityResult(
-        dim_D=dim_D,
-        dim_commutant_levi=dim_D,
-        containment_holds=ok and all(x.certified for x in fac.layers),
-        spans_equal=spans_equal,
-        gated=shape.r <= shape.m + shape.n,
-    )
+    return SecondDualityResult(dim_D, dim_D, spans_equal)
 
 
-class LayerEndoReport(namedtuple("LayerEndoReport", (
-        "per_layer_dims per_layer_equal sum_matches_commutant"))):
-    __slots__ = ()
-
-    @property
-    def holds(self) -> bool:
-        return all(self.per_layer_equal) and self.sum_matches_commutant
+# per layer 0..r: dim C(L_l), None unless G1-G3 hold, and whether
+# C(L_l) = D_l
+LayerEndoReport = namedtuple("LayerEndoReport",
+                             "per_layer_dims per_layer_equal")
 
 
 def verify_layer_endos(
@@ -210,9 +193,8 @@ def verify_layer_endos(
 
     For each layer the commutant of the Levi action, M_k (x) C(S(m|n,l)),
     is D_l = M_k (x) Pi_l under the gates and the classical converse,
-    ``per_layer_equal``; its dimension is None otherwise.
-    ``sum_matches_commutant`` reports the gates, under which their
-    direct sum is the whole commutant.
+    ``per_layer_equal``; under the gates their direct sum is the whole
+    commutant, so the second direction is every layer's equality.
     """
     fac = layer_factors(shape, size_cap)
     ok = fac.failed_gate is None
@@ -220,7 +202,6 @@ def verify_layer_endos(
         per_layer_dims=tuple(x.dim_commutant_levi if ok else None
                              for x in fac.layers),
         per_layer_equal=tuple(ok and x.converse for x in fac.layers),
-        sum_matches_commutant=ok,
     )
 
 

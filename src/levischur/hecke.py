@@ -56,10 +56,8 @@ order, with L for ``LayerGen(l, -)`` and s for ``SwapGen(i)``:
 
 ``relation_failures`` is the one cached verdict on them and on every
 ``acts``, read by the relation check, which reports
-``relation_count(r)`` instances, and by gate G1.  The boundary case
-i = l of a swap against a layer generator is constrained by no
-relation; ``boundary_observations`` reports it once per layer, as the
-number of the l! sigma that commute, which G3 and 3.1a fix at 0.
+``relation_count(r)`` instances, and by gate G1.  No relation
+constrains the boundary case i = l of a swap against a layer generator.
 
 The image D is never closed.  ``d_factors`` holds, per support T of
 size l, the signed maps of the two words of ``factor_words(T)``: A_T
@@ -389,22 +387,6 @@ def generator_count(r: int) -> int:
     """``len(hecke_generators)`` at degree r: r-1 swaps and l! layer
     generators per layer."""
     return r - 1 + sum(math.factorial(l) for l in range(r + 1))
-
-
-def boundary_observations(shape: Shape) -> list[tuple[int, int, int]]:
-    """Observed commutation at the unconstrained boundary i = l.
-
-    Returns one (l, l!, commuting) triple per layer 1 <= l < r, where
-    ``commuting`` counts the sigma in S_l with s_l L(l, sigma) = L(l,
-    sigma) s_l; no relation governs these, so they are reported and
-    never asserted.  Two gated checks fix it at 0, with no map composed.
-    G3 pins B_S = L(l, id) s_l, for S = {1..l-1, l+1}, as the placement
-    on S, so s_l sends the leading words onto the words on S, and by
-    3.1a back.  So, in word order, s_l L(l, sigma) is defined on the
-    words on S and L(l, sigma) s_l on the leading words: disjoint
-    domains, non-empty as l < r and m >= 1, so no sigma commutes.
-    """
-    return [(l, math.factorial(l), 0) for l in range(1, shape.r)]
 
 
 def hecke_generators(shape: Shape) -> tuple[HeckeGenerator, ...]:

@@ -15,7 +15,10 @@ natural basis, which ``schur_core.signed_action`` reads from
 ``Degree.words``.  ``orbit_reps`` sorts the unzipped representatives by
 row concatenated with column, which ``combinatorics._orbit_reps`` sorts
 as flat words.  ``CERTIFICATE_PRIME`` is the prime the tests count a
-rational commutant modulo.
+rational commutant modulo.  ``coproduct`` and ``levi_generators`` build
+the Levi algebra from the group side: the super coproduct of the matrix
+units of gl(m|n) + gl(1), the Lie superalgebra of GL(V) x G_m, on the
+enhanced tensor space (Cheng-Wang, GSM 144).
 """
 
 import itertools
@@ -24,7 +27,7 @@ from levischur import combinatorics as comb
 from levischur import enhanced_core as enh
 from levischur import schur_core
 from levischur.combinatorics import perms
-from levischur.linalg import span_of
+from levischur.linalg import ExactMatrix, span_of
 
 # The largest prime below 2^30, so residues are one-digit ints and a
 # product of two is reduced by a one-digit divisor.
@@ -158,3 +161,37 @@ def orbit_reps(m, n, l):
         for ev in itertools.combinations_with_replacement(even, l - k)
     ]
     return tuple(sorted(reps, key=lambda p: p[0] + p[1]))
+
+
+def coproduct(a, b, shape, koszul=True):
+    """Delta^{(r)}(E_ab) on the enhanced tensor space, for letters a, b of
+    ``enh.vbar(shape)``: the sum over the slots k that carry b of the word
+    with b replaced by a there, times the Koszul sign
+    (-1)^{|E_ab| (|w_1| + ... + |w_{k-1}|)} of moving E_ab past the
+    letters before slot k; ``koszul=False`` drops that sign."""
+    vb = enh.vbar(shape)
+    parity = [None] + [comb.parity_of_index(x, vb)
+                       for x in range(1, shape.m + shape.n + 2)]
+    odd = parity[a] ^ parity[b]
+    entries = {}
+    for p, word in enumerate(enh.enhanced_basis(shape)):
+        before = 0
+        for k, x in enumerate(word):
+            if x == b:
+                q = enh.enh_position(word[:k] + (a,) + word[k + 1:], shape)
+                sign = -1 if koszul and odd and before else 1
+                entries[q, p] = entries.get((q, p), 0) + sign
+            before ^= parity[x]
+    d = shape.dim_enhanced
+    return ExactMatrix(shape.field, d, d, entries)
+
+
+def levi_generators(shape, koszul=True):
+    """The coproducts of every E_ab on the natural letters a, b, and of
+    E_vv, v = letter m+1: over the rationals, with 1 they generate the
+    image of U(gl(m|n) + gl(1)), which is the Levi algebra."""
+    v = shape.m + 1
+    natural = [x for x in range(1, shape.m + shape.n + 2) if x != v]
+    return [coproduct(a, b, shape, koszul)
+            for a in natural for b in natural] + [
+        coproduct(v, v, shape, koszul)]

@@ -182,13 +182,11 @@ def test_criterion_06_second_duality():
     ok = True
     runs = 0
     for m, n, r in DUALITY_SHAPES:
-        if r > m + n:
-            continue
         for vp in (0, 1):
             runs += 1
             res = verify_second(Shape(m, n, r, vp))
-            ok = ok and res.gated and res.spans_equal
-    report(6, ok, f"spans equal at {runs} shape/parity runs with r <= m+n, "
+            ok = ok and res.spans_equal
+    report(6, ok, f"spans equal at {runs} shape/parity runs, "
                   f"{time.perf_counter() - t0:.2f}s")
 
 
@@ -239,7 +237,7 @@ def test_criterion_09_decomposition():
                 span_of(pieces, d=shape.dim_enhanced, field=shape.field)
                 == full
             )
-            ok = ok and verify_layer_endos(shape).holds
+            ok = ok and all(verify_layer_endos(shape).per_layer_equal)
     report(9, ok, f"direct sum and per-layer equality at 4 shape/parity "
                   f"runs, {time.perf_counter() - t0:.2f}s")
 

@@ -43,8 +43,9 @@ TOP_KEYS = {
 
 
 # Reports with ``timing`` dropped, written when every relation instance
-# was enumerated and every generator tested for commutation; the
-# certified checks must reproduce them byte for byte.
+# was enumerated and every generator tested for commutation, then folded
+# to one check record per verdict; the certified checks must reproduce
+# them byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RUNS = {
     "verify_1_1_4": ["verify", "--m", "1", "--n", "1", "--r", "4"],
@@ -412,15 +413,6 @@ def test_text_and_json_agree(capsys):
     ]
 
 
-def test_second_duality_observed_beyond_gate():
-    cfg = RunConfig(m=1, n=1, r=3, vparity="even")
-    report, status = cmd_verify(cfg)
-    assert status == EXIT_OK
-    second = [c for c in report["checks"] if c["name"] == "second_duality"]
-    assert second and not second[0]["gated"]
-    assert second[0]["details"]["observed_only"] is True
-
-
 @pytest.fixture
 def fresh_caches():
     """The relation verdict is cached per shape: a test that patches
@@ -428,6 +420,42 @@ def fresh_caches():
     levischur.clear_caches()
     yield
     levischur.clear_caches()
+
+
+def test_second_duality_fails_beyond_m_plus_n(fresh_caches, monkeypatch):
+    """The second direction decides the exit code at r > m+n too: with
+    the converse of degree 3 refused at (1|1,3), ``verify`` exits 1 on
+    ``second_duality`` alone, and no verdict fixes dim D."""
+    real = schur_core.Degree.converse.func
+    monkeypatch.setattr(schur_core.Degree, "converse", property(
+        lambda self: real(self) and self.l != 3))
+    report, status = cmd_verify(RunConfig(m=1, n=1, r=3, vparity="even"))
+    assert status == EXIT_CHECK_FAILED and report["pass"] is False
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["second_duality"]
+    assert failed[0]["details"]["per_layer"] == [True, True, True, False]
+    assert report["dims"]["d_algebra"] is None
+
+
+@pytest.mark.parametrize("m, n, r", [(1, 1, 2), (1, 1, 3), (2, 1, 3)])
+def test_one_record_per_verdict(m, n, r):
+    """Each parity of ``verify`` writes the four verdicts, at r <= m+n and
+    beyond, and ``relations`` one record per parity."""
+    verdicts = ["relations", "first_duality", "second_duality",
+                "faithful_layer_action"]
+    for vparity, parities in (("even", [0]), ("odd", [1]),
+                              ("both", [0, 1])):
+        cfg = RunConfig(m=m, n=n, r=r, vparity=vparity)
+        report, status = cmd_verify(cfg)
+        assert status == EXIT_OK
+        want = [(name, vp) for vp in parities for name in verdicts]
+        if vparity == "both":
+            want.append(("cross_parity_conjugation", -1))
+        assert [(c["name"], c["vparity"]) for c in report["checks"]] == want
+        report, status = cmd_relations(cfg)
+        assert status == EXIT_OK
+        assert [(c["name"], c["vparity"]) for c in report["checks"]] == [
+            ("relations", vp) for vp in parities]
 
 
 def test_gated_failure_exit_1(fresh_caches, monkeypatch):
@@ -440,13 +468,13 @@ def test_gated_failure_exit_1(fresh_caches, monkeypatch):
     assert status == EXIT_CHECK_FAILED
     assert report["pass"] is False
     # gate G1 reads the relation verdict, so the first direction, and
-    # with it ``commutation``, fixes no count of failing pairs
+    # with it the commutation of its pairs, fails and fixes no dim_levi
     report, status = cmd_verify(RunConfig(m=1, n=1, r=2, vparity="even"))
     assert status == EXIT_CHECK_FAILED
-    [comm] = [c for c in report["checks"] if c["name"] == "commutation"]
-    assert comm["passed"] is False
-    assert comm["details"] == {"pairs": 13 * 5, "failed": None,
-                               "relations_certified": False}
+    [first] = [c for c in report["checks"] if c["name"] == "first_duality"]
+    assert first["passed"] is False
+    assert first["details"] == {"dim_levi": None, "dim_commutant_D": 13,
+                                "pairs": 13 * 5}
 
 
 def test_layer_seconds_count_each_layers_own_work(fresh_caches,
@@ -537,7 +565,7 @@ def test_failed_converse_leaves_dim_pi_unfixed(fresh_caches, monkeypatch,
     report = json.loads(out)
     assert report["dims"]["d_algebra"] is None
     assert report["checks"] == [{"name": "converse", "vparity": -1,
-                                 "passed": False, "gated": True,
+                                 "passed": False,
                                  "details": {"layers": [2]}}]
 
 
@@ -619,7 +647,8 @@ def test_no_report_list_grows_with_the_group_or_the_space(m, n, r, field):
         assert len(set(checks)) == len(checks)
         lists = [(path, xs) for path, xs in report_lists(report)
                  if path != ("checks",)]
-        assert ("checks", "details", "observed") in dict(lists)
+        if command is cmd_verify:
+            assert ("checks", "details", "per_layer") in dict(lists)
         for path, xs in lists:
             assert len(xs) <= bound, (command.__name__, path, len(xs))
         if command is cmd_verify:
@@ -629,13 +658,8 @@ def test_no_report_list_grows_with_the_group_or_the_space(m, n, r, field):
 def test_relations_command():
     report, status = cmd_relations(RunConfig(m=1, n=1, r=2))
     assert status == EXIT_OK
-    gated = [c for c in report["checks"] if c["gated"]]
-    assert gated and all(c["passed"] for c in gated)
-    boundary = [
-        c for c in report["checks"]
-        if c["name"] == "boundary_swap_layer_commutation"
-    ]
-    assert boundary and not boundary[0]["gated"]
+    assert [c["details"] for c in report["checks"]] == [
+        {"failed": [], "instances": hecke.relation_count(2)}] * 2
 
 
 def test_report_command(capsys):

@@ -3,7 +3,9 @@
 Independent oracle used here: matrices built site by site from single
 slot operators with the supercommutation rule (moving an odd operator
 past an odd vector costs a sign), with no reference to the closed-form
-reordering factors the implementation uses.
+reordering factors the implementation uses.  The Levi span is also
+generated from the group side, by the super coproducts of
+``oracles.levi_generators``.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import itertools
 import pytest
 
 from closed_forms import levi_layer_counts
+from oracles import levi_generators
 from levischur.combinatorics import (
     Shape,
     add_parities,
@@ -39,7 +42,15 @@ from levischur.enhanced_core import (
     vbar,
     word_layer,
 )
-from levischur.linalg import QQ, ExactMatrix, PrimeField, rank_of_rows, span_of
+from levischur.hecke import coxeter_generators, xi_gen
+from levischur.linalg import (
+    QQ,
+    ExactMatrix,
+    PrimeField,
+    algebra_closure,
+    rank_of_rows,
+    span_of,
+)
 from levischur.schur_core import (
     structure_constants,
     word_position,
@@ -406,3 +417,47 @@ def test_parity_conjugation():
             m0 = rho_levi(b0, sh_even)
             m1 = rho_levi(b1, sh_odd)
             assert (flip @ m0 @ flip).entries == m1.entries
+
+
+# ---------------------------------------------------------------------------
+# the Levi algebra from the group side
+
+COPRODUCT_SHAPES = [
+    Shape(m, n, r, vp)
+    for m, n, r in [(1, 0, 2), (1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2),
+                    (2, 1, 3), (1, 0, 4), (2, 2, 2)]
+    for vp in (0, 1)
+]
+
+
+def group_side(shape, koszul=True):
+    """The closure of the coproduct generators and 1, and whether every
+    generator commutes with every Coxeter generator of D."""
+    gens = levi_generators(shape, koszul)
+    closure = algebra_closure(gens, True, d=shape.dim_enhanced,
+                              field=shape.field)
+    cox = [xi_gen(g, shape) for g in coxeter_generators(shape)]
+    return closure, all(g.commutes_with(c) for g in gens for c in cox)
+
+
+@pytest.mark.parametrize(
+    "shape", COPRODUCT_SHAPES,
+    ids=lambda sh: f"({sh.m}|{sh.n},{sh.r})-v{sh.vparity}")
+def test_levi_span_is_the_image_of_the_group_side(shape):
+    """S'(m|n,r) is the image of the distribution algebra of GL(V) x G_m:
+    over the rationals the algebra that the super coproducts of the
+    matrix units generate is ``levi_span``, and it commutes with D."""
+    closure, commutes = group_side(shape)
+    assert closure == levi_span(shape)
+    assert commutes
+
+
+def test_coproduct_without_the_koszul_sign_leaves_the_levi_algebra():
+    """Negative control: with the Koszul sign dropped, the odd E_ab no
+    longer act as the Lie superalgebra does, and at (1|1,2) their
+    closure has dimension 15, not 13."""
+    shape = Shape(1, 1, 2)
+    closure, commutes = group_side(shape, koszul=False)
+    assert levi_span(shape).dimension == 13
+    assert closure.dimension == 15
+    assert not commutes

@@ -316,8 +316,8 @@ def xi_sign_mutants(shape):
 
 
 def test_every_xi_sign_mutant_fails_verify(monkeypatch):
-    """Each mutant fails ``verify``, and its ``commutation`` check with
-    the whole-space oracle of that check."""
+    """Each mutant fails ``verify``, and its ``first_duality`` check with
+    the whole-space commutation oracle."""
     real = schur_core.xi_entries
     mutants = xi_sign_mutants(MUTANT_SHAPE)
     assert len(mutants) == 54
@@ -335,10 +335,10 @@ def test_every_xi_sign_mutant_fails_verify(monkeypatch):
             report, status = cli.cmd_verify(cli.RunConfig(
                 m=1, n=1, r=3, vparity="even"
             ))
-            [comm] = [c for c in report["checks"]
-                      if c["name"] == "commutation"]
-            if (status != cli.EXIT_CHECK_FAILED or comm["passed"]
-                    or commutation_oracle(MUTANT_SHAPE, True)["passed"]):
+            [first] = [c for c in report["checks"]
+                       if c["name"] == "first_duality"]
+            if (status != cli.EXIT_CHECK_FAILED or first["passed"]
+                    or commutation_oracle(MUTANT_SHAPE, True)[0]):
                 survivors.append((pair, kt))
         levischur.clear_caches()
     assert not survivors
@@ -378,9 +378,9 @@ def test_twist_mutants_fail_transport_and_cross_parity(name, monkeypatch):
     # with G3 failed the first direction fixes nothing; the whole-space
     # oracle misses the "after" twist, whose Levi matrices still commute
     # with D
-    check = cli._commutation_check(shape, True, DEFAULT_SIZE_CAP)
-    assert check["passed"] is False and check["details"]["failed"] is None
-    assert commutation_oracle(shape, True)["passed"] is (name == "after")
+    check = first_duality(shape)
+    assert check["passed"] is False and check["details"]["dim_levi"] is None
+    assert commutation_oracle(shape, True)[0] is (name == "after")
     cfg = cli.RunConfig(m=1, n=1, r=3)
     check = cli._cross_parity_check(cfg)
     assert check["name"] == "cross_parity_conjugation"
@@ -415,13 +415,9 @@ def test_family_words_evaluate_to_members(shape):
 
 def assert_all_block_checks_fail(shape):
     assert duality.layer_factors(shape).failed_gate is not None
-    endos = duality.verify_layer_endos(shape)
-    assert not endos.sum_matches_commutant
     assert not duality.verify_first(shape).holds
-    second = duality.verify_second(shape)
-    assert not second.containment_holds
-    assert not second.spans_equal
-    assert not any(endos.per_layer_equal)
+    assert not duality.verify_second(shape).spans_equal
+    assert not any(duality.verify_layer_endos(shape).per_layer_equal)
     _report, status = cli.cmd_verify(cli.RunConfig(
         m=shape.m, n=shape.n, r=shape.r,
         vparity=("even", "odd")[shape.vparity], field=shape.field.name))
@@ -518,8 +514,8 @@ def faithful_oracle(shape, l):
 
 @pytest.mark.parametrize("shape", SHAPES + DEEP + DEEP_GF3, ids=shape_id)
 def test_levi_verdicts_match_whole_space_oracles(shape):
-    """G3, ``faithfulness_rank`` and ``faithful_layer_action``, read on
-    the frame, against the whole-space passes they replaced."""
+    """G3, the rank ``first_duality`` reads and ``faithful_layer_action``,
+    read on the frame, against the whole-space passes they replaced."""
     fac = duality.layer_factors(shape)
     dim_levi = duality.verify_first(shape).dim_levi
     faithful = tuple(duality.verify_faithful_layer_action(shape, l)
@@ -535,19 +531,28 @@ def test_levi_verdicts_match_whole_space_oracles(shape):
 
 
 def commutation_oracle(shape, relations_hold):
-    """The ``commutation`` check entry by entry: every whole-space Levi
-    basis matrix against every Coxeter generator; ``failed`` counts the
-    pairs that do not commute."""
+    """The commutation that ``first_duality`` covers, entry by entry:
+    every whole-space Levi basis matrix against every Coxeter generator,
+    and the relations, which make them generate D.  Returns the verdict
+    and the pairs ``first_duality`` counts, the Levi basis against every
+    ``hecke_generators`` member."""
     gens = [hecke.xi_gen(g, shape) for g in hecke.coxeter_generators(shape)]
     basis = enh.levi_basis(shape)
-    bad = sum(not enh.rho_levi(b, shape).commutes_with(g)
-              for b in basis for g in gens)
-    details = {"pairs": len(basis) * hecke.generator_count(shape.r),
-               "failed": bad}
-    if not relations_hold:
-        details["relations_certified"] = False
-    return cli._check("commutation", shape.vparity,
-                      bad == 0 and relations_hold, True, **details)
+    commute = all(enh.rho_levi(b, shape).commutes_with(g)
+                  for b in basis for g in gens)
+    return (commute and relations_hold,
+            len(basis) * hecke.generator_count(shape.r))
+
+
+def first_duality(shape):
+    [check] = [c for c in cli._duality_checks(shape, DEFAULT_SIZE_CAP)
+               if c["name"] == "first_duality"]
+    return check
+
+
+def commutation_read(check):
+    """What a ``first_duality`` record says of the commutation."""
+    return check["passed"], check["details"]["pairs"]
 
 
 def cross_parity_oracle(cfg):
@@ -563,7 +568,7 @@ def cross_parity_oracle(cfg):
             (a, b): v if flip[a] == flip[b] else sh0.field.neg(v)
             for (a, b), v in enh.rho_levi(b0, sh0).entries.items()}
         for b0, b1 in zip(enh.levi_basis(sh0), enh.levi_basis(sh1)))
-    return cli._check("cross_parity_conjugation", -1, ok, True)
+    return cli._check("cross_parity_conjugation", -1, ok)
 
 
 def both_parities(shape):
@@ -573,10 +578,10 @@ def both_parities(shape):
 
 @pytest.mark.parametrize("shape", SHAPES + DEEP + DEEP_GF3, ids=shape_id)
 def test_commutation_and_cross_parity_match_oracles(shape):
-    """``commutation``, read from the first direction, and
+    """The commutation, read from the first direction, and
     ``cross_parity_conjugation``, read on the frame, against the
     whole-space checks they replaced."""
-    assert cli._commutation_check(shape, True, DEFAULT_SIZE_CAP) == (
+    assert commutation_read(first_duality(shape)) == (
         commutation_oracle(shape, True))
     check = cli._cross_parity_check(both_parities(shape))
     assert check == cross_parity_oracle(both_parities(shape))
@@ -598,10 +603,10 @@ def test_run_path_builds_no_levi_matrix(monkeypatch):
             mp.setattr(enh, "parity_flip_conjugator", refuse)
             report, status = cli.cmd_verify(cfg)
         assert status == cli.EXIT_OK
-        names = ("commutation", "cross_parity_conjugation")
-        oracles = [commutation_oracle(sh, True) for sh in cfg.shapes()]
-        oracles.append(cross_parity_oracle(cfg))
-        assert [c for c in report["checks"] if c["name"] in names] == oracles
+        assert [commutation_read(c) for c in report["checks"]
+                if c["name"] == "first_duality"] == [
+            commutation_oracle(sh, True) for sh in cfg.shapes()]
+        assert report["checks"][-1] == cross_parity_oracle(cfg)
         golden = GOLDEN / f"verify_{m}_{n}_{r}.json"
         if golden.exists():
             del report["timing"]
@@ -611,15 +616,15 @@ def test_run_path_builds_no_levi_matrix(monkeypatch):
 
 
 def test_failed_relations_fail_commutation_and_its_oracle(monkeypatch):
-    """With every relation refused, the first direction fixes nothing:
-    ``failed`` is None, where the oracle counts no failing pair."""
+    """With every relation refused, the first direction fixes nothing and
+    fails, as the oracle does, although every pair it checks commutes."""
     monkeypatch.setattr(hecke, "check_relation", lambda inst, sh: False)
     shape = Shape(1, 1, 2)
     assert hecke.relation_failures(shape)
-    check = cli._commutation_check(shape, False, DEFAULT_SIZE_CAP)
-    oracle = commutation_oracle(shape, False)
-    assert check["passed"] is oracle["passed"] is False
-    assert check["details"] == dict(oracle["details"], failed=None)
+    check = first_duality(shape)
+    assert commutation_read(check) == commutation_oracle(shape, False)
+    assert check["passed"] is False
+    assert commutation_oracle(shape, True)[0]
 
 
 def patch_family(monkeypatch, edit):
@@ -663,8 +668,8 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
             "--vparity", "even"]
     assert cli.main(argv) == cli.EXIT_CHECK_FAILED
     out = capsys.readouterr().out
-    for name in ("layer_decomposition", "faithful_layer_action",
-                 "faithfulness_rank"):
+    for name in ("first_duality", "second_duality",
+                 "faithful_layer_action"):
         assert f"FAIL {name}" in out
 
 
@@ -711,7 +716,7 @@ def test_closure_adds_generators_the_coxeter_set_misses(
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
         gate = {
-            "verify": ("layer_decomposition", "sum_matches"),
+            "verify": ("second_duality", "sum_matches"),
             "dims": ("d_certificate", "gate"),
         }[command]
         assert [c["details"][gate[1]] for c in report["checks"]
@@ -863,8 +868,7 @@ def test_table_mutant_fails_classical_duality(monkeypatch):
 
 def test_run_path_checks_3_3_on_the_table_alone(monkeypatch):
     """No command builds an instance of 3.3, nor the map of a
-    ``LayerGen`` whose sigma is neither id nor simple; the boundary
-    observations decide each layer on the domains of the maps."""
+    ``LayerGen`` whose sigma is neither id nor simple."""
     built, seen = [], []
     real_map = hecke._gen_map
     real_instance = hecke.RelationInstance
