@@ -46,9 +46,9 @@ class LayerFactor(namedtuple("LayerFactor", (
 
     ``supports`` is k = C(r, l), ``block_size`` k (m+n)^l and ``labels``
     the size of S(m|n,l)'s basis ``schur_core.schur_basis``;
-    ``dim_commutant_pi`` counts the consistent signed orbits, on every
-    run; ``certified`` is C(Pi_l) = S(m|n,l) and ``converse``
-    C(S(m|n,l)) = Pi_l, which fixes ``dim_pi`` (None without it).
+    ``dim_commutant_pi``, on every run, counts the consistent orbits of
+    the walk that decides ``certified``, C(Pi_l) = S(m|n,l); ``converse``
+    C(S(m|n,l)) = Pi_l fixes ``dim_pi`` (None without it).
     ``seconds`` is the time spent reading the layer's verdicts, and
     ``solves`` how each was reached (``schur_core.Degree.solves``)."""
 
@@ -83,11 +83,11 @@ def _levi_transport(shape: Shape) -> tuple[bool, ...]:
     diagonal xi((w, w)) are 0/1 idempotents summing to 1 on V^{(x)l},
     so by (1) and G1(b) the diagonal Levi elements of layer l sum to the
     B_S A_S, to P_l.  (3) So no nonzero layer-l vector is killed by every
-    degree-l element.  (4) Under ``Degree.certified`` each xi is one
-    whole signed orbit, on distinct orbits, so the xi of a degree lie on
-    disjoint positions; the B_S keep the supports apart and the layers
-    lie on disjoint words, so the Levi basis is independent, of rank the
-    sum of the ``LayerFactor.labels``.
+    degree-l element.  (4) Under ``Degree.certified`` the single walk
+    ``Degree.orbits`` matched each xi to one whole signed orbit, no root
+    twice, so the xi of a degree lie on disjoint positions; the B_S keep
+    the supports apart and the layers lie on disjoint words, so the Levi
+    basis is independent, of rank the sum of the ``LayerFactor.labels``.
     """
     fac = hecke.d_factors(shape)
     held = []
@@ -116,7 +116,7 @@ def _layer_factors(shape: Shape) -> LayerFactors:
             block_size=k * deg.dim,
             labels=len(schur_core.schur_basis(shape, l)),
             dim_pi=deg.group if deg.converse else None,
-            dim_commutant_pi=len(deg.orbits[0]),
+            dim_commutant_pi=deg.orbits[0],
             certified=deg.certified,
             converse=deg.converse,
             seconds=time.perf_counter() - t0,

@@ -17,10 +17,8 @@ from levischur.combinatorics import (
     Shape,
     act,
     add_parities,
-    adjacent_transposition,
     alpha,
     gamma,
-    orbit_reps,
     perms,
 )
 from levischur.duality import (
@@ -31,7 +29,6 @@ from levischur.duality import (
 )
 from levischur.enhanced_core import (
     levi_basis,
-    levi_span,
     rho_levi,
 )
 from levischur.hecke import (
@@ -44,7 +41,6 @@ from levischur.hecke import (
 )
 from levischur.linalg import (
     ExactMatrix,
-    commutant,
     rank_of_rows,
     span_of,
 )

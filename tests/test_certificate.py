@@ -10,10 +10,12 @@ Chevalley elements and then the basis matrices, inside the weight
 blocks.  The oracle here is ``linalg.commutant`` elimination on the
 same generators, over the rationals and three prime fields, on a ladder
 that reaches degrees l >= p.  Mutants check that a flipped basis entry,
-a repeated basis matrix, a broken weight idempotent, a planted trace
-and a missed count each fail their verdict, with ``solves`` naming the
-step that failed, and make ``verify`` exit 1; a Chevalley miss is made
-up by the basis matrices stacked after them.  With every echelon
+a repeated basis matrix, a matrix on two orbits, a broken weight
+idempotent, a planted trace and a missed count each fail their verdict,
+with ``solves`` naming the step that failed, and make ``verify`` exit 1;
+each clause of the one-to-one match of basis matrices and orbits,
+broken alone through the labels, fails the orbit check; a Chevalley miss
+is made up by the basis matrices stacked after them.  With every echelon
 refused, the semisimple path still prints its reports.
 """
 
@@ -84,10 +86,11 @@ def test_certified_spans_match_elimination(field):
         assert deg.certified == (comm_pi == deg.schur)
         assert deg.converse == (comm_schur == group)
         assert deg.certified and deg.converse
-        assert len(deg.orbits[0]) == comm_pi.dimension
-        orbits, conflicts = deg.orbits
+        assert deg.orbits[0] == comm_pi.dimension
+        orbits, conflicts, matched = deg.orbits
+        assert (type(orbits), type(conflicts), matched) == (int, int, True)
         assert deg.solves["commutant_pi"] == {
-            "method": "certified", "orbits": len(orbits),
+            "method": "certified", "orbits": orbits,
             "conflicts": conflicts}
         solve = deg.solves["commutant_schur"]
         p = field.p if isinstance(field, PrimeField) else None
@@ -142,9 +145,9 @@ def test_xi_sign_flip_fails_both_verdicts(monkeypatch):
     assert deg.weight_blocks is not None
     assert not deg.certified and not deg.converse
     assert eliminated(deg)[0] != deg.schur
-    orbits, conflicts = deg.orbits
+    orbits, conflicts, _matched = deg.orbits
     assert deg.solves == {
-        "commutant_pi": {"method": "orbits_failed", "orbits": len(orbits),
+        "commutant_pi": {"method": "orbits_failed", "orbits": orbits,
                          "conflicts": conflicts},
         "commutant_schur": ORBITS_FAILED,
     }
@@ -161,13 +164,87 @@ def test_repeated_basis_matrix_fails_the_orbit_check(monkeypatch):
     monkeypatch.setattr(schur_core, "xi_entries", lambda p, sh: real(
         first if p == second else p, sh))
     deg = schur_core.degree(shape, 2)
-    assert len(deg.orbits[0]) == len(deg.xi)
+    assert deg.orbits[0] == len(deg.xi)
     assert not deg.certified and not deg.converse
     assert eliminated(deg)[0] != deg.schur
     assert deg.solves["commutant_pi"]["method"] == "orbits_failed"
     assert deg.solves["commutant_schur"] == ORBITS_FAILED
     levischur.clear_caches()
     assert verify_fails(shape)[2] == deg.solves
+
+
+def test_matrix_on_two_orbits_fails_the_orbit_check(monkeypatch):
+    """One basis matrix that is its own whole consistent orbit plus the
+    next label's, that label's matrix left as it is: keyed at its own
+    root, it has more entries than the orbit there.  The span is still
+    C(Pi_l), as elimination finds, but the matrix is not the paper's
+    basis element.  The orbit counts are the clean run's, and ``verify``
+    fails with the same ``solves``."""
+    shape = Shape(1, 1, 3)
+    clean = schur_core.degree(shape, 3)
+    assert clean.certified
+    failed = dict(clean.solves["commutant_pi"], method="orbits_failed")
+    levischur.clear_caches()
+    real = schur_core.xi_entries
+    labels = schur_core.schur_basis(shape, 3)
+    pair, after = next(
+        (p, q) for p, q in zip(labels, labels[1:])
+        if p[0] != p[1] and min(real(p, shape)) < min(real(q, shape)))
+
+    def mutant(p, sh):
+        entries = real(p, sh)
+        return {**entries, **real(after, sh)} if p == pair else entries
+
+    monkeypatch.setattr(schur_core, "xi_entries", mutant)
+    deg = schur_core.degree(shape, 3)
+    assert deg.weight_blocks is not None
+    assert not deg.certified and not deg.converse
+    assert eliminated(deg)[0] == deg.schur
+    assert deg.solves == {"commutant_pi": failed,
+                          "commutant_schur": ORBITS_FAILED}
+    levischur.clear_caches()
+    assert verify_fails(shape)[3] == deg.solves
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "left_over",
+                                  "inconsistent"])
+def test_matrices_and_orbits_must_be_one_to_one(case, monkeypatch):
+    """Each clause of the one-to-one match fails the orbit check alone:
+    a label left out leaves its orbit with no matrix; an extra label on
+    a known orbit, whose matrix is a signed copy of that orbit, repeats
+    its key; an extra label carrying the real matrix of a label whose
+    own matrix lost its root entry leaves that matrix keyed at no root;
+    and an extra matrix on an inconsistent orbit lies outside C(Pi_l)."""
+    shape = Shape(1, 1, 2)
+    clean = schur_core.degree(shape, 2)
+    assert clean.certified
+    failed = dict(clean.solves["commutant_pi"], method="orbits_failed")
+    levischur.clear_caches()
+    real_basis, real = schur_core.schur_basis, schur_core.xi_entries
+    pair, extra = ((1, 1), (1, 2)), ((1, 1), (2, 1))
+    assert comb.canonical_pair(extra, shape) == pair
+    labels, planted = real_basis(shape, 2), {}
+    if case == "missing":
+        labels = tuple(p for p in labels if p != pair)
+    elif case == "extra":
+        labels += (extra,)
+    elif case == "left_over":
+        labels += (extra,)
+        planted = {extra: real(pair, shape),
+                   pair: dict(sorted(real(pair, shape).items())[1:])}
+    else:
+        # s_1 fixes the words 11 and 22 with signs 1 and -1, so the
+        # position (11, 22) is an orbit of its own, and inconsistent
+        labels += (((1, 1), (2, 2)),)
+        planted = {labels[-1]: {(0, 3): 1}}
+    monkeypatch.setattr(schur_core, "schur_basis", lambda sh, l: labels)
+    monkeypatch.setattr(schur_core, "xi_entries", lambda p, sh: planted[
+        p] if p in planted else real(p, sh))
+    deg = schur_core.degree(shape, 2)
+    assert deg.weight_blocks is not None
+    assert not deg.certified and not deg.converse
+    assert deg.solves == {"commutant_pi": failed,
+                          "commutant_schur": ORBITS_FAILED}
 
 
 def test_dropped_weight_entry_refuses_the_restriction(monkeypatch):

@@ -14,7 +14,7 @@ from levischur.duality import (
     verify_layer_endos,
     verify_second,
 )
-from levischur.enhanced_core import levi_span, rho_levi, levi_basis
+from levischur.enhanced_core import levi_span
 from levischur.hecke import d_algebra, d_layer_algebra
 from levischur.linalg import SizeCapExceeded, commutant
 from levischur.schur_core import classical_duality

@@ -15,7 +15,6 @@ from levischur.combinatorics import (
     adjacent_transposition,
     alpha,
     identity_perm,
-    orbit_elements,
     orbit_signs,
     perms,
     strict_pairs,
@@ -26,12 +25,10 @@ from levischur.linalg import (
     PrimeField,
     commutant,
     rank_of_rows,
-    span_of,
 )
 from levischur.schur_core import (
     classical_duality,
     degree,
-    natural_basis,
     normalize_pair,
     pi_matrix,
     schur_basis,
